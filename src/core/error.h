@@ -21,8 +21,13 @@ struct ErrorContext {
   long step = -1;       ///< simulation step the failure surfaced at (-1 unknown)
   std::string kernel;   ///< force kernel driving the run, if any
   std::string backend;  ///< backend name, if the failure crossed a backend
+  long long atoms = -1; ///< system size at the failure (-1 unknown)
+  std::string detail;   ///< the quantity that breached a limit, and the limit
 
-  bool empty() const { return step < 0 && kernel.empty() && backend.empty(); }
+  bool empty() const {
+    return step < 0 && kernel.empty() && backend.empty() && atoms < 0 &&
+           detail.empty();
+  }
 
   std::string to_string() const {
     std::string out;
@@ -33,6 +38,8 @@ struct ErrorContext {
     if (step >= 0) append("step " + std::to_string(step));
     if (!kernel.empty()) append("kernel " + kernel);
     if (!backend.empty()) append("backend " + backend);
+    if (atoms >= 0) append(std::to_string(atoms) + " atoms");
+    if (!detail.empty()) append(detail);
     return out;
   }
 };

@@ -20,6 +20,7 @@ struct Pack<float, SimdType::kAvx2> {
   __m256 v;
 
   static Pack load(const float* p) { return {_mm256_load_ps(p)}; }
+  static Pack loadu(const float* p) { return {_mm256_loadu_ps(p)}; }
   // Hardware vgatherdps: eight 32-bit indices, scale 4.  Same lane values
   // as eight scalar loads, so downstream arithmetic is bitwise unchanged.
   static Pack gather(const float* base, const std::uint32_t* idx) {
@@ -75,6 +76,7 @@ struct Pack<double, SimdType::kAvx2> {
   __m256d v;
 
   static Pack load(const double* p) { return {_mm256_load_pd(p)}; }
+  static Pack loadu(const double* p) { return {_mm256_loadu_pd(p)}; }
   // Hardware vgatherdpd: four 32-bit indices, scale 8.
   static Pack gather(const double* base, const std::uint32_t* idx) {
     const __m128i vidx =

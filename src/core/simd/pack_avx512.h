@@ -21,10 +21,30 @@
 
 #include <immintrin.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
 namespace emdpa::simd {
+
+namespace detail {
+/// vpcompressd the 32-bit indices idx[l] of the lanes set in `bits` (at most
+/// 16) into out[0..popcount), in lane order; returns the new end of out.
+/// The masked load never touches an unselected lane, and the compress goes
+/// to a register followed by a masked store: memory-destination vpcompressd
+/// is microcoded on several cores.  Writes nothing past the kept lanes.
+inline std::uint32_t* compress_indices(std::uint32_t* out,
+                                       const std::uint32_t* idx,
+                                       unsigned bits) {
+  const auto keep = static_cast<__mmask16>(bits);
+  const __m512i kept =
+      _mm512_maskz_compress_epi32(keep, _mm512_maskz_loadu_epi32(keep, idx));
+  const int count = std::popcount(bits);
+  _mm512_mask_storeu_epi32(out, static_cast<__mmask16>((1u << count) - 1u),
+                           kept);
+  return out + count;
+}
+}  // namespace detail
 
 template <>
 struct Pack<float, SimdType::kAvx512> {
@@ -33,6 +53,7 @@ struct Pack<float, SimdType::kAvx512> {
   __m512 v;
 
   static Pack load(const float* p) { return {_mm512_load_ps(p)}; }
+  static Pack loadu(const float* p) { return {_mm512_loadu_ps(p)}; }
   // Hardware vgatherdps.  The full-mask masked form sidesteps the
   // undefined pass-through register of the unmasked intrinsic (every lane
   // is gathered, so the zero src never shows through).
@@ -75,6 +96,12 @@ struct Pack<float, SimdType::kAvx512> {
     return {_mm512_mask_blend_ps(m, b.v, a.v)};
   }
   static unsigned mask_bits(Mask m) { return static_cast<unsigned>(m); }
+  // Kept-lane index store for the list fill (md/kernel_rows.h ListFill).
+  static std::uint32_t* compress_indices(std::uint32_t* out,
+                                         const std::uint32_t* idx,
+                                         unsigned bits) {
+    return detail::compress_indices(out, idx, bits);
+  }
   friend float reduce_add(Pack a) {
     alignas(64) float lanes[kWidth];
     _mm512_store_ps(lanes, a.v);
@@ -91,6 +118,7 @@ struct Pack<double, SimdType::kAvx512> {
   __m512d v;
 
   static Pack load(const double* p) { return {_mm512_load_pd(p)}; }
+  static Pack loadu(const double* p) { return {_mm512_loadu_pd(p)}; }
   // Hardware vgatherdpd: eight 32-bit indices widen into a 512-bit gather
   // (full-mask masked form, as above).
   static Pack gather(const double* base, const std::uint32_t* idx) {
@@ -133,6 +161,12 @@ struct Pack<double, SimdType::kAvx512> {
     return {_mm512_mask_blend_pd(m, b.v, a.v)};
   }
   static unsigned mask_bits(Mask m) { return static_cast<unsigned>(m); }
+  // Kept-lane index store for the list fill (md/kernel_rows.h ListFill).
+  static std::uint32_t* compress_indices(std::uint32_t* out,
+                                         const std::uint32_t* idx,
+                                         unsigned bits) {
+    return detail::compress_indices(out, idx, bits);
+  }
   friend double reduce_add(Pack a) {
     alignas(64) double lanes[kWidth];
     _mm512_store_pd(lanes, a.v);

@@ -17,6 +17,7 @@ struct Pack<Real, SimdType::kScalar> {
   Real v;
 
   static Pack load(const Real* p) { return {*p}; }
+  static Pack loadu(const Real* p) { return {*p}; }
   static Pack gather(const Real* base, const std::uint32_t* idx) {
     return {base[idx[0]]};
   }

@@ -21,6 +21,7 @@ struct Pack<float, SimdType::kSse2> {
   __m128 v;
 
   static Pack load(const float* p) { return {_mm_load_ps(p)}; }
+  static Pack loadu(const float* p) { return {_mm_loadu_ps(p)}; }
   // SSE2 has no gather instruction; lane-insert via set — same values, and
   // the compiler turns it into four scalar loads + shuffles.
   static Pack gather(const float* base, const std::uint32_t* idx) {
@@ -67,6 +68,7 @@ struct Pack<double, SimdType::kSse2> {
   __m128d v;
 
   static Pack load(const double* p) { return {_mm_load_pd(p)}; }
+  static Pack loadu(const double* p) { return {_mm_loadu_pd(p)}; }
   static Pack gather(const double* base, const std::uint32_t* idx) {
     return {_mm_set_pd(base[idx[1]], base[idx[0]])};
   }

@@ -1,6 +1,7 @@
 // The hot row loops of the two host LJ fast paths, templated on
 // <Real, Acc, SimdType> so one definition serves every precision mode and
-// every instruction set.  Each per-ISA translation unit
+// every instruction set, plus the neighbour-list build's distance filter
+// (ListFill, at the end).  Each per-ISA translation unit
 // (md/simd_rows_*.cpp) instantiates RowKernels for exactly one SimdType —
 // the one it was compiled with -m flags for — and exports the resulting
 // function pointers through the md/simd_kernels.h registry; nothing else
@@ -149,6 +150,109 @@ struct RowKernels {
 
       finish_row(a, inv_mass, accelerations[i], row_pe[i], row_virial[i]);
       row_hits[i] = hits;
+    }
+  }
+};
+
+/// The distance filter of the neighbour-list build (ParallelNeighborListT's
+/// fill phase), one grid cell's rows per call.  The list has gathered the
+/// wrapped coordinates into cell-sorted arrays (xs/ys/zs[s] is atom ids[s],
+/// the stable counting-sort order), so the cell's whole stencil is a short
+/// list of contiguous [begin, end) spans of those arrays, already in stencil
+/// order — each is streamed kWidth lanes at a time with unaligned loads.
+/// The arrays must hold kWidth readable (ignored) elements past their last
+/// span: the tail pack over-reads and masks the extra lanes off.
+///
+/// Per lane the test is exactly the scalar build's: the force sweep's
+/// reflection (reflect_min_image — bitwise the rounding min_image on wrapped
+/// inputs), r2 = dx*dx + dy*dy + dz*dz in that order, kept when
+/// r2 < cutoff_sq.  The self pair is excluded by index, not by r2 > 0, so
+/// exactly coincident atoms stay in the list.  Kept lanes are written in
+/// lane order (original atom indices, ascending within a cell), so a row is
+/// byte-identical on every ISA: vpcompressd on AVX-512, a mask-bit scan on
+/// the narrower packs.
+template <typename Real, simd::SimdType S>
+struct ListFill {
+  using P = simd::Pack<Real, S>;
+  static constexpr std::size_t kWidth = P::kWidth;
+
+  /// Rows of the atoms at sorted positions [a_begin, a_end), each against
+  /// the n_spans spans (begin, end pairs) of their cell's stencil.  With
+  /// entries == nullptr this is the count pass: row_count[i] receives row
+  /// i's kept count.  Otherwise it is the fill pass: row i is written to
+  /// entries[row_begin[i] ..] and self-padded up to row_begin[i + 1].
+  static void cell_rows(const Real* xs, const Real* ys, const Real* zs,
+                        const std::uint32_t* ids, const std::uint32_t* spans,
+                        std::size_t n_spans, std::uint32_t a_begin,
+                        std::uint32_t a_end, Real edge, Real cutoff_sq,
+                        const std::uint32_t* row_begin,
+                        std::uint32_t* row_count, std::uint32_t* entries) {
+    if (entries == nullptr) {
+      rows<false>(xs, ys, zs, ids, spans, n_spans, a_begin, a_end, edge,
+                  cutoff_sq, row_begin, row_count, entries);
+    } else {
+      rows<true>(xs, ys, zs, ids, spans, n_spans, a_begin, a_end, edge,
+                 cutoff_sq, row_begin, row_count, entries);
+    }
+  }
+
+ private:
+  static std::uint32_t* store_kept(std::uint32_t* out,
+                                   const std::uint32_t* ids, unsigned bits) {
+    if constexpr (requires { P::compress_indices(out, ids, bits); }) {
+      return P::compress_indices(out, ids, bits);
+    } else {
+      for (; bits != 0; bits &= bits - 1u) {
+        *out++ = ids[std::countr_zero(bits)];
+      }
+      return out;
+    }
+  }
+
+  template <bool kWrite>
+  static void rows(const Real* xs, const Real* ys, const Real* zs,
+                   const std::uint32_t* ids, const std::uint32_t* spans,
+                   std::size_t n_spans, std::uint32_t a_begin,
+                   std::uint32_t a_end, Real edge, Real cutoff_sq,
+                   const std::uint32_t* row_begin, std::uint32_t* row_count,
+                   std::uint32_t* entries) {
+    const P v_edge = P::broadcast(edge);
+    const P v_half = P::broadcast(edge / Real(2));
+    const P v_cut = P::broadcast(cutoff_sq);
+    const P v_zero = P::zero();
+    for (std::uint32_t s = a_begin; s < a_end; ++s) {
+      const std::uint32_t i = ids[s];
+      const P xi = P::broadcast(xs[s]);
+      const P yi = P::broadcast(ys[s]);
+      const P zi = P::broadcast(zs[s]);
+      std::uint32_t* out = kWrite ? entries + row_begin[i] : nullptr;
+      std::uint32_t count = 0;
+      for (std::size_t k = 0; k < n_spans; ++k) {
+        const std::uint32_t end = spans[2 * k + 1];
+        for (std::uint32_t j = spans[2 * k]; j < end; j += kWidth) {
+          const P dx = reflect_min_image(xi - P::loadu(xs + j), v_edge,
+                                         v_half, v_zero);
+          const P dy = reflect_min_image(yi - P::loadu(ys + j), v_edge,
+                                         v_half, v_zero);
+          const P dz = reflect_min_image(zi - P::loadu(zs + j), v_edge,
+                                         v_half, v_zero);
+          unsigned bits = P::mask_bits(cmp_lt(dx * dx + dy * dy + dz * dz,
+                                              v_cut));
+          if (end - j < kWidth) bits &= (1u << (end - j)) - 1u;  // tail
+          if (s - j < kWidth) bits &= ~(1u << (s - j));          // j == i
+          if constexpr (kWrite) {
+            out = store_kept(out, ids + j, bits);
+          } else {
+            count += static_cast<std::uint32_t>(std::popcount(bits));
+          }
+        }
+      }
+      if constexpr (kWrite) {
+        std::uint32_t* const row_end = entries + row_begin[i + 1];
+        while (out < row_end) *out++ = i;  // self pad, r2 == 0
+      } else {
+        row_count[i] = count;
+      }
     }
   }
 };

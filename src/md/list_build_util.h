@@ -10,20 +10,56 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/error.h"
 #include "core/simd.h"
 #include "core/vec3.h"
 #include "md/box.h"
 
 namespace emdpa::md::listutil {
 
-/// Round `count` up to a whole number of 64-byte accumulation blocks — the
-/// ISA-independent padding unit (see parallel_neighbor.h).
+/// Largest padded entry count a CSR can hold: row_begin and entries index
+/// with uint32.
+inline constexpr std::uint64_t kMaxCsrEntries = UINT32_MAX;
+
+/// The padded CSR offsets of per-row kept counts: row i spans
+/// [row_begin[i], row_begin[i + 1]), its count rounded up to a whole number
+/// of 64-byte accumulation blocks — the ISA-independent padding unit (see
+/// parallel_neighbor.h).  Returns the unpadded total (directed entries).
+/// Sums in uint64 and throws RuntimeFailure, carrying the atom count and the
+/// padded total in its ErrorContext, when the total exceeds `limit`, instead
+/// of wrapping the uint32 offsets into out-of-bounds gathers.  The limit is
+/// a parameter only so a test can trip the guard at a small size.
 template <typename Real>
-constexpr std::uint32_t padded_count(std::uint32_t count) {
-  constexpr auto w = static_cast<std::uint32_t>(simd::block_lanes<Real>());
-  return (count + w - 1) / w * w;
+std::uint64_t padded_row_offsets(const std::vector<std::uint32_t>& row_count,
+                                 std::vector<std::uint32_t>& row_begin,
+                                 std::uint64_t limit = kMaxCsrEntries) {
+  constexpr std::uint64_t w = simd::block_lanes<Real>();
+  const std::size_t n = row_count.size();
+  row_begin.resize(n + 1);
+  row_begin[0] = 0;
+  std::uint64_t padded = 0;
+  std::uint64_t directed = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    padded += (row_count[i] + w - 1) / w * w;
+    directed += row_count[i];
+    row_begin[i + 1] = static_cast<std::uint32_t>(padded);
+  }
+  if (padded > limit) {
+    ErrorContext context;
+    context.atoms = static_cast<long long>(n);
+    context.detail = "padded entries " + std::to_string(padded) +
+                     " > limit " + std::to_string(limit);
+    throw RuntimeFailure(
+        "neighbour list: padded CSR exceeds its 32-bit offsets (" +
+            std::to_string(padded) + " entries for " + std::to_string(n) +
+            " atoms); lower the cutoff or the atom count",
+        std::move(context));
+  }
+  return directed;
 }
 
 /// Atoms per histogram chunk in the parallel counting sort.  The chunk
@@ -45,9 +81,9 @@ inline double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Degenerate-box fallback (fewer than 3 cells per axis): O(N^2) build
-/// through the same two-pass CSR layout, still row-parallel.  `run_rows`
-/// splits [0, n) over whatever pool the caller owns.
+/// Degenerate-box fallback (fewer than 3 cells per axis): O(N^2) build,
+/// count-then-fill into the same padded CSR layout, still row-parallel.
+/// `run_rows` splits [0, n) over whatever pool the caller owns.
 template <typename Real>
 void build_all_pairs_csr(
     const std::vector<emdpa::Vec3<Real>>& wrapped,
@@ -73,11 +109,7 @@ void build_all_pairs_csr(
     }
   });
 
-  row_begin.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    row_begin[i + 1] = row_begin[i] + padded_count<Real>(row_count[i]);
-    directed_entries += row_count[i];
-  }
+  directed_entries = padded_row_offsets<Real>(row_count, row_begin);
   build_distance_tests = n == 0 ? 0 : static_cast<std::uint64_t>(n) * (n - 1);
 
   entries.assign(row_begin[n], 0);

@@ -23,6 +23,22 @@
 
 namespace emdpa::md {
 
+/// The fused single-reflection minimum image of one axis of raw separations:
+/// d - select(|d| >= edge/2, copysign(edge, d), 0).  Exact for wrapped
+/// positions (|d| <= edge), where it is bitwise d - edge*round(d/edge): the
+/// quotient d/edge reaches 0.5 exactly when |d| >= edge/2, and the subtracted
+/// multiple of the edge is 0 or exactly ±edge either way.  The reflection
+/// test is >=, not >: at |d| exactly half the edge both images are
+/// equidistant and std::round (the scalar kRound reference) rounds half away
+/// from zero, i.e. reflects — small perfect lattices (e.g. 4x4x4 with cutoff
+/// > edge/2) really do hit this, and a strict > would flip the force
+/// direction of those pairs against the reference.  Shared by the force
+/// sweep below and the list build's distance filter (kernel_rows.h).
+template <typename P>
+inline P reflect_min_image(P d, P edge, P half_edge, P zero) {
+  return d - select(cmp_ge(abs(d), half_edge), copysign(edge, d), zero);
+}
+
 /// Broadcast constants plus the fused min-image + LJ accumulation step for
 /// one batch of Pack<Real, S>::kWidth j-lanes against a fixed atom i.
 template <typename Real, simd::SimdType S = simd::fastest_simd_type()>
@@ -48,17 +64,13 @@ struct LjLaneKernel {
   /// force/PE/virial lanes.  Returns the in-range lane mask bits (one bit
   /// per lane) so callers can early-out and count interactions.  The fused
   /// single-reflection minimum image is exact for wrapped positions
-  /// (|dr| < edge per axis), where it coincides with every MinImageStrategy.
-  /// The reflection test is >=, not >: at |d| exactly half the edge both
-  /// images are equidistant and std::round (the scalar kRound reference)
-  /// rounds half away from zero, i.e. reflects — small perfect lattices
-  /// (e.g. 4x4x4 with cutoff > edge/2) really do hit this, and a strict >
-  /// would flip the force direction of those pairs against the reference.
+  /// (|dr| < edge per axis), where it coincides with every MinImageStrategy
+  /// (see reflect_min_image).
   inline unsigned accumulate(P dx, P dy, P dz, P& fx, P& fy, P& fz, P& pe,
                              P& vir) const {
-    dx = dx - select(cmp_ge(abs(dx), v_half), copysign(v_edge, dx), v_zero);
-    dy = dy - select(cmp_ge(abs(dy), v_half), copysign(v_edge, dy), v_zero);
-    dz = dz - select(cmp_ge(abs(dz), v_half), copysign(v_edge, dz), v_zero);
+    dx = reflect_min_image(dx, v_edge, v_half, v_zero);
+    dy = reflect_min_image(dy, v_edge, v_half, v_zero);
+    dz = reflect_min_image(dz, v_edge, v_half, v_zero);
 
     const P r2 = dx * dx + dy * dy + dz * dz;
     const auto in_range = P::mask_and(cmp_lt(r2, v_cut), cmp_gt(r2, v_zero));

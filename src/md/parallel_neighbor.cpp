@@ -1,6 +1,7 @@
 #include "md/parallel_neighbor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -11,7 +12,6 @@
 
 namespace emdpa::md {
 
-using listutil::padded_count;
 using listutil::seconds_since;
 
 const char* to_string(SkinPolicy policy) {
@@ -62,13 +62,23 @@ bool ParallelNeighborListT<Real>::needs_rebuild(
   if (cutoff != build_cutoff_ || box.edge() != build_edge_) return true;
   if (policy_ == SkinPolicy::kNeverRebuild) return false;  // broken on purpose
   // Valid while no atom moved more than half the skin since the build: two
-  // atoms approaching from opposite sides close at most `skin` total.
+  // atoms approaching from opposite sides close at most `skin` total.  The
+  // verdict is an OR over atoms, so splitting it over the pool (chunks stop
+  // early once any chunk found a mover) gives the same answer — and so the
+  // same rebuild schedule — at any thread count.
   const Real limit_sq = (skin_ / Real(2)) * (skin_ / Real(2));
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    const auto dr = box.min_image(positions[i] - build_positions_[i]);
-    if (length_squared(dr) > limit_sq) return true;
-  }
-  return false;
+  std::atomic<bool> stale{false};
+  run_span(positions.size(), kStaleGrain, [&](std::size_t b, std::size_t e) {
+    if (stale.load(std::memory_order_relaxed)) return;
+    for (std::size_t i = b; i < e; ++i) {
+      const auto dr = box.min_image(positions[i] - build_positions_[i]);
+      if (length_squared(dr) > limit_sq) {
+        stale.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
+  });
+  return stale.load(std::memory_order_relaxed);
 }
 
 template <typename Real>
@@ -78,6 +88,12 @@ bool ParallelNeighborListT<Real>::ensure(
   if (!needs_rebuild(positions, box, cutoff)) return false;
   build(positions, box, cutoff);
   return true;
+}
+
+template <typename Real>
+void ParallelNeighborListT<Real>::set_isa(simd::SimdType isa) {
+  fill_ = simd_kernels::list_fill<Real>(simd_kernels::rows(isa));
+  isa_ = isa;
 }
 
 template <typename Real>
@@ -101,15 +117,31 @@ void ParallelNeighborListT<Real>::bin_atoms(std::size_t n, std::size_t cells,
   // The three passes live in list_build_util.h, SHARED with the sharded
   // build — one copy of the stable counting sort is what makes "sharded CSR
   // == flat CSR" provable rather than merely tested.
-  (void)n;
   auto run = [this](std::size_t count, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body) {
     run_span(count, grain, body);
   };
   listutil::bin_pass_histogram(wrapped_, cells, n_cells, inv_cell, run,
                                cell_of_atom_, bin_hist_);
-  listutil::bin_merge_scatter(wrapped_.size(), n_cells, run, cell_of_atom_,
-                              bin_hist_, cell_start_, cell_atoms_);
+  listutil::bin_merge_scatter(n, n_cells, run, cell_of_atom_, bin_hist_,
+                              cell_start_, cell_atoms_);
+
+  // Cell-sorted SoA copy of the wrapped coordinates: every stencil cell is
+  // now a contiguous stream for the fill's SIMD filter.  One 64-byte block
+  // of tail padding covers the widest pack's over-read past the last span
+  // (those lanes are masked off).
+  const std::size_t padded = n + simd::block_lanes<Real>();
+  sorted_x_.resize(padded);
+  sorted_y_.resize(padded);
+  sorted_z_.resize(padded);
+  run_span(n, 4096, [&](std::size_t s_begin, std::size_t s_end) {
+    for (std::size_t s = s_begin; s < s_end; ++s) {
+      const emdpa::Vec3<Real>& p = wrapped_[cell_atoms_[s]];
+      sorted_x_[s] = p.x;
+      sorted_y_[s] = p.y;
+      sorted_z_[s] = p.z;
+    }
+  });
 }
 
 template <typename Real>
@@ -124,6 +156,63 @@ void ParallelNeighborListT<Real>::populate_stencil(std::size_t cells,
 }
 
 template <typename Real>
+void ParallelNeighborListT<Real>::filter_cells(std::size_t cells,
+                                               std::size_t range, Real edge,
+                                               std::uint32_t* entries) {
+  // One pool chunk = a run of cells.  A cell's stencil is the same for all
+  // its atoms, so its spans are gathered once per cell: for each stencil
+  // (x, y) line the z-window is consecutive cell ids — hence one contiguous
+  // range of the sorted arrays — except where it wraps past the box edge,
+  // which splits it in two.  Spans are appended in stencil order (x, then
+  // y, then z with the wrapped part last, exactly the cells' table order)
+  // and any span that starts where the previous one ended is merged into
+  // it, so the filter streams a few long runs instead of width^3 cells of
+  // ~2 atoms each.  Rows are disjoint, so cell order across threads is
+  // irrelevant to the result.
+  const std::size_t width = 2 * range + 1;
+  const std::size_t n_lines = cells * cells;
+  const std::uint32_t* cell_start = cell_start_.data();
+  const auto axis = [&](std::size_t a, std::size_t k) {
+    return (a + k + cells - range) % cells;
+  };
+  run_span(n_lines * cells, kFillCellGrain,
+           [&](std::size_t c_begin, std::size_t c_end) {
+    std::vector<std::uint32_t> spans;
+    spans.reserve(4 * width * width);
+    auto add_span = [&](std::uint32_t b, std::uint32_t e) {
+      if (b == e) return;
+      if (!spans.empty() && spans.back() == b) {
+        spans.back() = e;
+      } else {
+        spans.push_back(b);
+        spans.push_back(e);
+      }
+    };
+    for (std::size_t c = c_begin; c < c_end; ++c) {
+      if (cell_start[c] == cell_start[c + 1]) continue;  // empty cell
+      const std::size_t cx = c / n_lines;
+      const std::size_t cy = (c / cells) % cells;
+      const std::size_t z0 = axis(c % cells, 0);
+      const std::size_t z_end = std::min(z0 + width, cells);
+      const std::size_t z_wrapped = z0 + width - z_end;  // cells from z = 0
+      spans.clear();
+      for (std::size_t kx = 0; kx < width; ++kx) {
+        const std::size_t px = axis(cx, kx);
+        for (std::size_t ky = 0; ky < width; ++ky) {
+          const std::size_t line = (px * cells + axis(cy, ky)) * cells;
+          add_span(cell_start[line + z0], cell_start[line + z_end]);
+          add_span(cell_start[line], cell_start[line + z_wrapped]);
+        }
+      }
+      fill_(sorted_x_.data(), sorted_y_.data(), sorted_z_.data(),
+            cell_atoms_.data(), spans.data(), spans.size() / 2,
+            cell_start[c], cell_start[c + 1], edge, list_cutoff_sq_,
+            row_begin_.data(), row_count_.data(), entries);
+    }
+  });
+}
+
+template <typename Real>
 void ParallelNeighborListT<Real>::build(
     const std::vector<emdpa::Vec3<Real>>& positions,
     const PeriodicBoxT<Real>& box, Real cutoff) {
@@ -133,17 +222,28 @@ void ParallelNeighborListT<Real>::build(
     invalidate();
     throw RuntimeFailure("neighbour list: injected rebuild failure");
   }
+  // Same contract for a build that throws part-way (the CSR offset guard):
+  // the list only becomes valid once the whole CSR is in place.
+  invalidate();
+  ++rebuilds_;
+  build_csr(positions, box, cutoff);
+  build_positions_ = positions;
+  build_cutoff_ = cutoff;
+  build_edge_ = box.edge();
+}
+
+template <typename Real>
+void ParallelNeighborListT<Real>::build_csr(
+    const std::vector<emdpa::Vec3<Real>>& positions,
+    const PeriodicBoxT<Real>& box, Real cutoff) {
+  if (!isa_) set_isa(simd_kernels::resolve_isa());
   const std::size_t n = positions.size();
   const Real list_cutoff = cutoff + skin_;
   list_cutoff_sq_ = list_cutoff * list_cutoff;
-  build_cutoff_ = cutoff;
-  build_edge_ = box.edge();
-  build_positions_ = positions;
   directed_entries_ = 0;
   build_distance_tests_ = 0;
   last_bin_seconds_ = 0;
   last_fill_seconds_ = 0;
-  ++rebuilds_;
 
   const auto t_start = std::chrono::steady_clock::now();
   wrapped_.resize(n);
@@ -170,10 +270,9 @@ void ParallelNeighborListT<Real>::build(
   if (cells_ll < 1) cells_ll = 1;
   const auto cells = static_cast<std::size_t>(cells_ll);
   const double cell_edge = edge / static_cast<double>(cells);
-  const auto range = static_cast<long long>(
+  const auto range = static_cast<std::size_t>(
       std::ceil(static_cast<double>(list_cutoff) / cell_edge));
-  const std::size_t width = static_cast<std::size_t>(2 * range + 1);
-  if (width > cells) {
+  if (2 * range + 1 > cells) {
     // Box too small for a proper stencil (wrap-around would visit a cell
     // twice and duplicate entries): O(N^2) build instead.  All of it counts
     // as fill — there is no binning phase to speak of.
@@ -187,95 +286,39 @@ void ParallelNeighborListT<Real>::build(
   }
 
   // Pool-parallel stable counting sort into cells (per-chunk histograms +
-  // prefix-merge + scatter).  Atoms stay in index order within each cell,
-  // which makes the sweep order (and so the list) independent of thread
-  // count.
+  // prefix-merge + scatter) and the cell-sorted coordinate copy.  Atoms stay
+  // in index order within each cell, which makes the sweep order (and so
+  // the list) independent of thread count.
   const double inv_cell = static_cast<double>(cells) / edge;
   const std::size_t n_cells = cells * cells * cells;
   bin_atoms(n, cells, n_cells, inv_cell);
 
-  // Per-axis wrapped stencil indices (shared with the sharded build).
-  listutil::fill_stencil_axis(cells, static_cast<std::size_t>(range),
-                              stencil_axis_);
-
-  // Stencil population per cell.  Every atom in a cell sweeps exactly the
-  // atoms of that cell's stencil (minus itself), so this is the EXACT
-  // per-row distance-test count — which lets the single sweep below write
-  // hits straight into disjoint scratch ranges with no counting pass.
-  // Computed separably: one 1-D wrap-around window pass per axis.
-  populate_stencil(cells, static_cast<std::size_t>(range));
-
-  // Exact scratch CSR offsets (serial prefix — deterministic, so the sweep's
-  // output layout is independent of thread count).
-  scratch_begin_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch_begin_[i + 1] =
-        scratch_begin_[i] + stencil_pop_[cell_of_atom_[i]] - 1;  // minus self
+  // Stencil population per cell, computed separably (one 1-D wrap-around
+  // window pass per axis).  Every atom in a cell tests exactly the atoms of
+  // that cell's stencil minus itself, so this gives the build's exact
+  // distance-test count without touching an atom.
+  populate_stencil(cells, range);
+  for (std::size_t c = 0; c < n_cells; ++c) {
+    const std::uint64_t pop = cell_start_[c + 1] - cell_start_[c];
+    if (pop != 0) build_distance_tests_ += pop * (stencil_pop_[c] - 1);
   }
-  build_distance_tests_ = scratch_begin_[n];
-  scratch_entries_.resize(scratch_begin_[n]);
 
   last_bin_seconds_ = seconds_since(t_start);
   bin_seconds_total_ += last_bin_seconds_;
   const auto t_fill = std::chrono::steady_clock::now();
 
-  // The single distance sweep: unlike the classic count-then-fill scheme it
-  // pays each distance test exactly once (matching what the device cost
-  // models price), writing hits into the row's scratch range in one fixed
-  // order — stencil cells in table order, atoms within a cell in index
-  // order — so the list contents are a pure function of the inputs.
-  row_count_.assign(n, 0);
-  run_rows(n, [&](std::size_t i_begin, std::size_t i_end) {
-    for (std::size_t i = i_begin; i < i_end; ++i) {
-      const std::size_t cx = listutil::axis_cell(wrapped_[i].x, inv_cell, cells);
-      const std::size_t cy = listutil::axis_cell(wrapped_[i].y, inv_cell, cells);
-      const std::size_t cz = listutil::axis_cell(wrapped_[i].z, inv_cell, cells);
-      std::uint64_t slot = scratch_begin_[i];
-      for (std::size_t kx = 0; kx < width; ++kx) {
-        const std::size_t px = stencil_axis_[cx * width + kx];
-        for (std::size_t ky = 0; ky < width; ++ky) {
-          const std::size_t py = stencil_axis_[cy * width + ky];
-          const std::size_t row = (px * cells + py) * cells;
-          for (std::size_t kz = 0; kz < width; ++kz) {
-            const std::size_t c = row + stencil_axis_[cz * width + kz];
-            for (std::uint32_t s = cell_start_[c]; s < cell_start_[c + 1];
-                 ++s) {
-              const std::uint32_t j = cell_atoms_[s];
-              if (j == static_cast<std::uint32_t>(i)) continue;
-              const auto dr = box.min_image(wrapped_[i] - wrapped_[j]);
-              if (length_squared(dr) < list_cutoff_sq_) {
-                scratch_entries_[slot++] = j;
-              }
-            }
-          }
-        }
-      }
-      row_count_[i] = static_cast<std::uint32_t>(slot - scratch_begin_[i]);
-    }
-  });
-
-  // Serial prefix sum over SIMD-padded row extents.
-  row_begin_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    row_begin_[i + 1] = row_begin_[i] + padded_count<Real>(row_count_[i]);
-    directed_entries_ += row_count_[i];
-  }
-
-  // Compaction: copy each scratch row into its padded slot range.  Pure
-  // data movement, no distance math.
+  // Count-then-fill: pass 1 counts each row's kept entries, a checked
+  // prefix turns the counts into padded offsets, pass 2 repeats the same
+  // filter writing straight into the final CSR.  Both passes visit a row's
+  // candidates in one fixed order — stencil cells in table order, atoms
+  // within a cell in index order — so the list is a pure function of the
+  // inputs, whatever the thread count or ISA.
+  row_count_.resize(n);
+  filter_cells(cells, range, box.edge(), nullptr);
+  directed_entries_ =
+      listutil::padded_row_offsets<Real>(row_count_, row_begin_);
   entries_.resize(row_begin_[n]);
-  run_rows(n, [&](std::size_t i_begin, std::size_t i_end) {
-    for (std::size_t i = i_begin; i < i_end; ++i) {
-      const std::uint32_t* src = scratch_entries_.data() + scratch_begin_[i];
-      std::uint32_t slot = row_begin_[i];
-      for (std::uint32_t k = 0; k < row_count_[i]; ++k) {
-        entries_[slot++] = src[k];
-      }
-      for (; slot < row_begin_[i + 1]; ++slot) {
-        entries_[slot] = static_cast<std::uint32_t>(i);  // self pad, r2 == 0
-      }
-    }
-  });
+  filter_cells(cells, range, box.edge(), entries_.data());
 
   last_fill_seconds_ = seconds_since(t_fill);
   fill_seconds_total_ += last_fill_seconds_;

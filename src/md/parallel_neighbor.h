@@ -7,29 +7,34 @@
 // Two cooperating pieces:
 //
 //  * ParallelNeighborListT — a SIMD-padded CSR neighbour list built with a
-//    cell-grid bin-and-sweep.  Binning is a pool-parallel stable counting
+//    cell-grid bin-and-filter.  Binning is a pool-parallel stable counting
 //    sort: fixed atom chunks build per-chunk cell histograms, a prefix-merge
 //    pass turns the per-chunk columns into write cursors, and a second
 //    chunk-parallel pass scatters atoms into their cells.  The output is the
 //    unique stable sort by cell — atoms stay in index order within each cell
 //    — so the list is a pure function of the inputs at any thread count (the
-//    chunk decomposition depends only on N).  Cells are sized to about HALF
-//    the list radius with a correspondingly wider stencil — much tighter
-//    around the list sphere than a cutoff-sized 27-cell grid — and because
-//    every row's distance-test count is known exactly up front (the
-//    population of its cell's stencil, computed by three separable 1-D
-//    wrap-around window passes, O(cells^3) instead of O(cells^3 * width^3)),
-//    a SINGLE pool-parallel sweep writes hits straight into disjoint scratch
-//    ranges; a serial prefix sum and a copy-only compaction then produce the
-//    padded CSR.  Row slot ranges and contents are a pure function of the
-//    inputs, independent of thread count.  Each row is padded to the 64-byte
-//    ACCUMULATION BLOCK (simd::block_lanes<Real>() — 8 doubles / 16 floats),
-//    not the hardware pack width, so the padded layout is identical on every
-//    runtime-dispatched ISA; padding slots hold the atom's own index, whose
-//    r2 == 0 the shared lane mask (lj_simd.h) already rejects.  The build
-//    reports two phase timings — "bin" (wrap + counting sort + stencil
-//    tables + scratch offsets) and "fill" (distance sweep + prefix +
-//    compaction) — which the host-parallel backend surfaces as
+//    chunk decomposition depends only on N).  The wrapped coordinates are
+//    then gathered into cell-sorted SoA arrays (atoms keep their numbering;
+//    only this copy is sorted), so each stencil cell is a contiguous stream.
+//    Cells are sized to about HALF the list radius with a correspondingly
+//    wider stencil — much tighter around the list sphere than a cutoff-sized
+//    27-cell grid — and per stencil (x, y) line the z-window is consecutive
+//    cell ids, so a cell's whole stencil is a few merged spans of the sorted
+//    arrays (two per line at most, where the window wraps).  The fill is
+//    count-then-fill over those spans: the runtime-dispatched per-ISA
+//    distance filter (kernel_rows.h ListFill — the force sweep's copysign
+//    reflection across SIMD lanes, kept indices written with vpcompressd or
+//    a mask-bit scan) first counts every row, a checked prefix sum turns
+//    the counts into padded offsets, and a second pass writes straight into
+//    the final CSR.  Row slot ranges and contents are a pure function of the
+//    inputs, independent of thread count and ISA.  Each row is padded to
+//    the 64-byte ACCUMULATION BLOCK (simd::block_lanes<Real>() — 8 doubles
+//    / 16 floats), not the hardware pack width, so the padded layout is
+//    identical on every runtime-dispatched ISA; padding slots hold the
+//    atom's own index, whose r2 == 0 the shared lane mask (lj_simd.h)
+//    already rejects.  The build reports two phase timings — "bin" (wrap +
+//    counting sort + stencil tables + sorted SoA gather) and "fill" (count
+//    + prefix + fill) — which the host-parallel backend surfaces as
 //    RunResult::metadata keys list_build_bin_ms / list_build_fill_ms.
 //
 //  * ListKernelBaseT / NeighborListKernelT — a ForceKernelT that walks each
@@ -141,7 +146,19 @@ class ParallelNeighborListT {
   bool needs_rebuild(const std::vector<emdpa::Vec3<Real>>& positions,
                      const PeriodicBoxT<Real>& box, Real cutoff) const;
 
+  /// Pin the instruction set of the build's distance filter.  Kernels pass
+  /// the ISA they resolved for the force sweep, so --simd / EMDPA_SIMD pin
+  /// both; a list left unpinned resolves it on its first build the way the
+  /// kernels do (EMDPA_SIMD, else the fastest available).  The CSR is the
+  /// same on every ISA.
+  void set_isa(simd::SimdType isa);
+
+  /// The filter's instruction set; empty until pinned or first built.
+  std::optional<simd::SimdType> isa() const { return isa_; }
+
   /// Rebuild the list for `positions` at `cutoff` (list radius cutoff+skin).
+  /// Throws RuntimeFailure, leaving the list invalid, when the padded CSR
+  /// would overflow its 32-bit offsets.
   void build(const std::vector<emdpa::Vec3<Real>>& positions,
              const PeriodicBoxT<Real>& box, Real cutoff);
 
@@ -184,16 +201,17 @@ class ParallelNeighborListT {
   /// count within cutoff+skin.
   std::uint64_t directed_entries() const { return directed_entries_; }
 
-  /// Directed distance tests the most recent build performed — each
-  /// candidate in the stencil sweep is tested exactly once, which is also
-  /// what the device cost models price.
+  /// Directed candidate pairs of the most recent build: the sum over atoms
+  /// of their cell's stencil population minus the atom itself — what the
+  /// device cost models price, one test per candidate.  The count-then-fill
+  /// passes run each test twice on the host; this counts it once.
   std::uint64_t build_distance_tests() const { return build_distance_tests_; }
 
   /// Wall-clock seconds the most recent build spent in the binning phase
-  /// (wrap + parallel counting sort + stencil tables + scratch offsets) and
-  /// in the fill phase (distance sweep + prefix + compaction).  The
-  /// *_seconds_total accessors accumulate across every build since
-  /// construction — what the backend metadata and benchmarks report.
+  /// (wrap + parallel counting sort + stencil tables + cell-sorted SoA
+  /// gather) and in the fill phase (count pass + padded prefix + fill
+  /// pass).  The *_seconds_total accessors accumulate across every build
+  /// since construction — what the backend metadata and benchmarks report.
   double last_bin_seconds() const { return last_bin_seconds_; }
   double last_fill_seconds() const { return last_fill_seconds_; }
   double bin_seconds_total() const { return bin_seconds_total_; }
@@ -209,6 +227,17 @@ class ParallelNeighborListT {
   void bin_atoms(std::size_t n, std::size_t cells, std::size_t n_cells,
                  double inv_cell);
   void populate_stencil(std::size_t cells, std::size_t range);
+  void build_csr(const std::vector<emdpa::Vec3<Real>>& positions,
+                 const PeriodicBoxT<Real>& box, Real cutoff);
+  /// One pass of the distance filter over every non-empty cell: the count
+  /// pass when `entries` is null, else the fill pass into `entries`.
+  void filter_cells(std::size_t cells, std::size_t range, Real edge,
+                    std::uint32_t* entries);
+
+  /// Atoms per chunk of the pool-parallel staleness check.
+  static constexpr std::size_t kStaleGrain = 4096;
+  /// Cells per chunk of the fill passes (~2 atoms each at MD densities).
+  static constexpr std::size_t kFillCellGrain = 32;
 
   Real skin_;
   ThreadPool* pool_;
@@ -237,11 +266,13 @@ class ParallelNeighborListT {
   std::vector<std::uint32_t> cell_start_;
   std::vector<std::uint32_t> cell_atoms_;
   std::vector<std::uint32_t> bin_hist_;      ///< per-chunk cell histograms
-  std::vector<std::uint32_t> stencil_axis_;  ///< per-axis wrapped cell indices
   std::vector<std::uint32_t> stencil_pop_;   ///< atoms per cell stencil
   std::vector<std::uint32_t> stencil_tmp_;   ///< separable-pass intermediate
-  std::vector<std::uint64_t> scratch_begin_; ///< exact per-row test offsets
-  std::vector<std::uint32_t> scratch_entries_;
+  /// wrapped_ in cell_atoms_ order, padded for the filter's tail pack.
+  std::vector<Real> sorted_x_, sorted_y_, sorted_z_;
+
+  std::optional<simd::SimdType> isa_;
+  simd_kernels::ListFillFn<Real> fill_ = nullptr;
 };
 
 /// Shared implementation of every list-backed force kernel: the CSR walk,
@@ -425,6 +456,8 @@ class ListKernelBaseT : public ForceKernelT<Acc>, public NeighborListControl {
     const simd_kernels::KernelRows& table = simd_kernels::rows(isa_);
     width_ = simd_kernels::width<Real>(table);
     rows_fn_ = simd_kernels::list_rows<Real, Acc>(table);
+    // One ISA for the sweep and the flat list's fill.
+    if constexpr (requires { list_.set_isa(isa_); }) list_.set_isa(isa_);
   }
 
   ListT list_;

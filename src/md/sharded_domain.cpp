@@ -10,7 +10,6 @@
 
 namespace emdpa::md {
 
-using listutil::padded_count;
 using listutil::seconds_since;
 
 // ---------------------------------------------------------------------------
@@ -319,7 +318,8 @@ void ShardedNeighborListT<Real>::build_impl(
   listutil::populate_stencil(g.cells, g.range, run, cell_start_, stencil_pop_,
                              stencil_tmp_);
 
-  // Exact scratch CSR offsets (serial prefix, identical to the flat build).
+  // Exact scratch CSR offsets (serial prefix over each row's stencil
+  // population; the flat build counts its rows instead).
   scratch_begin_.assign(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     scratch_begin_[i + 1] =
@@ -340,16 +340,13 @@ void ShardedNeighborListT<Real>::build_impl(
   last_halo_seconds_ = seconds_since(t_halo);
   halo_seconds_total_ += last_halo_seconds_;
 
-  // Fill phase: per-shard sweep over shard-local memory, then the same
-  // serial padded prefix and copy-only compaction as the flat build.
+  // Fill phase: per-shard sweep over shard-local memory, then the flat
+  // build's checked padded prefix and a copy-only compaction.
   const auto t_fill = std::chrono::steady_clock::now();
   sweep_shards(box, g);
 
-  row_begin_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    row_begin_[i + 1] = row_begin_[i] + padded_count<Real>(row_count_[i]);
-    directed_entries_ += row_count_[i];
-  }
+  directed_entries_ =
+      listutil::padded_row_offsets<Real>(row_count_, row_begin_);
 
   entries_.resize(row_begin_[n]);
   run_span(n, 64, [&](std::size_t i_begin, std::size_t i_end) {

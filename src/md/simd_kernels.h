@@ -49,8 +49,20 @@ using ListRowsFn = void (*)(const Real* xs, const Real* ys, const Real* zs,
                             emdpa::Vec3<Acc>* accelerations, Acc* row_pe,
                             Acc* row_virial, std::uint64_t* row_hits);
 
+/// List-build distance filter over one cell's rows; see
+/// rows::ListFill::cell_rows for the parameter contract.
+template <typename Real>
+using ListFillFn = void (*)(const Real* xs, const Real* ys, const Real* zs,
+                            const std::uint32_t* ids,
+                            const std::uint32_t* spans, std::size_t n_spans,
+                            std::uint32_t a_begin, std::uint32_t a_end,
+                            Real edge, Real cutoff_sq,
+                            const std::uint32_t* row_begin,
+                            std::uint32_t* row_count, std::uint32_t* entries);
+
 /// One ISA's worth of compiled row kernels: both hot loops in all three
-/// precision combinations, plus the pack widths the ISA executes.
+/// precision combinations, the list-build filter in both list precisions,
+/// plus the pack widths the ISA executes.
 struct KernelRows {
   simd::SimdType isa;
   std::size_t width_double;
@@ -61,6 +73,8 @@ struct KernelRows {
   ListRowsFn<double, double> list_dd;
   ListRowsFn<float, float> list_ff;
   ListRowsFn<float, double> list_fd;
+  ListFillFn<double> fill_d;
+  ListFillFn<float> fill_f;
 };
 
 namespace detail {
@@ -121,6 +135,15 @@ ListRowsFn<Real, Acc> list_rows(const KernelRows& table) {
     return table.list_ff;
   } else {
     return table.list_fd;
+  }
+}
+
+template <typename Real>
+ListFillFn<Real> list_fill(const KernelRows& table) {
+  if constexpr (std::is_same_v<Real, double>) {
+    return table.fill_d;
+  } else {
+    return table.fill_f;
   }
 }
 

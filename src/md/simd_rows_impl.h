@@ -1,9 +1,10 @@
 // Shared body of the four per-ISA row translation units
 // (md/simd_rows_*.cpp): instantiate RowKernels<Real, Acc, S> for every
-// precision combination and bundle the function pointers into a KernelRows
-// table.  Included ONLY by those TUs — each instantiates exactly the one
-// SimdType its -m flags permit, keeping every Pack's symbols inside a TU
-// that may legally execute them.
+// precision combination and ListFill<Real, S> for both list precisions, and
+// bundle the function pointers into a KernelRows table.  Included ONLY by
+// those TUs — each instantiates exactly the one SimdType its -m flags
+// permit, keeping every Pack's symbols inside a TU that may legally execute
+// them.
 #pragma once
 
 #include "md/kernel_rows.h"
@@ -23,6 +24,8 @@ KernelRows make_rows() {
       &rows::RowKernels<double, double, S>::list_rows,
       &rows::RowKernels<float, float, S>::list_rows,
       &rows::RowKernels<float, double, S>::list_rows,
+      &rows::ListFill<double, S>::cell_rows,
+      &rows::ListFill<float, S>::cell_rows,
   };
 }
 

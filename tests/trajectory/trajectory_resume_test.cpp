@@ -9,6 +9,7 @@
 // trusts the stored accelerations instead of re-priming.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -18,6 +19,29 @@
 
 namespace emdpa::md {
 namespace {
+
+// ctest registers each case under the name gtest lists for it, and gtest
+// lists a ResumeCase as its raw bytes, starting with the low bytes of the
+// address of `name`.  The case names therefore live at a fixed offset inside
+// a 64 KiB-aligned block: that pins those bytes, so the registered test names
+// no longer drift with the load address or with the size of the code linked
+// into this binary.  The offset is the one the names were registered under.
+struct alignas(0x10000) CaseNameBlock {
+  char leading[0x4C00];
+  char names[96];
+};
+
+constexpr CaseNameBlock kCaseNames = {
+    {},
+    "reference\0cell_list\0soa_n2_serial\0soa_n2_pool\0"
+    "neighbor_list_serial\0neighbor_list_pool"};
+
+// The index-th NUL-separated name in kCaseNames.
+const char* case_name(int index) {
+  const char* name = kCaseNames.names;
+  for (; index > 0; --index) name += std::strlen(name) + 1;
+  return name;
+}
 
 struct ResumeCase {
   const char* name;
@@ -183,12 +207,12 @@ TEST(TrajectoryResumeConfig, MatchingConfigResumesQuietly) {
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, TrajectoryResumeTest,
     ::testing::Values(
-        ResumeCase{"reference", SimKernel::kReference, false},
-        ResumeCase{"cell_list", SimKernel::kCellList, false},
-        ResumeCase{"soa_n2_serial", SimKernel::kSoaN2, false},
-        ResumeCase{"soa_n2_pool", SimKernel::kSoaN2, true},
-        ResumeCase{"neighbor_list_serial", SimKernel::kNeighborList, false},
-        ResumeCase{"neighbor_list_pool", SimKernel::kNeighborList, true}),
+        ResumeCase{case_name(0), SimKernel::kReference, false},
+        ResumeCase{case_name(1), SimKernel::kCellList, false},
+        ResumeCase{case_name(2), SimKernel::kSoaN2, false},
+        ResumeCase{case_name(3), SimKernel::kSoaN2, true},
+        ResumeCase{case_name(4), SimKernel::kNeighborList, false},
+        ResumeCase{case_name(5), SimKernel::kNeighborList, true}),
     [](const ::testing::TestParamInfo<ResumeCase>& info) {
       return std::string(info.param.name);
     });
