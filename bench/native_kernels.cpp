@@ -13,7 +13,6 @@
 #include "md/integrator.h"
 #include "md/parallel_neighbor.h"
 #include "md/reference_kernel.h"
-#include "md/sharded_domain.h"
 #include "md/simulation.h"
 #include "md/single_precision.h"
 #include "md/soa_kernel.h"
@@ -203,38 +202,6 @@ void BM_NeighborListBuildThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborListBuildThreads)
     ->Args({100000, 1})->Args({100000, 2})->Args({100000, 8})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ShardedListBuild(benchmark::State& state) {
-  // The spatially sharded build (md/sharded_domain.h) at a fixed 8-thread
-  // pool, varying the shard count: the per-shard-parallel stencil sweep and
-  // first-touch halo packing are where the speedup lives, so the acceptance
-  // bar is >= 1.5x build speedup at 8 shards vs 1 shard at 1M atoms.
-  // bin_ms / halo_ms / fill_ms split the build into its three phases; the
-  // CSR is bitwise the flat list's at every shard count (ctest -L shard).
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  md::Workload w = fluid(n);
-  md::LjParams lj;
-  ThreadPool pool(8);
-  md::ShardedNeighborListT<double> list(0.3, &pool, shards);
-  for (auto _ : state) {
-    list.invalidate();
-    list.build(w.system.positions(), w.box, lj.cutoff);
-    benchmark::DoNotOptimize(list.entries().data());
-  }
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["threads"] = static_cast<double>(pool.size());
-  state.counters["shards"] = static_cast<double>(list.effective_shards());
-  state.counters["bin_ms"] = list.bin_seconds_total() * 1e3 / iters;
-  state.counters["halo_ms"] = list.halo_seconds_total() * 1e3 / iters;
-  state.counters["fill_ms"] = list.fill_seconds_total() * 1e3 / iters;
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ShardedListBuild)
-    ->Args({100000, 1})->Args({100000, 8})
-    ->Args({1000000, 1})->Args({1000000, 2})->Args({1000000, 8})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SimulationSoaN2(benchmark::State& state) {

@@ -69,12 +69,6 @@ std::string cli_usage() {
       "  --kernel MODE      host force kernel: n2, list, or auto (crossover on\n"
       "                     atom count); honoured by host-parallel in both run\n"
       "                     and compare mode — device models ignore it\n"
-      "  --shards N|auto    spatially sharded neighbour-list build with N\n"
-      "                     shards (auto = one per thread); requires the list\n"
-      "                     path (--kernel list or auto), forces/trajectories\n"
-      "                     stay bitwise identical to the flat build at any\n"
-      "                     shard count; the realised count may be lower when\n"
-      "                     slabs would be thinner than the list cutoff\n"
       "  --simd ISA         force the host kernels' instruction set: scalar,\n"
       "                     sse2, avx2 or avx512 (default: EMDPA_SIMD env var,\n"
       "                     else the fastest this CPU supports); errors out if\n"
@@ -143,7 +137,7 @@ std::string cli_usage() {
       "Batch mode (supervised ensemble over one shared thread pool):\n"
       "  --manifest FILE        job manifest: one '<name> key=value ...' line\n"
       "                         per job (keys: priority, atoms, steps, density,\n"
-      "                         temperature, dt, cutoff, seed, kernel, shards,\n"
+      "                         temperature, dt, cutoff, seed, kernel,\n"
       "                         precision, simd, degrade, drift_tol, plus\n"
       "                         per-job supervision overrides max_retries,\n"
       "                         deadline, slice_budget); duplicate job names\n"
@@ -243,17 +237,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       options.threads = static_cast<std::size_t>(t);
     } else if (flag == "--kernel") {
       options.run_config.host_kernel = parse_host_kernel(flag, need_value(flag));
-    } else if (flag == "--shards") {
-      const std::string& value = need_value(flag);
-      if (value == "auto") {
-        options.run_config.shards = -1;
-      } else {
-        const long n = parse_integer(flag, value);
-        if (n <= 0) {
-          throw RuntimeFailure("--shards needs a positive count or 'auto'");
-        }
-        options.run_config.shards = static_cast<int>(n);
-      }
     } else if (flag == "--simd") {
       options.run_config.simd_isa = simd::parse_simd_type(need_value(flag));
     } else if (flag == "--precision") {
@@ -381,12 +364,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
   if (options.run_config.store_every > 0 &&
       options.run_config.store_dir.empty()) {
     throw RuntimeFailure("--snapshot-every needs --store-dir <dir>");
-  }
-  if (options.run_config.shards != 0 &&
-      options.run_config.host_kernel == md::HostKernel::kN2) {
-    throw RuntimeFailure(
-        "--shards applies to the neighbour-list path; it cannot combine "
-        "with --kernel n2");
   }
   const auto side_configured = [](const CliBisectSide& side) {
     return side.kernel || side.precision || side.simd_isa ||

@@ -5,7 +5,7 @@
 //   emdpa list
 //   emdpa run --backend <key> [--atoms N] [--steps K] [--density D]
 //             [--temperature T] [--dt DT] [--cutoff C] [--seed S]
-//             [--threads N] [--kernel n2|list|auto] [--shards N|auto]
+//             [--threads N] [--kernel n2|list|auto]
 //             [--simd scalar|sse2|avx2|avx512] [--precision dp|sp|mixed]
 //             [--csv]
 //   emdpa compare [--atoms N] [--steps K] ... (runs every backend)

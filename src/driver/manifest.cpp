@@ -69,14 +69,6 @@ void apply_key(md::JobSpec& job, const std::string& source, int line,
     else if (value == "list") config.host_kernel = md::HostKernel::kList;
     else if (value == "auto") config.host_kernel = md::HostKernel::kAuto;
     else fail_at(source, line, "kernel needs n2, list or auto, got '" + value + "'");
-  } else if (key == "shards") {
-    if (value == "auto") {
-      config.shards = -1;
-    } else {
-      const long n = integer_value(source, line, key, value);
-      if (n <= 0) fail_at(source, line, "shards needs a positive count or 'auto'");
-      config.shards = static_cast<int>(n);
-    }
   } else if (key == "precision") {
     try {
       config.precision = md::parse_precision(value);

@@ -48,12 +48,6 @@ struct RunConfig {
   /// host-parallel backend only).  Empty resolves the EMDPA_SIMD
   /// environment override, then the fastest this CPU supports.
   std::optional<simd::SimdType> simd_isa;
-  /// Spatial shard count for the neighbour-list build (--shards; host-
-  /// parallel backend only).  0 = flat build, -1 = auto (one shard per pool
-  /// worker slot), >0 = requested count (the realised count may be lower
-  /// when slabs would be thinner than the list cutoff).  Any non-zero value
-  /// requires the list path (kAuto or kList; combining with kN2 throws).
-  int shards = 0;
 
   // Resilience knobs, honoured by the host-parallel backend (the device
   // timing models ignore them — they replay a fixed workload, not a

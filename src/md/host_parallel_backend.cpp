@@ -150,8 +150,7 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
                                     wall_start)
           .count();
 
-  const bool use_list = sim.kernel() == SimKernel::kNeighborList ||
-                        sim.kernel() == SimKernel::kShardedList;
+  const bool use_list = sim.kernel() == SimKernel::kNeighborList;
 
   // No device model: device_time stays zero and the wall clock is the only
   // real time.  Execution-layer facts ride in the metadata channel.
@@ -170,11 +169,6 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
     // jobs can track the binning and fill passes separately.
     result.metadata["list_build_bin_ms"] = sim.list_build_bin_seconds() * 1e3;
     result.metadata["list_build_fill_ms"] = sim.list_build_fill_seconds() * 1e3;
-    if (sim.kernel() == SimKernel::kShardedList) {
-      result.metadata["shards"] = static_cast<double>(sim.shards());
-      result.metadata["list_build_halo_ms"] =
-          sim.list_build_halo_seconds() * 1e3;
-    }
   }
   // Resilience facts, only when the corresponding knob was armed so the
   // default report keeps its exact historical shape.

@@ -1,8 +1,7 @@
-// Internal helpers shared by the flat (ParallelNeighborListT) and sharded
-// (ShardedNeighborListT) neighbour-list builds.  Everything here is part of
-// the determinism contract: the padding unit, the chunk decomposition of the
-// counting sort and the all-pairs fallback must be IDENTICAL in both builds,
-// because the sharded CSR is proven bitwise equal to the flat one.
+// Internal helpers of the neighbour-list build (ParallelNeighborListT).
+// Everything here is part of the determinism contract: the padding unit, the
+// chunk decomposition of the counting sort and the all-pairs fallback fix
+// the CSR bytes, which must not depend on thread count or ISA.
 #pragma once
 
 #include <algorithm>
@@ -235,21 +234,6 @@ inline void bin_merge_scatter(std::size_t n, std::size_t n_cells,
       }
     }
   });
-}
-
-/// Per-axis wrapped stencil indices: row a lists the `width` cell indices
-/// covering [a-range, a+range] on one axis.  Precomputing them keeps the
-/// modulo arithmetic out of the sweep's inner loops.
-inline void fill_stencil_axis(std::size_t cells, std::size_t range,
-                              std::vector<std::uint32_t>& stencil_axis) {
-  const std::size_t width = 2 * range + 1;
-  stencil_axis.resize(cells * width);
-  for (std::size_t a = 0; a < cells; ++a) {
-    for (std::size_t k = 0; k < width; ++k) {
-      stencil_axis[a * width + k] =
-          static_cast<std::uint32_t>((a + k + cells - range) % cells);
-    }
-  }
 }
 
 /// Stencil population per cell, computed separably: one 1-D wrap-around

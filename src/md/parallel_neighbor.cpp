@@ -114,9 +114,7 @@ template <typename Real>
 void ParallelNeighborListT<Real>::bin_atoms(std::size_t n, std::size_t cells,
                                             std::size_t n_cells,
                                             double inv_cell) {
-  // The three passes live in list_build_util.h, SHARED with the sharded
-  // build — one copy of the stable counting sort is what makes "sharded CSR
-  // == flat CSR" provable rather than merely tested.
+  // The histogram and merge-scatter passes live in list_build_util.h.
   auto run = [this](std::size_t count, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body) {
     run_span(count, grain, body);

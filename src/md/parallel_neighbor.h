@@ -37,29 +37,25 @@
 //    + prefix + fill) — which the host-parallel backend surfaces as
 //    RunResult::metadata keys list_build_bin_ms / list_build_fill_ms.
 //
-//  * ListKernelBaseT / NeighborListKernelT — a ForceKernelT that walks each
-//    atom's neighbour lanes one block at a time (hardware vgatherdpd /
-//    vgatherdps straight from the fixed-stride CSR entries on AVX2+, lane
-//    loads below, then the same fused min-image + masked LJ accumulation as
-//    the N^2 SoA kernel, through the same runtime-dispatched per-ISA row
-//    loops — see soa_kernel.h for the dispatch and <Real, Acc> precision
-//    seams).  Atom rows spread over the pool; per-row partials reduce in row
-//    order, so forces, PE and virial are bitwise identical run to run at ANY
-//    thread count, and bitwise identical across dispatched ISAs.  The base
-//    class is shared with ShardedNeighborListKernelT (md/sharded_domain.h):
-//    a sharded kernel differs ONLY in how its CSR was built.
+//  * NeighborListKernelT — a ForceKernelT that walks each atom's neighbour
+//    lanes one block at a time (hardware vgatherdpd / vgatherdps straight
+//    from the fixed-stride CSR entries on AVX2+, lane loads below, then the
+//    same fused min-image + masked LJ accumulation as the N^2 SoA kernel,
+//    through the same runtime-dispatched per-ISA row loops — see
+//    soa_kernel.h for the dispatch and <Real, Acc> precision seams).  Atom
+//    rows spread over the pool; per-row partials reduce in row order, so
+//    forces, PE and virial are bitwise identical run to run at ANY thread
+//    count, and bitwise identical across dispatched ISAs.
 //
-// List validity mirrors VerletListKernelT — rebuilt when an atom has moved
-// more than half the skin since the build — and additionally invalidates on
-// any change of cutoff, box edge or atom count (the stale-cutoff bug this
-// PR fixes in the Verlet kernel is excluded by construction here).
+// The list is rebuilt when an atom has moved more than half the skin since
+// the build, and on any change of cutoff, box edge or atom count: a list
+// indexed for another configuration is never reused.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/aligned_buffer.h"
@@ -103,9 +99,6 @@ class NeighborListControl {
   virtual void invalidate_list() = 0;
   virtual double list_bin_seconds() const = 0;
   virtual double list_fill_seconds() const = 0;
-  /// Cumulative seconds spent packing shard-local halo copies.  Only the
-  /// sharded list has a halo phase; the flat list reports zero.
-  virtual double list_halo_seconds() const { return 0.0; }
 
   /// True when a built list is live (a build happened and nothing
   /// invalidated it since).
@@ -275,12 +268,9 @@ class ParallelNeighborListT {
   simd_kernels::ListFillFn<Real> fill_ = nullptr;
 };
 
-/// Shared implementation of every list-backed force kernel: the CSR walk,
-/// the ISA dispatch, the precision seam and the complete NeighborListControl
-/// plumbing, templated on the list type so the flat and sharded lists drive
-/// the IDENTICAL force path.  That identity is the heart of the sharded
-/// determinism proof — a sharded kernel differs from the flat one ONLY in
-/// how the CSR was built, and the builds are proven to emit the same bytes.
+/// Neighbour-list force kernel: the host fast path at large N.  Walks the
+/// CSR with the dispatched per-ISA row loop and implements the complete
+/// NeighborListControl seam.
 ///
 /// Same physics, ISA dispatch, determinism guarantees and coincident-atom
 /// caveat as SoaKernelT (see soa_kernel.h); PairStats count unordered pairs,
@@ -288,16 +278,53 @@ class ParallelNeighborListT {
 /// Real != Acc the interface positions are narrowed once per evaluation and
 /// BOTH the list build and the lane math run on the same narrowed
 /// coordinates, so sp and mixed traverse identical lists.
-template <typename Real, typename Acc, typename ListT>
-class ListKernelBaseT : public ForceKernelT<Acc>, public NeighborListControl {
+template <typename Real, typename Acc = Real>
+class NeighborListKernelT final : public ForceKernelT<Acc>,
+                                  public NeighborListControl {
  public:
+  struct Options {
+    double skin = 0.3;
+    /// Pool to split the list build and atom rows over; nullptr runs serial.
+    ThreadPool* pool = nullptr;
+    /// Atom rows per parallel chunk.
+    std::size_t grain = 16;
+    /// Displacement-staleness policy (kNeverRebuild is for tests only).
+    SkinPolicy skin_policy = SkinPolicy::kHalfSkinDisplacement;
+    /// Force this instruction set; empty resolves EMDPA_SIMD, then the
+    /// fastest available (same seam as SoaKernelT::Options::isa).
+    std::optional<simd::SimdType> isa;
+  };
+
+  explicit NeighborListKernelT(Options options = {})
+      : list_(static_cast<Real>(options.skin), options.pool,
+              options.grain < 64 ? 64 : options.grain, options.skin_policy),
+        pool_(options.pool),
+        grain_(options.grain),
+        isa_(simd_kernels::resolve_isa(options.isa)) {
+    const simd_kernels::KernelRows& table = simd_kernels::rows(isa_);
+    width_ = simd_kernels::width<Real>(table);
+    rows_fn_ = simd_kernels::list_rows<Real, Acc>(table);
+    // One ISA for the sweep and the list's fill.
+    list_.set_isa(isa_);
+  }
+
+  std::string name() const override {
+    std::string name = std::string("neighbor-list-soa[") +
+                       simd::to_string(isa_) + ",w" + std::to_string(width_) +
+                       "," + precision_tag<Real, Acc>() + "]";
+    if (pool_ != nullptr) {
+      name += "[threads=" + std::to_string(pool_->size()) + "]";
+    }
+    return name;
+  }
+
   Real skin() const { return list_.skin(); }
   std::uint64_t rebuilds() const { return list_.rebuilds(); }
   std::uint64_t evaluations() const { return evaluations_; }
 
   /// The underlying list, for inspection (rebuild counters, entry counts —
   /// the pairlist device cost models read their workload from here).
-  const ListT& list() const { return list_; }
+  const ParallelNeighborListT<Real>& list() const { return list_; }
 
   /// Force the next compute() to rebuild the list (benchmarks use this to
   /// price the build; steady-state evaluation reuses the list).
@@ -319,13 +346,6 @@ class ListKernelBaseT : public ForceKernelT<Acc>, public NeighborListControl {
   }
   double list_fill_seconds() const override {
     return list_.fill_seconds_total();
-  }
-  double list_halo_seconds() const override {
-    if constexpr (requires(const ListT& l) { l.halo_seconds_total(); }) {
-      return list_.halo_seconds_total();
-    } else {
-      return 0.0;
-    }
   }
   bool has_list() const override { return list_.valid(); }
   std::vector<emdpa::Vec3d> list_reference_positions() const override {
@@ -446,25 +466,10 @@ class ListKernelBaseT : public ForceKernelT<Acc>, public NeighborListControl {
     return result;
   }
 
- protected:
-  ListKernelBaseT(ListT list, ThreadPool* pool, std::size_t grain,
-                  std::optional<simd::SimdType> isa)
-      : list_(std::move(list)),
-        pool_(pool),
-        grain_(grain),
-        isa_(simd_kernels::resolve_isa(isa)) {
-    const simd_kernels::KernelRows& table = simd_kernels::rows(isa_);
-    width_ = simd_kernels::width<Real>(table);
-    rows_fn_ = simd_kernels::list_rows<Real, Acc>(table);
-    // One ISA for the sweep and the flat list's fill.
-    if constexpr (requires { list_.set_isa(isa_); }) list_.set_isa(isa_);
-  }
-
-  ListT list_;
+ private:
+  ParallelNeighborListT<Real> list_;
   ThreadPool* pool_;
   std::size_t grain_;
-
- private:
   simd::SimdType isa_;
   std::size_t width_;
   simd_kernels::ListRowsFn<Real, Acc> rows_fn_;
@@ -474,45 +479,6 @@ class ListKernelBaseT : public ForceKernelT<Acc>, public NeighborListControl {
   std::vector<emdpa::Vec3<Real>> cast_positions_;  ///< Real != Acc only
   std::vector<Acc> row_pe_, row_virial_;
   std::vector<std::uint64_t> row_hits_;
-};
-
-/// Neighbour-list force kernel over the flat (unsharded) list: the host fast
-/// path at large N.
-template <typename Real, typename Acc = Real>
-class NeighborListKernelT final
-    : public ListKernelBaseT<Real, Acc, ParallelNeighborListT<Real>> {
-  using Base = ListKernelBaseT<Real, Acc, ParallelNeighborListT<Real>>;
-
- public:
-  struct Options {
-    double skin = 0.3;
-    /// Pool to split the list build and atom rows over; nullptr runs serial.
-    ThreadPool* pool = nullptr;
-    /// Atom rows per parallel chunk.
-    std::size_t grain = 16;
-    /// Displacement-staleness policy (kNeverRebuild is for tests only).
-    SkinPolicy skin_policy = SkinPolicy::kHalfSkinDisplacement;
-    /// Force this instruction set; empty resolves EMDPA_SIMD, then the
-    /// fastest available (same seam as SoaKernelT::Options::isa).
-    std::optional<simd::SimdType> isa;
-  };
-
-  explicit NeighborListKernelT(Options options = {})
-      : Base(ParallelNeighborListT<Real>(
-                 static_cast<Real>(options.skin), options.pool,
-                 options.grain < 64 ? 64 : options.grain, options.skin_policy),
-             options.pool, options.grain, options.isa) {}
-
-  std::string name() const override {
-    std::string name = std::string("neighbor-list-soa[") +
-                       simd::to_string(this->isa()) + ",w" +
-                       std::to_string(this->simd_width()) + "," +
-                       precision_tag<Real, Acc>() + "]";
-    if (this->pool_ != nullptr) {
-      name += "[threads=" + std::to_string(this->pool_->size()) + "]";
-    }
-    return name;
-  }
 };
 
 using NeighborListKernel = NeighborListKernelT<double>;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string_view>
+#include <type_traits>
 
 #include "core/error.h"
 #include "core/fault_injection.h"
@@ -11,7 +13,6 @@
 #include "md/checkpoint.h"
 #include "md/observables.h"
 #include "md/reference_kernel.h"
-#include "md/sharded_domain.h"
 #include "md/single_precision.h"
 #include "md/soa_kernel.h"
 
@@ -21,24 +22,7 @@ namespace {
 
 SimKernel resolve_kernel(const Simulation::Options& options,
                          std::size_t n_atoms) {
-  EMDPA_REQUIRE(!options.use_cell_list ||
-                    options.kernel == SimKernel::kAuto ||
-                    options.kernel == SimKernel::kCellList,
-                "use_cell_list conflicts with an explicit kernel choice");
-  if (options.shards > 0) {
-    // --shards selects the sharded build of the list path; it has no
-    // meaning for the other kernels, so combining them is a config error,
-    // not something to silently ignore.
-    EMDPA_REQUIRE(!options.use_cell_list &&
-                      (options.kernel == SimKernel::kAuto ||
-                       options.kernel == SimKernel::kNeighborList ||
-                       options.kernel == SimKernel::kShardedList),
-                  "shards > 0 requires the neighbour-list kernel "
-                  "(kAuto, kNeighborList or kShardedList)");
-    return SimKernel::kShardedList;
-  }
   if (options.kernel != SimKernel::kAuto) return options.kernel;
-  if (options.use_cell_list) return SimKernel::kCellList;
   return n_atoms >= HostParallelBackend::kListCrossoverAtoms
              ? SimKernel::kNeighborList
              : SimKernel::kSoaN2;
@@ -53,118 +37,78 @@ struct KernelBuild {
   std::size_t width = 1;
 };
 
-KernelBuild make_lj_kernel(SimKernel kind, const Simulation::Options& options) {
+/// One SIMD kernel configured from the simulation options: pool and ISA for
+/// every kernel, plus skin and staleness policy for the list kernels.
+template <typename Kernel>
+KernelBuild build_simd_kernel(const Simulation::Options& options) {
+  constexpr bool kIsList = std::is_base_of_v<NeighborListControl, Kernel>;
+  typename Kernel::Options o;
+  o.pool = options.pool;
+  o.isa = options.simd_isa;
+  if constexpr (kIsList) {
+    o.skin = options.skin;
+    o.skin_policy = options.skin_policy;
+  }
+  auto kernel = std::make_unique<Kernel>(o);
   KernelBuild b;
-  const PrecisionMode precision = options.precision;
+  b.isa = kernel->isa();
+  b.width = kernel->simd_width();
+  if constexpr (kIsList) b.list_control = kernel.get();
+  b.kernel = std::move(kernel);
+  return b;
+}
+
+/// The dp, sp or mixed instantiation of one SIMD kernel, per precision.
+template <typename Dp, typename Sp, typename Mixed>
+KernelBuild make_simd_kernel(const Simulation::Options& options) {
+  switch (options.precision) {
+    case PrecisionMode::kSingle: return build_simd_kernel<Sp>(options);
+    case PrecisionMode::kMixed: return build_simd_kernel<Mixed>(options);
+    case PrecisionMode::kDouble: break;
+  }
+  return build_simd_kernel<Dp>(options);
+}
+
+KernelBuild make_lj_kernel(SimKernel kind, const Simulation::Options& options) {
   switch (kind) {
     case SimKernel::kReference:
-    case SimKernel::kCellList:
-      if (precision != PrecisionMode::kDouble) {
+    case SimKernel::kCellList: {
+      if (options.precision != PrecisionMode::kDouble) {
         throw RuntimeFailure(
-            std::string("precision '") + to_string(precision) +
+            std::string("precision '") + to_string(options.precision) +
             "' requires a SIMD kernel (soa-n2 or neighbor-list); '" +
             to_string(kind) + "' runs double only");
       }
+      KernelBuild b;
       if (kind == SimKernel::kReference) {
         b.kernel = std::make_unique<ReferenceKernel>();
       } else {
         b.kernel = std::make_unique<CellListKernel>();
       }
       return b;
-    case SimKernel::kSoaN2: {
-      auto adopt = [&](auto kernel) {
-        b.isa = kernel->isa();
-        b.width = kernel->simd_width();
-        b.kernel = std::move(kernel);
-      };
-      if (precision == PrecisionMode::kSingle) {
-        SoaKernelF::Options o;
-        o.pool = options.pool;
-        o.isa = options.simd_isa;
-        adopt(std::make_unique<SingleSoaKernel>(o));
-      } else if (precision == PrecisionMode::kMixed) {
-        SoaKernelMixed::Options o;
-        o.pool = options.pool;
-        o.isa = options.simd_isa;
-        adopt(std::make_unique<SoaKernelMixed>(o));
-      } else {
-        SoaKernel::Options o;
-        o.pool = options.pool;
-        o.isa = options.simd_isa;
-        adopt(std::make_unique<SoaKernel>(o));
-      }
-      return b;
     }
-    case SimKernel::kNeighborList: {
-      auto adopt = [&](auto kernel) {
-        b.isa = kernel->isa();
-        b.width = kernel->simd_width();
-        b.list_control = kernel.get();
-        b.kernel = std::move(kernel);
-      };
-      if (precision == PrecisionMode::kSingle) {
-        NeighborListKernelF::Options o;
-        o.skin = options.skin;
-        o.pool = options.pool;
-        o.skin_policy = options.skin_policy;
-        o.isa = options.simd_isa;
-        adopt(std::make_unique<SingleNeighborListKernel>(o));
-      } else if (precision == PrecisionMode::kMixed) {
-        NeighborListKernelMixed::Options o;
-        o.skin = options.skin;
-        o.pool = options.pool;
-        o.skin_policy = options.skin_policy;
-        o.isa = options.simd_isa;
-        adopt(std::make_unique<NeighborListKernelMixed>(o));
-      } else {
-        NeighborListKernel::Options o;
-        o.skin = options.skin;
-        o.pool = options.pool;
-        o.skin_policy = options.skin_policy;
-        o.isa = options.simd_isa;
-        adopt(std::make_unique<NeighborListKernel>(o));
-      }
-      return b;
-    }
-    case SimKernel::kShardedList: {
-      auto adopt = [&](auto kernel) {
-        b.isa = kernel->isa();
-        b.width = kernel->simd_width();
-        b.list_control = kernel.get();
-        b.kernel = std::move(kernel);
-      };
-      const std::size_t shards = std::max<std::size_t>(1, options.shards);
-      if (precision == PrecisionMode::kSingle) {
-        ShardedNeighborListKernelF::Options o;
-        o.skin = options.skin;
-        o.pool = options.pool;
-        o.skin_policy = options.skin_policy;
-        o.isa = options.simd_isa;
-        o.shards = shards;
-        adopt(std::make_unique<SingleShardedListKernel>(o));
-      } else if (precision == PrecisionMode::kMixed) {
-        ShardedNeighborListKernelMixed::Options o;
-        o.skin = options.skin;
-        o.pool = options.pool;
-        o.skin_policy = options.skin_policy;
-        o.isa = options.simd_isa;
-        o.shards = shards;
-        adopt(std::make_unique<ShardedNeighborListKernelMixed>(o));
-      } else {
-        ShardedNeighborListKernel::Options o;
-        o.skin = options.skin;
-        o.pool = options.pool;
-        o.skin_policy = options.skin_policy;
-        o.isa = options.simd_isa;
-        o.shards = shards;
-        adopt(std::make_unique<ShardedNeighborListKernel>(o));
-      }
-      return b;
-    }
+    case SimKernel::kSoaN2:
+      return make_simd_kernel<SoaKernel, SingleSoaKernel, SoaKernelMixed>(
+          options);
+    case SimKernel::kNeighborList:
+      return make_simd_kernel<NeighborListKernel, SingleNeighborListKernel,
+                              NeighborListKernelMixed>(options);
     case SimKernel::kAuto:
       break;  // resolved before we get here
   }
   throw ContractViolation("unresolved SimKernel");
+}
+
+/// Older checkpoints and store frames record the list kernel as
+/// "sharded-list/<N>" (N >= 1).  That build wrote the flat list's CSR byte
+/// for byte, so the token names the neighbor-list kernel.
+bool is_legacy_list_token(const std::string& token) {
+  constexpr std::string_view kPrefix = "sharded-list/";
+  if (!token.starts_with(kPrefix)) return false;
+  const std::string_view count = std::string_view(token).substr(kPrefix.size());
+  return !count.empty() && count.front() != '0' &&
+         std::all_of(count.begin(), count.end(),
+                     [](char c) { return c >= '0' && c <= '9'; });
 }
 
 /// LJ kernel plus optional bonded/angle topologies behind the ForceKernel
@@ -207,7 +151,6 @@ const char* to_string(SimKernel kernel) {
     case SimKernel::kCellList: return "cell-list";
     case SimKernel::kSoaN2: return "soa-n2";
     case SimKernel::kNeighborList: return "neighbor-list";
-    case SimKernel::kShardedList: return "sharded-list";
   }
   return "unknown";
 }
@@ -229,9 +172,6 @@ Simulation::Simulation(ParticleSystem system, PeriodicBox box, long step,
       lj_(options.lj),
       integrator_(options.dt),
       kernel_kind_(resolve_kernel(options, system_.size())),
-      shards_(kernel_kind_ == SimKernel::kShardedList
-                  ? std::max<std::size_t>(1, options.shards)
-                  : 0),
       precision_(options.precision),
       degrade_enabled_(options.degrade_to_reference),
       step_(step) {
@@ -266,9 +206,12 @@ Simulation Simulation::resume(Checkpoint checkpoint, const Options& options) {
     // every subsequent step; resuming under different ones silently breaks
     // the bitwise-resume guarantee, so any mismatch is fatal by default.
     const CheckpointConfig resumed{
-        sim.config_kernel_token(), to_string(sim.precision_),
+        to_string(sim.kernel_kind_), to_string(sim.precision_),
         sim.simd_isa_ ? simd::to_string(*sim.simd_isa_) : "none"};
-    const CheckpointConfig& saved = *checkpoint.config;
+    CheckpointConfig saved = *checkpoint.config;
+    if (is_legacy_list_token(saved.kernel)) {
+      saved.kernel = to_string(SimKernel::kNeighborList);
+    }
     std::string mismatches;
     auto compare = [&](const char* what, const std::string& was,
                        const std::string& now) {
@@ -305,21 +248,6 @@ ForceKernel& Simulation::active_kernel() {
 
 std::string Simulation::kernel_name() const { return lj_kernel_->name(); }
 
-std::string Simulation::config_kernel_token() const {
-  // One whitespace-free token (the checkpoint config section is parsed with
-  // operator>>): the sharded path appends its shard count so a resume under
-  // a different decomposition is a config mismatch like any other.  The
-  // shard count changes which worker builds what — never the bits — but a
-  // silent change would still invalidate any perf conclusions drawn from
-  // the resumed run, and an explicit override (--resume-force) stays
-  // available.
-  std::string token = to_string(kernel_kind_);
-  if (kernel_kind_ == SimKernel::kShardedList) {
-    token += "/" + std::to_string(shards_);
-  }
-  return token;
-}
-
 std::uint64_t Simulation::list_rebuilds() const {
   return list_control_ != nullptr ? list_control_->list_rebuilds() : 0;
 }
@@ -330,10 +258,6 @@ double Simulation::list_build_bin_seconds() const {
 
 double Simulation::list_build_fill_seconds() const {
   return list_control_ != nullptr ? list_control_->list_fill_seconds() : 0;
-}
-
-double Simulation::list_build_halo_seconds() const {
-  return list_control_ != nullptr ? list_control_->list_halo_seconds() : 0;
 }
 
 void Simulation::prime() {
@@ -422,7 +346,6 @@ StepEnergies Simulation::step_once() {
 
 void Simulation::degrade_now() {
   kernel_kind_ = SimKernel::kReference;
-  shards_ = 0;
   list_control_ = nullptr;
   simd_isa_.reset();
   simd_width_ = 1;
@@ -443,8 +366,7 @@ void Simulation::degrade_now() {
 
 StepEnergies Simulation::step() {
   const bool can_degrade = degrade_enabled_ && !degraded_ &&
-                           (kernel_kind_ == SimKernel::kNeighborList ||
-                            kernel_kind_ == SimKernel::kShardedList);
+                           kernel_kind_ == SimKernel::kNeighborList;
   if (!can_degrade) return step_once();
 
   // Snapshot so a failed step can be retried cleanly on the fallback kernel
@@ -486,7 +408,7 @@ void Simulation::save(std::ostream& out) {
   // a degraded run records the reference kernel it actually executes) so a
   // resume under different flags fails loudly instead of silently diverging.
   cp.config =
-      CheckpointConfig{config_kernel_token(), to_string(precision_),
+      CheckpointConfig{to_string(kernel_kind_), to_string(precision_),
                        simd_isa_ ? simd::to_string(*simd_isa_) : "none"};
   if (langevin_) cp.langevin_rng = langevin_->rng_state();
   save_checkpoint(out, cp);
@@ -504,7 +426,7 @@ Checkpoint Simulation::snapshot() const {
   cp.potential = last_energies_.potential;
   cp.has_potential = true;
   cp.config =
-      CheckpointConfig{config_kernel_token(), to_string(precision_),
+      CheckpointConfig{to_string(kernel_kind_), to_string(precision_),
                        simd_isa_ ? simd::to_string(*simd_isa_) : "none"};
   if (langevin_) cp.langevin_rng = langevin_->rng_state();
   // Pure observer: instead of invalidating the live neighbour list (save()'s
@@ -524,11 +446,6 @@ Simulation::Options simulation_options_from(const RunConfig& config,
   options.lj = config.lj;
   options.dt = config.dt;
   options.kernel = to_sim_kernel(config.host_kernel);
-  // --shards auto (-1) means one shard per pool worker slot — the pool
-  // sweeps shards one per chunk, so that is the widest useful count.
-  options.shards = config.shards < 0
-                       ? (pool != nullptr ? pool->size() : 1)
-                       : static_cast<std::size_t>(config.shards);
   options.pool = pool;
   options.precision = config.precision;
   options.simd_isa = config.simd_isa;

@@ -46,7 +46,6 @@ enum class SimKernel {
   kCellList,
   kSoaN2,
   kNeighborList,
-  kShardedList,
 };
 
 const char* to_string(SimKernel kernel);
@@ -63,19 +62,10 @@ class Simulation {
     WorkloadSpec workload;
     LjParams lj{};
     double dt = 0.005;
-    /// Legacy switch, honoured only with kernel == kAuto (resolves to
-    /// kCellList); combining it with another explicit kernel throws.
-    bool use_cell_list = false;
     /// Force-kernel strategy for every evaluation (prime, step, minimize).
     SimKernel kernel = SimKernel::kAuto;
     /// Neighbour-list skin radius (the list kernels only).
     double skin = 0.3;
-    /// Requested spatial shard count for the neighbour-list build (>0
-    /// selects the sharded path, md/sharded_domain.h): with kAuto or
-    /// kNeighborList the kernel resolves to kShardedList; combining it with
-    /// any other explicit kernel throws.  The realised count may be lower
-    /// when slabs would be thinner than the list cutoff.  0 = flat list.
-    std::size_t shards = 0;
     /// Neighbour-list staleness policy; tests inject kNeverRebuild to prove
     /// the displacement check matters.  (kNeighborList only.)
     SkinPolicy skin_policy = SkinPolicy::kHalfSkinDisplacement;
@@ -125,7 +115,9 @@ class Simulation {
   /// When the checkpoint records its producing run's configuration (v3),
   /// the resolved kernel/precision/ISA of this resume must match it; any
   /// mismatch throws RuntimeFailure unless Options::ignore_checkpoint_config
-  /// is set.  A recorded Langevin RNG state is held until the caller
+  /// is set.  The kernel token "sharded-list/<N>" of older checkpoints names
+  /// the neighbor-list kernel: that build wrote the same CSR bytes.  A
+  /// recorded Langevin RNG state is held until the caller
   /// re-attaches a Langevin thermostat (set_thermostat), which then
   /// continues the checkpointed noise sequence instead of re-seeding.
   static Simulation resume(Checkpoint checkpoint, const Options& options);
@@ -138,10 +130,6 @@ class Simulation {
 
   /// The kernel kAuto resolved to (or the explicitly requested one).
   SimKernel kernel() const { return kernel_kind_; }
-  /// Requested spatial shard count (Options::shards); 0 unless the run
-  /// resolved to kShardedList.  Part of the checkpointed configuration: a
-  /// resume under a different count fails loudly like any kernel mismatch.
-  std::size_t shards() const { return shards_; }
   /// The driving LJ kernel's self-reported name (includes SIMD/thread info).
   std::string kernel_name() const;
   /// Precision mode the run was configured with (Options::precision).
@@ -157,14 +145,11 @@ class Simulation {
   /// Neighbour-list rebuilds so far; 0 for the stateless kernels.
   std::uint64_t list_rebuilds() const;
   /// Cumulative wall-clock seconds the neighbour-list builds spent binning
-  /// (counting sort + stencil tables) and filling (distance sweep +
-  /// compaction); 0 for the stateless kernels.  The host-parallel backend
+  /// (counting sort + stencil tables + sorted gather) and filling (count +
+  /// prefix + fill passes); 0 for the stateless kernels.  The host-parallel backend
   /// reports these as metadata keys list_build_bin_ms / list_build_fill_ms.
   double list_build_bin_seconds() const;
   double list_build_fill_seconds() const;
-  /// Cumulative halo-packing seconds of the sharded list builds; 0 for
-  /// every other kernel (the flat list has no halo phase).
-  double list_build_halo_seconds() const;
   /// Integrator-driven LJ force evaluations so far (primes + steps; the
   /// minimizer's internal probes are not counted).
   std::uint64_t force_evaluations() const { return force_evaluations_; }
@@ -225,10 +210,6 @@ class Simulation {
              const Options& options, const double* restored_potential = nullptr);
   void prime();
   void rebuild_composite();
-  /// Kernel token recorded in checkpoints: to_string(kernel_kind_), with
-  /// the shard count appended ("sharded-list/4") for the sharded path so a
-  /// resume under a different count is caught by the v3 config check.
-  std::string config_kernel_token() const;
   StepEnergies step_once();
   void degrade_now();
   ForceKernel& active_kernel();
@@ -238,7 +219,6 @@ class Simulation {
   LjParams lj_;
   VelocityVerlet integrator_;
   SimKernel kernel_kind_;                   ///< resolved, never kAuto
-  std::size_t shards_ = 0;                  ///< see shards()
   PrecisionMode precision_ = PrecisionMode::kDouble;
   std::optional<simd::SimdType> simd_isa_;  ///< dispatched ISA; see simd_isa()
   std::size_t simd_width_ = 1;

@@ -8,4 +8,10 @@ ForceResult SingleSoaKernel::compute(
   return detail::run_single(inner_, positions_f_, positions, box, lj, mass);
 }
 
+ForceResult SingleNeighborListKernel::compute(
+    const std::vector<emdpa::Vec3<double>>& positions, const PeriodicBox& box,
+    const LjParams& lj, double mass) {
+  return detail::run_single(inner_, positions_f_, positions, box, lj, mass);
+}
+
 }  // namespace emdpa::md

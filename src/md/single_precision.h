@@ -17,7 +17,6 @@
 
 #include "md/force_kernel.h"
 #include "md/parallel_neighbor.h"
-#include "md/sharded_domain.h"
 #include "md/soa_kernel.h"
 
 namespace emdpa::md {
@@ -61,7 +60,9 @@ ForceResult run_single(Kernel& inner,
 /// SoaKernelT<float> behind the double ForceKernel interface.
 class SingleSoaKernel final : public ForceKernel {
  public:
-  explicit SingleSoaKernel(SoaKernelF::Options options = {})
+  using Options = SoaKernelF::Options;
+
+  explicit SingleSoaKernel(Options options = {})
       : inner_(options) {}
 
   std::string name() const override { return inner_.name(); }
@@ -77,21 +78,20 @@ class SingleSoaKernel final : public ForceKernel {
   std::vector<emdpa::Vec3<float>> positions_f_;
 };
 
-/// A float list kernel (NeighborListKernelF / ShardedNeighborListKernelF)
-/// behind the double ForceKernel interface; forwards the
+/// NeighborListKernelF behind the double ForceKernel interface; forwards the
 /// NeighborListControl seam to the inner kernel so md::Simulation can
 /// checkpoint-invalidate and report rebuilds as usual.
-template <typename Inner>
-class SingleListKernelT final : public ForceKernel,
-                                public NeighborListControl {
+class SingleNeighborListKernel final : public ForceKernel,
+                                       public NeighborListControl {
  public:
-  explicit SingleListKernelT(typename Inner::Options options = {})
+  using Options = NeighborListKernelF::Options;
+
+  explicit SingleNeighborListKernel(Options options = {})
       : inner_(options) {}
 
   std::string name() const override { return inner_.name(); }
   simd::SimdType isa() const { return inner_.isa(); }
   std::size_t simd_width() const { return inner_.simd_width(); }
-  const Inner& inner() const { return inner_; }
 
   std::uint64_t list_rebuilds() const override {
     return inner_.list_rebuilds();
@@ -99,9 +99,6 @@ class SingleListKernelT final : public ForceKernel,
   void invalidate_list() override { inner_.invalidate_list(); }
   double list_bin_seconds() const override {
     return inner_.list_bin_seconds();
-  }
-  double list_halo_seconds() const override {
-    return inner_.list_halo_seconds();
   }
   double list_fill_seconds() const override {
     return inner_.list_fill_seconds();
@@ -120,16 +117,11 @@ class SingleListKernelT final : public ForceKernel,
 
   ForceResult compute(const std::vector<emdpa::Vec3<double>>& positions,
                       const PeriodicBox& box, const LjParams& lj,
-                      double mass) override {
-    return detail::run_single(inner_, positions_f_, positions, box, lj, mass);
-  }
+                      double mass) override;
 
  private:
-  Inner inner_;
+  NeighborListKernelF inner_;
   std::vector<emdpa::Vec3<float>> positions_f_;
 };
-
-using SingleNeighborListKernel = SingleListKernelT<NeighborListKernelF>;
-using SingleShardedListKernel = SingleListKernelT<ShardedNeighborListKernelF>;
 
 }  // namespace emdpa::md

@@ -1,7 +1,7 @@
 // Shared randomized-workload recipes for the neighbour-list property
-// harnesses (neighbor_property_test.cpp and shard_invariance_test.cpp run
-// over the SAME 50 seeded configs, so "sharded CSR == flat CSR" is asserted
-// on exactly the population the flat list is already proven against).
+// harnesses: neighbor_property_test.cpp and list_fill_identity_test.cpp run
+// over the SAME 50 seeded configs, so the SIMD fill is checked on exactly
+// the population the list is already proven against.
 //
 // Everything is seeded: a failure reproduces from the config index alone.
 #pragma once

@@ -52,7 +52,7 @@ TEST(Simulation, NegativeRunRejected) {
 TEST(Simulation, CellListOptionMatchesBruteForce) {
   auto options = small_options();
   Simulation brute(options);
-  options.use_cell_list = true;
+  options.kernel = SimKernel::kCellList;
   Simulation cells(options);
   brute.run(5);
   cells.run(5);

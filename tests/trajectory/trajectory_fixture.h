@@ -26,9 +26,6 @@ struct MeltSpec {
   double skin = 0.3;
   SkinPolicy skin_policy = SkinPolicy::kHalfSkinDisplacement;
   double dt = 0.005;
-  /// Spatial shard count for the list build (0 = flat; >0 resolves the
-  /// kernel to kShardedList).
-  std::size_t shards = 0;
   /// Force the SIMD kernels' instruction set; empty auto-dispatches.
   std::optional<simd::SimdType> isa;
   /// Numeric precision of the fast-path kernels (dp / sp / mixed).
@@ -40,7 +37,6 @@ inline Trajectory run_melt(const MeltSpec& spec) {
   options.workload.n_atoms = spec.n_atoms;
   options.dt = spec.dt;
   options.kernel = spec.kernel;
-  options.shards = spec.shards;
   options.skin = spec.skin;
   options.skin_policy = spec.skin_policy;
   options.pool = spec.pool;

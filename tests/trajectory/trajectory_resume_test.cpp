@@ -15,6 +15,7 @@
 
 #include "core/error.h"
 #include "core/thread_pool.h"
+#include "md/checkpoint.h"
 #include "md/simulation.h"
 
 namespace emdpa::md {
@@ -202,6 +203,87 @@ TEST(TrajectoryResumeConfig, MatchingConfigResumesQuietly) {
 
   Simulation resumed = Simulation::resume(checkpoint, options);
   EXPECT_EQ(resumed.current_step(), 20);
+}
+
+// The same list checkpoint with its kernel token replaced (a fresh CRC
+// covers the new token).
+std::stringstream retokened(std::stringstream& checkpoint,
+                            const std::string& kernel) {
+  Checkpoint cp = load_checkpoint(checkpoint);
+  EXPECT_TRUE(cp.config.has_value());
+  if (cp.config) cp.config->kernel = kernel;
+  std::stringstream out;
+  save_checkpoint(out, cp);
+  return out;
+}
+
+TEST(TrajectoryResumeConfig, LegacyShardedListTokenResumesAsTheFlatList) {
+  // Checkpoints written while the sharded list build existed record the list
+  // kernel as "sharded-list/<N>".  That build wrote the flat list's CSR byte
+  // for byte, so such a checkpoint resumes under the flat list kernel and
+  // finishes bit-identical to the uninterrupted flat run.
+  ThreadPool pool(4);
+  Simulation::Options options;
+  options.workload.n_atoms = 256;
+  options.kernel = SimKernel::kNeighborList;
+  options.pool = &pool;
+  constexpr int kTotalSteps = 200;
+  constexpr int kCheckpointStep = 100;
+
+  Simulation uninterrupted(options);
+  uninterrupted.run(kCheckpointStep);
+  std::stringstream checkpoint;
+  uninterrupted.save(checkpoint);
+  uninterrupted.run(kTotalSteps - kCheckpointStep);
+
+  std::stringstream legacy = retokened(checkpoint, "sharded-list/4");
+  Simulation resumed = Simulation::resume(legacy, options);
+  ASSERT_EQ(resumed.current_step(), kCheckpointStep);
+  EXPECT_EQ(resumed.kernel(), SimKernel::kNeighborList);
+  resumed.run(kTotalSteps - kCheckpointStep);
+
+  ASSERT_EQ(resumed.system().size(), uninterrupted.system().size());
+  for (std::size_t i = 0; i < resumed.system().size(); ++i) {
+    EXPECT_EQ(resumed.system().positions()[i],
+              uninterrupted.system().positions()[i])
+        << "position diverged at atom " << i;
+    EXPECT_EQ(resumed.system().velocities()[i],
+              uninterrupted.system().velocities()[i])
+        << "velocity diverged at atom " << i;
+  }
+  EXPECT_EQ(resumed.last_energies().kinetic,
+            uninterrupted.last_energies().kinetic);
+  EXPECT_EQ(resumed.last_energies().potential,
+            uninterrupted.last_energies().potential);
+}
+
+TEST(TrajectoryResumeConfig, MalformedLegacyTokenStillMismatches) {
+  // Only "sharded-list/<N>" with N >= 1 names the list kernel; anything else
+  // is an unknown kernel and fails like any other mismatch.  The legacy
+  // token never matches a kernel other than the list.
+  Simulation::Options options;
+  options.workload.n_atoms = 64;
+  options.kernel = SimKernel::kNeighborList;
+
+  Simulation sim(options);
+  sim.run(5);
+  std::stringstream checkpoint;
+  sim.save(checkpoint);
+  const std::string saved = checkpoint.str();
+
+  for (const char* token : {"sharded-list/x", "sharded-list/", "sharded-list/0",
+                            "sharded-list/4x", "sharded-list"}) {
+    std::stringstream copy(saved);
+    std::stringstream malformed = retokened(copy, token);
+    EXPECT_THROW(Simulation::resume(malformed, options), RuntimeFailure)
+        << token;
+  }
+
+  Simulation::Options n2 = options;
+  n2.kernel = SimKernel::kSoaN2;
+  std::stringstream copy(saved);
+  std::stringstream legacy = retokened(copy, "sharded-list/4");
+  EXPECT_THROW(Simulation::resume(legacy, n2), RuntimeFailure);
 }
 
 INSTANTIATE_TEST_SUITE_P(
