@@ -13,8 +13,8 @@
 //
 // Applying a delta is XOR again (delta_apply(base, encode(base, next)) ==
 // next, byte-exact, proven by the randomized store property harness).  The
-// codec is deliberately text — it rides inside the same CRC-footered text
-// frames as the hexfloat keyframes, so one corruption story covers both.
+// codec is deliberately text — it rides inside CRC-footered text frames,
+// so a corrupt delta fails the same CRC check as the index does.
 //
 // The codec itself validates structure (malformed tokens, output-size
 // mismatch); bit-level integrity of a frame on disk is the enclosing CRC-32

@@ -1,5 +1,5 @@
-// Hexfloat text serialisation — the round-trip-exact number encoding under
-// every on-disk state format (checkpoints, trajectory-store frames).
+// Hexfloat text serialisation — the round-trip-exact number encoding of the
+// text checkpoint formats v1–v4 (format v5 is binary; v1–v4 stay loadable).
 //
 // Values are written with printf "%a" and parsed with strtod: the hex
 // mantissa/exponent form represents every finite double exactly, including
@@ -9,10 +9,6 @@
 // boundary: "inf" and "nan" can only reach a state file through corruption
 // or a blown-up run, and admitting them would silently poison every
 // downstream kernel.
-//
-// Factored out of CheckpointManager (PR 8) so the checkpoint format and the
-// trajectory-store frame formats share one implementation and one test
-// surface.
 #pragma once
 
 #include <cstdint>

@@ -114,6 +114,24 @@ void fsync_parent_directory(const std::string& path) {
 #endif
 }
 
+std::string read_file_bytes(const std::string& path, const char* what) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) {
+    throw RuntimeFailure(std::string(what) + ": cannot open '" + path + "'");
+  }
+  const std::streamoff size = in.tellg();
+  std::string bytes;
+  if (size > 0) {
+    bytes.resize(static_cast<std::size_t>(size));
+    in.seekg(0);
+    in.read(bytes.data(), size);
+  }
+  if (size < 0 || !in) {
+    throw RuntimeFailure(std::string(what) + ": cannot read '" + path + "'");
+  }
+  return bytes;
+}
+
 WalReplay read_wal(const std::string& path) {
   WalReplay replay;
   std::ifstream in(path, std::ios::binary);

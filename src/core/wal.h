@@ -28,7 +28,7 @@
 // the containing directory after the rename so the commit survives power
 // loss, not just process death.  The fsync helpers are shared with
 // md::CheckpointManager, which has the same directory-durability
-// obligation.
+// obligation; read_file_bytes with it and the trajectory store.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +44,10 @@ void fsync_file(const std::string& path);
 /// fsync the directory containing `path`, making a just-committed rename in
 /// it durable across power loss.  Throws RuntimeFailure on failure.
 void fsync_parent_directory(const std::string& path);
+
+/// Read a whole file in binary mode with one sized read.  Throws
+/// RuntimeFailure naming `what` when the file cannot be opened or read.
+std::string read_file_bytes(const std::string& path, const char* what);
 
 /// What a replay recovered: every verifiable record in order, plus how much
 /// of a torn/corrupt tail was discarded.

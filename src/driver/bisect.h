@@ -16,7 +16,7 @@
 //     S_lo and diverged at S_hi.  Each probe restores one stored snapshot
 //     per side; at most ceil(log2(steps/stride)) probes.
 //  3. WINDOW WALK — both sides are resumed from their S_lo snapshots (the
-//     v4 listref section reseeds the exact neighbour list, so the replay
+//     checkpoint's listref section reseeds the exact neighbour list, so the replay
 //     continues bit-identically) and stepped through the window, comparing
 //     after every step.  The first differing step, the first diverging atom
 //     and its absolute / ulp deltas are the result.  One replay per side.

@@ -21,7 +21,7 @@ void CheckpointManager::save(const std::function<void(std::ostream&)>& writer) {
   // Serialise to the side file.  Any failure from here on must leave the
   // committed generations exactly as they were.
   try {
-    std::ofstream out(tmp, std::ios::trunc);
+    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
     if (!out) {
       throw RuntimeFailure("checkpoint: cannot open '" + tmp + "' for writing");
     }
@@ -81,11 +81,7 @@ void CheckpointManager::save(const ParticleSystem& system, const PeriodicBox& bo
 }
 
 Checkpoint CheckpointManager::load_file(const std::string& file) {
-  std::ifstream in(file);
-  if (!in) {
-    throw RuntimeFailure("checkpoint: cannot open '" + file + "'");
-  }
-  return load_checkpoint(in);
+  return load_checkpoint(read_file_bytes(file, "checkpoint"));
 }
 
 CheckpointLoad CheckpointManager::load() const {

@@ -4,7 +4,7 @@
 // A checkpoint that can be destroyed by the crash it exists to survive is
 // worthless, so every write goes through the classic atomic protocol:
 //
-//   1. serialise to `<path>.tmp` (CRC-32 footer included — checkpoint.h),
+//   1. serialise to `<path>.tmp` (binary, CRC-32 per section — checkpoint.h),
 //      then fsync the temp file so its data is on stable storage,
 //   2. rotate the current `<path>` to `<path>.prev`,
 //   3. rename `<path>.tmp` onto `<path>` (atomic within a filesystem),

@@ -112,7 +112,7 @@ class Simulation {
   /// that makes a resumed run continue bit-identically.  Version-1
   /// checkpoints re-prime as before.
   ///
-  /// When the checkpoint records its producing run's configuration (v3),
+  /// When the checkpoint records its producing run's configuration (v3+),
   /// the resolved kernel/precision/ISA of this resume must match it; any
   /// mismatch throws RuntimeFailure unless Options::ignore_checkpoint_config
   /// is set.  The kernel token "sharded-list/<N>" of older checkpoints names
@@ -184,8 +184,8 @@ class Simulation {
   using Observer = std::function<void(long step, const StepEnergies&)>;
   void run(int steps, const Observer& observer = {});
 
-  /// Serialise the full state (checkpoint format v3: potential energy,
-  /// CRC-32 footer, the resolved kernel/precision/ISA configuration, and
+  /// Serialise the full state (checkpoint format v5: potential energy,
+  /// per-section CRC-32, the resolved kernel/precision/ISA configuration, and
   /// the Langevin thermostat RNG state when one is attached).  Non-const
   /// because saving is a bitwise synchronisation point: the neighbour list
   /// is invalidated so the continuing run and any future resume from this
@@ -196,7 +196,7 @@ class Simulation {
   /// Capture the full state as a Checkpoint WITHOUT perturbing the run — the
   /// trajectory store's seam.  Unlike save(), no neighbour-list invalidation
   /// happens; instead the checkpoint carries the live list's reference
-  /// positions (v4 `listref` section), so a resume() from it reseeds the
+  /// positions (the listref section), so a resume() from it reseeds the
   /// identical list and continues bit-exactly, while the observed run itself
   /// proceeds as if nothing was captured.  Store-enabled runs therefore stay
   /// bitwise identical to store-disabled runs.

@@ -11,7 +11,7 @@
 #include "core/crc32.h"
 #include "core/delta_codec.h"
 #include "core/error.h"
-#include "core/hexio.h"
+#include "core/wal.h"
 
 namespace emdpa::md {
 
@@ -159,14 +159,6 @@ std::string shape_of(const Checkpoint& cp) {
   return shape;
 }
 
-std::string read_file(const std::string& path, const char* what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw RuntimeFailure(std::string(what) + ": cannot open '" + path + "'");
-  }
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
 }  // namespace
 
 TrajectoryStore::TrajectoryStore(TrajectoryStoreOptions options)
@@ -200,7 +192,7 @@ void TrajectoryStore::write_file_atomic(const std::string& path,
       throw RuntimeFailure("trajectory store: cannot open '" + tmp +
                            "' for writing");
     }
-    out << content;
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
     out.flush();
     if (!out) {
       std::error_code ignored;
@@ -233,8 +225,8 @@ void TrajectoryStore::load_index() {
   const std::string path = (fs::path(options_.directory) / "index").string();
   std::error_code ec;
   if (!fs::exists(path, ec)) return;  // fresh store
-  const std::string body =
-      strip_crc_footer(read_file(path, "trajectory index"), "trajectory index");
+  const std::string body = strip_crc_footer(
+      read_file_bytes(path, "trajectory index"), "trajectory index");
   std::istringstream in(body);
   std::string magic;
   int version = 0;
@@ -310,11 +302,9 @@ void TrajectoryStore::append(const Checkpoint& cp) {
 
   std::string content;
   if (keyframe) {
-    // A keyframe IS a complete checkpoint file: load_checkpoint reads it
-    // directly, and its own CRC footer guards it.
-    std::ostringstream out;
-    save_checkpoint(out, cp);
-    content = out.str();
+    // A keyframe IS a complete (binary v5) checkpoint file: load_checkpoint
+    // reads it directly, and its own per-section CRCs guard it.
+    content = encode_checkpoint(cp);
   } else {
     std::ostringstream body;
     body << kFrameMagic << ' ' << kFrameVersion << '\n';
@@ -396,20 +386,15 @@ Checkpoint TrajectoryStore::load_step(long step) const {
                          std::to_string(step));
   }
 
-  std::ifstream in(frame_path(frames_[key]), std::ios::binary);
-  if (!in) {
-    throw RuntimeFailure("trajectory store: cannot open keyframe for step " +
-                         std::to_string(frames_[key].step));
-  }
-  Checkpoint cp = load_checkpoint(in);  // CRC-verified
+  Checkpoint cp = load_checkpoint(read_file_bytes(
+      frame_path(frames_[key]), "trajectory keyframe"));  // CRC-verified
   if (key == target) return cp;
 
   std::vector<std::uint8_t> words = serialize_words(cp);
   for (std::size_t i = key + 1; i <= target; ++i) {
     const std::string path = frame_path(frames_[i]);
-    const std::string body =
-        strip_crc_footer(read_file(path, "trajectory frame"),
-                         "trajectory frame");
+    const std::string body = strip_crc_footer(
+        read_file_bytes(path, "trajectory frame"), "trajectory frame");
     std::istringstream frame(body);
     std::string magic, kw_delta, kw_step, kw_base, kw_bytes;
     int version = 0;

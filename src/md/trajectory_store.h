@@ -2,20 +2,21 @@
 // CRC-checked simulation snapshots that any stored step can be restored from
 // bit-exactly.
 //
-// The store is a directory of text frames written at a configurable step
+// The store is a directory of frames written at a configurable step
 // stride from Simulation::snapshot() — a PURE observer (no neighbour-list
-// invalidation; the v4 `listref` checkpoint section carries what a restore
+// invalidation; the checkpoint's listref section carries what a restore
 // needs instead), so a store-enabled run stays bitwise identical to a
-// store-disabled one.  Every K-th snapshot is a KEYFRAME: a complete v4
-// checkpoint file, loadable by load_checkpoint on its own.  Snapshots
+// store-disabled one.  Every K-th snapshot is a KEYFRAME: a complete
+// checkpoint file (binary v5; stores from older builds hold v4 text, which
+// still loads), readable by load_checkpoint on its own.  Snapshots
 // between keyframes are DELTA frames: the byte-level XOR of the snapshot's
 // fixed word serialisation against the previous snapshot's, run-length
 // encoded (core/delta_codec.h) — a few steps of drift touch mostly low
-// mantissa bytes, so deltas are a small fraction of a keyframe.  Every
-// frame, and the store index, ends in the same CRC-32 footer as the
-// checkpoint format; a single flipped bit anywhere fails restoration loudly.
+// mantissa bytes, so deltas are a small fraction of a keyframe.  Delta
+// frames and the store index end in a CRC-32 footer, and keyframes carry a
+// CRC-32 per section; a single flipped bit anywhere fails restoration loudly.
 //
-//   <dir>/frame_000000000120.key      full checkpoint text (chain head)
+//   <dir>/frame_000000000120.key      full checkpoint (chain head)
 //   <dir>/frame_000000000130.delta    XOR vs the step-120 snapshot
 //   <dir>/frame_000000000140.delta    XOR vs the step-130 snapshot
 //   ...

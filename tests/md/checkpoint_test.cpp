@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "core/crc32.h"
 #include "core/error.h"
 #include "md/checkpoint.h"
 #include "md/workload.h"
+#include "legacy_checkpoint_text.h"
 
 namespace emdpa::md {
 namespace {
@@ -310,6 +312,85 @@ TEST(Checkpoint, V3FilesDoNotAdmitListref) {
       "0 0 0\n"
       "0 0 0 0 0 0 0 0 0\n"));
   EXPECT_THROW(load_checkpoint(stream), RuntimeFailure);
+}
+
+// --- v4 text back-compat: still loads, read-only -------------------------
+
+std::uint64_t bits(double v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+/// A v4 file as the text writer produced it: config, rng and listref
+/// sections, awkward values (0.1, -0, a subnormal), hexfloat throughout.
+const std::string kV4Fixture = with_crc_footer(
+    "emdpa-checkpoint 4\n"
+    "atoms 2 mass 0x1p+0 box 0x1.4p+2 step 17 pe -0x1.8p+1\n"
+    "config kernel neighbor-list precision dp simd avx2\n"
+    "rng langevin 00000000deadbeef 0123456789abcdef ffffffffffffffff "
+    "0000000000000001 -0x1.76cf5d0b09955p-1 1\n"
+    "listref 2 cutoff 0x1.6666666666666p+1\n"
+    "0x1.999999999999ap-4 -0x0p+0 0x0.0000000000001p-1022\n"
+    "0x1p+0 0x1p+1 0x1.8p+1\n"
+    "0x1.999999999999ap-4 0x1p-1 -0x0p+0 0x1p-2 -0x1p-2 0x0p+0 "
+    "0x1.5p+3 -0x1.5p+3 0x0.0000000000001p-1022\n"
+    "0x1.8p+1 0x1.2p+2 0x1.cp+1 -0x1.999999999999ap-4 0x0p+0 0x1p+0 "
+    "0x0p+0 0x0p+0 -0x1p+4\n");
+
+void expect_v4_fixture_state(const Checkpoint& cp) {
+  EXPECT_EQ(cp.step, 17);
+  EXPECT_EQ(bits(cp.box_edge), bits(5.0));
+  EXPECT_EQ(bits(cp.potential), bits(-3.0));
+  ASSERT_TRUE(cp.has_potential);
+  ASSERT_TRUE(cp.config.has_value());
+  EXPECT_EQ(*cp.config, (CheckpointConfig{"neighbor-list", "dp", "avx2"}));
+  ASSERT_TRUE(cp.langevin_rng.has_value());
+  EXPECT_EQ(cp.langevin_rng->s[0], 0xdeadbeefull);
+  EXPECT_EQ(cp.langevin_rng->s[1], 0x0123456789abcdefull);
+  EXPECT_EQ(cp.langevin_rng->s[2], 0xffffffffffffffffull);
+  EXPECT_EQ(cp.langevin_rng->s[3], 1ull);
+  EXPECT_EQ(bits(cp.langevin_rng->cached_gaussian),
+            bits(-0x1.76cf5d0b09955p-1));
+  EXPECT_TRUE(cp.langevin_rng->has_cached_gaussian);
+  ASSERT_TRUE(cp.list_ref.has_value());
+  EXPECT_EQ(bits(cp.list_ref_cutoff), bits(2.8));
+  ASSERT_EQ(cp.list_ref->size(), 2u);
+  EXPECT_EQ(bits((*cp.list_ref)[0].x), bits(0.1));
+  EXPECT_EQ(bits((*cp.list_ref)[0].y), bits(-0.0));
+  EXPECT_EQ(bits((*cp.list_ref)[0].z), bits(0x0.0000000000001p-1022));
+  EXPECT_EQ((*cp.list_ref)[1], (Vec3d{1.0, 2.0, 3.0}));
+  ASSERT_EQ(cp.system.size(), 2u);
+  EXPECT_EQ(bits(cp.system.positions()[0].x), bits(0.1));
+  EXPECT_EQ(bits(cp.system.positions()[0].z), bits(-0.0));
+  EXPECT_EQ(bits(cp.system.velocities()[0].x), bits(0.25));
+  EXPECT_EQ(bits(cp.system.accelerations()[0].z), bits(0x1p-1074));
+  EXPECT_EQ(cp.system.positions()[1], (Vec3d{3.0, 4.5, 3.5}));
+  EXPECT_EQ(bits(cp.system.velocities()[1].x), bits(-0.1));
+  EXPECT_EQ(bits(cp.system.accelerations()[1].z), bits(-16.0));
+}
+
+TEST(Checkpoint, V4FixtureWithEverySectionLoadsBitExact) {
+  std::stringstream stream(kV4Fixture);
+  expect_v4_fixture_state(load_checkpoint(stream));
+}
+
+TEST(Checkpoint, V4FixtureResavesAsV5AndRoundTripsBitExact) {
+  const Checkpoint v4 = load_checkpoint(kV4Fixture);
+  std::stringstream stream;
+  save_checkpoint(stream, v4);
+  EXPECT_EQ(stream.str().rfind("emdpa-checkpoint 5\n", 0), 0u);
+  const Checkpoint v5 = load_checkpoint(stream);
+  expect_v4_fixture_state(v5);
+  // And the v5 bytes are exactly what re-encoding the v5 load gives.
+  EXPECT_EQ(encode_checkpoint(v5), stream.str());
+}
+
+TEST(Checkpoint, LegacyTextWriterMatchesTheV4Fixture) {
+  // The test-side v4 writer (used by the resume and store back-compat tests)
+  // reproduces the fixture byte for byte.
+  EXPECT_EQ(testing::checkpoint_v4_text(load_checkpoint(kV4Fixture)),
+            kV4Fixture);
 }
 
 }  // namespace

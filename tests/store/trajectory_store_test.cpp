@@ -21,6 +21,7 @@
 #include "core/error.h"
 #include "core/random.h"
 #include "md/simulation.h"
+#include "../md/legacy_checkpoint_text.h"
 
 namespace emdpa::md {
 namespace {
@@ -56,6 +57,11 @@ std::string serialized(const Checkpoint& cp) {
   return out.str();
 }
 
+std::string serialized_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 /// Run `steps` steps, appending a snapshot every `stride` steps (plus step 0
 /// and the end) and capturing the live snapshot's serialisation for each.
 std::map<long, std::string> record_run(Simulation& sim, TrajectoryStore& store,
@@ -89,6 +95,37 @@ TEST_F(TrajectoryStoreTest, EveryStoredStepRestoresByteExact) {
   EXPECT_GT(store.stats().deltas, 0u);
   for (const auto& [step, text] : live) {
     EXPECT_EQ(serialized(store.load_step(step)), text) << "step " << step;
+  }
+}
+
+TEST_F(TrajectoryStoreTest, V4TextKeyframeStillReplaysThroughLoadStep) {
+  // A store written before checkpoint v5 holds hexfloat-text keyframes.  The
+  // delta words do not depend on the keyframe encoding, so every step of the
+  // chain must still restore byte-exactly from a v4 keyframe.
+  Simulation::Options options;
+  options.workload.n_atoms = 256;
+  options.kernel = SimKernel::kNeighborList;
+  Simulation sim(options);
+
+  std::map<long, std::string> live;
+  {
+    TrajectoryStore store(store_options(4));
+    live = record_run(sim, store, 6, 2);  // steps 0 (key), 2, 4, 6 (deltas)
+    ASSERT_EQ(store.stats().keyframes, 1u);
+  }
+  const std::string key = dir_ + "/frame_000000000000.key";
+  ASSERT_TRUE(fs::exists(key));
+  const std::string v4 =
+      testing::checkpoint_v4_text(load_checkpoint(serialized_file(key)));
+  {
+    std::ofstream out(key, std::ios::binary | std::ios::trunc);
+    out << v4;
+  }
+  ASSERT_EQ(serialized_file(key).rfind("emdpa-checkpoint 4\n", 0), 0u);
+
+  TrajectoryStore reopened(store_options(4));
+  for (const auto& [step, bytes] : live) {
+    EXPECT_EQ(serialized(reopened.load_step(step)), bytes) << "step " << step;
   }
 }
 

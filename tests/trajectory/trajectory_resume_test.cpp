@@ -17,6 +17,7 @@
 #include "core/thread_pool.h"
 #include "md/checkpoint.h"
 #include "md/simulation.h"
+#include "../md/legacy_checkpoint_text.h"
 
 namespace emdpa::md {
 namespace {
@@ -153,6 +154,51 @@ TEST(TrajectoryLangevinResume, MidpointResumeIsBitIdentical) {
             uninterrupted.last_energies().kinetic);
   EXPECT_EQ(resumed.last_energies().potential,
             uninterrupted.last_energies().potential);
+}
+
+TEST(TrajectoryResumeBackCompat, V4TextCheckpointResumesBitIdentically) {
+  // A checkpoint written before format v5 (hexfloat text, with the config
+  // and Langevin rng sections) resumes exactly like the v5 file of the same
+  // state, and the resumed run's next save is v5 and round-trips bit-exactly.
+  Simulation::Options options;
+  options.workload.n_atoms = 256;
+  options.kernel = SimKernel::kNeighborList;
+  constexpr int kSteps = 100;
+
+  Simulation uninterrupted(options);
+  uninterrupted.set_thermostat(LangevinThermostat(1.2, 2.0, 77));
+  uninterrupted.run(kSteps);
+  std::stringstream v5;
+  uninterrupted.save(v5);
+  uninterrupted.run(kSteps);
+
+  std::stringstream v4(testing::checkpoint_v4_text(load_checkpoint(v5.str())));
+  ASSERT_EQ(v4.str().rfind("emdpa-checkpoint 4\n", 0), 0u);
+  Simulation resumed = Simulation::resume(v4, options);
+  resumed.set_thermostat(LangevinThermostat(1.2, 2.0, 999));
+  resumed.run(kSteps);
+
+  ASSERT_EQ(resumed.system().size(), uninterrupted.system().size());
+  for (std::size_t i = 0; i < resumed.system().size(); ++i) {
+    EXPECT_EQ(resumed.system().positions()[i],
+              uninterrupted.system().positions()[i])
+        << "position diverged at atom " << i;
+    EXPECT_EQ(resumed.system().velocities()[i],
+              uninterrupted.system().velocities()[i])
+        << "velocity diverged at atom " << i;
+  }
+  EXPECT_EQ(resumed.last_energies().total(),
+            uninterrupted.last_energies().total());
+
+  std::stringstream resaved;
+  resumed.save(resaved);
+  EXPECT_EQ(resaved.str().rfind("emdpa-checkpoint 5\n", 0), 0u);
+  const Checkpoint cp = load_checkpoint(resaved.str());
+  EXPECT_EQ(cp.step, 2 * kSteps);
+  EXPECT_EQ(cp.system.positions(), resumed.system().positions());
+  EXPECT_EQ(cp.system.velocities(), resumed.system().velocities());
+  EXPECT_EQ(cp.system.accelerations(), resumed.system().accelerations());
+  EXPECT_EQ(encode_checkpoint(cp), resaved.str());
 }
 
 TEST(TrajectoryResumeConfig, KernelMismatchFailsLoudly) {
