@@ -91,9 +91,16 @@ BENCHMARK(BM_SoaKernel)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
 void BM_SoaKernelParallel(benchmark::State& state) {
   // SoA kernel with atom rows fanned out over the global thread pool — the
   // full host-parallel execution path.  Threads are reported so runs on
-  // different machines stay comparable.
+  // different machines stay comparable.  Second argument 1 swaps the
+  // lattice for a random gas: index blocks then scatter over the whole box,
+  // nothing culls, and the row is the j-block cull's pure overhead
+  // (live_frac ~1, against a few percent on the lattice).
   const auto n = static_cast<std::size_t>(state.range(0));
-  md::Workload w = fluid(n);
+  md::WorkloadSpec gas;
+  gas.n_atoms = n;
+  md::Workload w = state.range(1) != 0
+                       ? md::make_random_gas_workload(gas, 0.8)
+                       : fluid(n);
   md::LjParams lj;
   md::SoaKernel::Options options;
   options.pool = &ThreadPool::global();
@@ -104,12 +111,16 @@ void BM_SoaKernelParallel(benchmark::State& state) {
   }
   state.counters["threads"] =
       static_cast<double>(ThreadPool::global().size());
+  state.counters["live_frac"] =
+      static_cast<double>(kernel.live_block_pairs()) /
+      static_cast<double>(kernel.block_pairs());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n) *
                           static_cast<std::int64_t>(n - 1));
 }
 BENCHMARK(BM_SoaKernelParallel)
-    ->Arg(256)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
+    ->Args({256, 0})->Args({512, 0})->Args({1024, 0})->Args({2048, 0})
+    ->Args({4096, 0})->Args({8000, 0})->Args({8000, 1});
 
 void BM_NeighborListSerial(benchmark::State& state) {
   // Steady-state list traversal, single-threaded: the O(N) answer to

@@ -39,6 +39,10 @@ struct Pack<float, SimdType::kAvx2> {
   friend Pack abs(Pack a) {
     return {_mm256_andnot_ps(_mm256_set1_ps(-0.0f), a.v)};
   }
+  // Lane-wise a > b ? a : b and a < b ? a : b — the x86 max/min rule
+  // (the second operand on ties and unordered lanes), as in the scalar pack.
+  friend Pack max(Pack a, Pack b) { return {_mm256_max_ps(a.v, b.v)}; }
+  friend Pack min(Pack a, Pack b) { return {_mm256_min_ps(a.v, b.v)}; }
   friend Pack copysign(Pack mag, Pack sgn) {
     const __m256 sign_bit = _mm256_set1_ps(-0.0f);
     return {_mm256_or_ps(_mm256_and_ps(sign_bit, sgn.v),
@@ -94,6 +98,10 @@ struct Pack<double, SimdType::kAvx2> {
   friend Pack abs(Pack a) {
     return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), a.v)};
   }
+  // Lane-wise a > b ? a : b and a < b ? a : b — the x86 max/min rule
+  // (the second operand on ties and unordered lanes), as in the scalar pack.
+  friend Pack max(Pack a, Pack b) { return {_mm256_max_pd(a.v, b.v)}; }
+  friend Pack min(Pack a, Pack b) { return {_mm256_min_pd(a.v, b.v)}; }
   friend Pack copysign(Pack mag, Pack sgn) {
     const __m256d sign_bit = _mm256_set1_pd(-0.0);
     return {_mm256_or_pd(_mm256_and_pd(sign_bit, sgn.v),

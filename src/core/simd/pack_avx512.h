@@ -76,6 +76,10 @@ struct Pack<float, SimdType::kAvx512> {
     return {_mm512_castsi512_ps(
         _mm512_and_epi32(_mm512_castps_si512(a.v), mag))};
   }
+  // Lane-wise a > b ? a : b and a < b ? a : b — the x86 max/min rule
+  // (the second operand on ties and unordered lanes), as in the scalar pack.
+  friend Pack max(Pack a, Pack b) { return {_mm512_max_ps(a.v, b.v)}; }
+  friend Pack min(Pack a, Pack b) { return {_mm512_min_ps(a.v, b.v)}; }
   friend Pack copysign(Pack mag, Pack sgn) {
     const __m512i sign_bit = _mm512_set1_epi32(INT32_MIN);
     return {_mm512_castsi512_ps(_mm512_or_epi32(
@@ -141,6 +145,10 @@ struct Pack<double, SimdType::kAvx512> {
     return {_mm512_castsi512_pd(
         _mm512_and_epi64(_mm512_castpd_si512(a.v), mag))};
   }
+  // Lane-wise a > b ? a : b and a < b ? a : b — the x86 max/min rule
+  // (the second operand on ties and unordered lanes), as in the scalar pack.
+  friend Pack max(Pack a, Pack b) { return {_mm512_max_pd(a.v, b.v)}; }
+  friend Pack min(Pack a, Pack b) { return {_mm512_min_pd(a.v, b.v)}; }
   friend Pack copysign(Pack mag, Pack sgn) {
     const __m512i sign_bit = _mm512_set1_epi64(INT64_MIN);
     return {_mm512_castsi512_pd(_mm512_or_epi64(

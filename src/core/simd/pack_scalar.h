@@ -30,6 +30,10 @@ struct Pack<Real, SimdType::kScalar> {
   friend Pack operator*(Pack a, Pack b) { return {a.v * b.v}; }
   friend Pack operator/(Pack a, Pack b) { return {a.v / b.v}; }
   friend Pack abs(Pack a) { return {std::fabs(a.v)}; }
+  // a > b ? a : b and a < b ? a : b: the x86 max/min rule (the second
+  // operand on ties and unordered lanes) the vector packs follow.
+  friend Pack max(Pack a, Pack b) { return {a.v > b.v ? a.v : b.v}; }
+  friend Pack min(Pack a, Pack b) { return {a.v < b.v ? a.v : b.v}; }
   friend Pack copysign(Pack mag, Pack sgn) {
     return {std::copysign(mag.v, sgn.v)};
   }

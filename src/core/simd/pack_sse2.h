@@ -39,6 +39,10 @@ struct Pack<float, SimdType::kSse2> {
   friend Pack abs(Pack a) {
     return {_mm_andnot_ps(_mm_set1_ps(-0.0f), a.v)};
   }
+  // Lane-wise a > b ? a : b and a < b ? a : b — the x86 max/min rule
+  // (the second operand on ties and unordered lanes), as in the scalar pack.
+  friend Pack max(Pack a, Pack b) { return {_mm_max_ps(a.v, b.v)}; }
+  friend Pack min(Pack a, Pack b) { return {_mm_min_ps(a.v, b.v)}; }
   friend Pack copysign(Pack mag, Pack sgn) {
     const __m128 sign_bit = _mm_set1_ps(-0.0f);
     return {_mm_or_ps(_mm_and_ps(sign_bit, sgn.v),
@@ -83,6 +87,10 @@ struct Pack<double, SimdType::kSse2> {
   friend Pack abs(Pack a) {
     return {_mm_andnot_pd(_mm_set1_pd(-0.0), a.v)};
   }
+  // Lane-wise a > b ? a : b and a < b ? a : b — the x86 max/min rule
+  // (the second operand on ties and unordered lanes), as in the scalar pack.
+  friend Pack max(Pack a, Pack b) { return {_mm_max_pd(a.v, b.v)}; }
+  friend Pack min(Pack a, Pack b) { return {_mm_min_pd(a.v, b.v)}; }
   friend Pack copysign(Pack mag, Pack sgn) {
     const __m128d sign_bit = _mm_set1_pd(-0.0);
     return {_mm_or_pd(_mm_and_pd(sign_bit, sgn.v),

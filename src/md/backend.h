@@ -167,8 +167,8 @@ class HostReferenceBackend final : public MdBackend {
 /// RunConfig::precision / simd_isa pick the kernels' numeric mode and
 /// instruction set (runtime-dispatched, not compile-time).  Wall-clock time
 /// lands in breakdown["host_wall"], the numeric execution facts (threads,
-/// the dispatched kernel's actual simd_width, kernel_list, list_rebuilds)
-/// in RunResult::metadata, and the textual ones (simd_isa, precision) in
+/// the dispatched kernel's actual simd_width, kernel_list, list_rebuilds,
+/// and for the N^2 kernel n2_live_block_frac) in RunResult::metadata, and the textual ones (simd_isa, precision) in
 /// RunResult::labels.  In dp mode energies match host-reference to
 /// double-precision reduction tolerance and are bit-identical run to run at
 /// any thread count — and across dispatched ISAs.
@@ -179,8 +179,10 @@ class HostParallelBackend final : public MdBackend {
   /// artifacts (Release, -march=native) BM_NeighborListParallel already
   /// edges out BM_SoaKernelParallel at 1024 atoms (~0.6x the N^2 time),
   /// is ~3x faster by 2048 and ~10x by 4096, while at 512 the N^2 sweep's
-  /// perfect streaming still wins.  Re-measure those rows before moving
-  /// this; tests/md/kernel_crossover_test.cpp pins the boundary.
+  /// perfect streaming still wins.  Those rows predate the N^2 sweep's
+  /// j-block cull, which made the lattice sweep several times faster; the
+  /// boundary stays where it is until they are re-measured.  Re-measure
+  /// before moving this; tests/md/kernel_crossover_test.cpp pins it.
   static constexpr std::size_t kListCrossoverAtoms = 1024;
 
   std::string name() const override { return "host-parallel"; }

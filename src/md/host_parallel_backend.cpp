@@ -163,6 +163,13 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
   result.labels["simd_isa"] =
       sim.simd_isa() ? simd::to_string(*sim.simd_isa()) : "none";
   result.labels["precision"] = to_string(sim.precision());
+  if (sim.kernel() == SimKernel::kSoaN2 && sim.n2_block_pairs() > 0) {
+    // Share of (i-block, j-block) pairs the N^2 sweep's cull kept in the
+    // last force evaluation; PairStats still count every pair.
+    result.metadata["n2_live_block_frac"] =
+        static_cast<double>(sim.n2_live_block_pairs()) /
+        static_cast<double>(sim.n2_block_pairs());
+  }
   if (use_list) {
     result.metadata["list_rebuilds"] = static_cast<double>(sim.list_rebuilds());
     // Cumulative build-phase wall time over the whole run, so the CI bench

@@ -19,19 +19,29 @@
 // all-out-of-range batch adds exactly nothing, and the accumulators can
 // never hold -0.0 (they start at +0.0, and +0.0 + x never yields -0.0 for
 // the x these loops produce), so "skip" and "add zero" are the same bits.
+// The same argument covers whole blocks: the N^2 sweep skips a j-block
+// only when a bound proves every lane of it out of range (the block cull,
+// RowKernels::live_spans / min_image_gap in lj_simd.h), i.e. when each
+// of its sub-packs would have early-outed anyway.  The surviving blocks
+// are swept in ascending order, so the order of the adds that do happen —
+// and with it every force, energy and virial bit — is unchanged, on every
+// ISA and at every thread count.
 // The per-ISA TUs are compiled with -ffp-contract=off, keeping the lane
 // arithmetic (mul-then-add, no FMA contraction) identical across TUs even
 // in a -march=native build.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/simd.h"
 #include "core/vec3.h"
 #include "md/lj_simd.h"
 #include "md/lj_potential.h"
+#include "md/simd_kernels.h"
 
 namespace emdpa::md::rows {
 
@@ -41,6 +51,7 @@ struct RowKernels {
   static constexpr std::size_t kWidth = P::kWidth;
   static constexpr std::size_t kBlock = simd::block_lanes<Real>();
   static constexpr std::size_t kSub = kBlock / kWidth;
+  static constexpr unsigned kLaneMask = (1u << kWidth) - 1u;
   static_assert(kBlock % kWidth == 0,
                 "the 64-byte block must hold a whole number of packs");
 
@@ -80,38 +91,112 @@ struct RowKernels {
     vir = Acc(0.5) * reduce_block(a.vir);
   }
 
-  /// N^2 SoA row range: for each atom i in [i_begin, i_end), sweep all
-  /// padded j columns one block at a time.  `padded` is a multiple of
-  /// kBlock; rows write disjoint outputs, so ranges can run on any thread.
+  /// The block cull: the j-blocks i-block ib must still sweep, as ascending
+  /// half-open column spans [spans[2k], spans[2k+1]) of whole blocks; returns
+  /// the number of span ends written (twice the span count).  spans[] must
+  /// hold count + 1 entries.  A block is dropped only when the bound built
+  /// from min_image_gap (lj_simd.h) proves every (i, j) lane r2 >=
+  /// cutoff_sq, i.e. when every lane of the block would fail the range
+  /// mask anyway.  kWidth blocks are tested per pack; runs of kept blocks
+  /// become one span, so when nothing culls the sweep is the plain
+  /// contiguous loop.
+  static std::size_t live_spans(const simd_kernels::SoaBlocks<Real>& blocks,
+                                std::size_t ib,
+                                const LjLaneKernel<Real, S>& lanes,
+                                std::size_t* spans) {
+    const P ax_lo = P::broadcast(blocks.lo[0][ib]);
+    const P ax_hi = P::broadcast(blocks.hi[0][ib]);
+    const P ay_lo = P::broadcast(blocks.lo[1][ib]);
+    const P ay_hi = P::broadcast(blocks.hi[1][ib]);
+    const P az_lo = P::broadcast(blocks.lo[2][ib]);
+    const P az_hi = P::broadcast(blocks.hi[2][ib]);
+    const P edge = lanes.v_edge;
+    const P zero = lanes.v_zero;
+    std::size_t n_ends = 0;
+    unsigned carry = 0;  // 1 when the block before this pack was kept
+    for (std::size_t jb = 0; jb < blocks.count; jb += kWidth) {
+      const P gx = min_image_gap(ax_lo, ax_hi, P::load(blocks.lo[0] + jb),
+                                 P::load(blocks.hi[0] + jb), edge, zero);
+      const P gy = min_image_gap(ay_lo, ay_hi, P::load(blocks.lo[1] + jb),
+                                 P::load(blocks.hi[1] + jb), edge, zero);
+      const P gz = min_image_gap(az_lo, az_hi, P::load(blocks.lo[2] + jb),
+                                 P::load(blocks.hi[2] + jb), edge, zero);
+      const P r2 = gx * gx + gy * gy + gz * gz;  // the lanes' order
+      // Keep = NOT (bound >= cutoff_sq), so a NaN bound keeps the block.
+      const std::size_t lanes_left = std::min(kWidth, blocks.count - jb);
+      const unsigned keep = ~P::mask_bits(cmp_ge(r2, lanes.v_cut)) &
+                            ((1u << lanes_left) - 1u);
+      // A span starts or ends wherever keep differs from the block before —
+      // rarely: a mixed gas keeps everything, a lattice keeps a few runs.
+      unsigned edges = (keep ^ ((keep << 1) | carry)) & kLaneMask;
+      for (; edges != 0; edges &= edges - 1u) {
+        spans[n_ends++] = (jb + std::countr_zero(edges)) * kBlock;
+      }
+      carry = (keep >> (kWidth - 1)) & 1u;
+    }
+    if (carry != 0) spans[n_ends++] = blocks.count * kBlock;
+    return n_ends;
+  }
+
+  /// N^2 SoA row range: for each atom i in [i_begin, i_end), sweep the padded
+  /// j columns one 64-byte block at a time — only the blocks its i-block
+  /// cannot cull.  Rows are taken i-block by i-block (atoms
+  /// [ib*kBlock, (ib+1)*kBlock), clipped to the range): the i-block's box is
+  /// tested once against every j-block box (live_spans), and each of its
+  /// rows then sweeps the surviving blocks in ascending order.  Rows write
+  /// disjoint outputs, so ranges can run on any thread; blocks.live[ib] is
+  /// written by the range holding the i-block's first row only.
   static void soa_rows(const Real* xs, const Real* ys, const Real* zs,
-                       std::size_t padded, Real edge, Real cutoff_sq,
-                       const LjParamsT<Real>& lj, Acc inv_mass,
-                       std::size_t i_begin, std::size_t i_end,
+                       const simd_kernels::SoaBlocks<Real>& blocks, Real edge,
+                       Real cutoff_sq, const LjParamsT<Real>& lj,
+                       Acc inv_mass, std::size_t i_begin, std::size_t i_end,
                        emdpa::Vec3<Acc>* accelerations, Acc* row_pe,
                        Acc* row_virial, std::uint64_t* row_hits) {
     const LjLaneKernel<Real, S> lanes(edge, cutoff_sq, lj);
-    for (std::size_t i = i_begin; i < i_end; ++i) {
-      const P xi = P::broadcast(xs[i]);
-      const P yi = P::broadcast(ys[i]);
-      const P zi = P::broadcast(zs[i]);
-      BlockAcc a;
-      std::uint64_t hits = 0;
+    // Per-worker span scratch: O(blocks), reused across calls and steps.
+    thread_local std::vector<std::size_t> span_scratch;
+    if (span_scratch.size() < blocks.count + 1) {
+      span_scratch.resize(blocks.count + 1);
+    }
+    std::size_t* const spans = span_scratch.data();
 
-      for (std::size_t j = 0; j < padded; j += kBlock) {
-        // r2 > 0 in the lane mask excludes the self pair; padded columns
-        // sit far outside the cutoff by construction.
-        for (std::size_t s = 0; s < kSub; ++s) {
-          const std::size_t js = j + s * kWidth;
-          const unsigned bits = lanes.accumulate(
-              xi - P::load(xs + js), yi - P::load(ys + js),
-              zi - P::load(zs + js), a.fx[s], a.fy[s], a.fz[s], a.pe[s],
-              a.vir[s]);
-          hits += static_cast<std::uint64_t>(std::popcount(bits));
+    for (std::size_t i = i_begin; i < i_end;) {
+      const std::size_t ib = i / kBlock;
+      const std::size_t i_stop = std::min(i_end, (ib + 1) * kBlock);
+      const std::size_t n_ends = live_spans(blocks, ib, lanes, spans);
+      if (i == ib * kBlock) {
+        std::size_t live = 0;
+        for (std::size_t p = 0; p < n_ends; p += 2) {
+          live += spans[p + 1] - spans[p];
         }
+        blocks.live[ib] = static_cast<std::uint32_t>(live / kBlock);
       }
 
-      finish_row(a, inv_mass, accelerations[i], row_pe[i], row_virial[i]);
-      row_hits[i] = hits;
+      for (; i < i_stop; ++i) {
+        const P xi = P::broadcast(xs[i]);
+        const P yi = P::broadcast(ys[i]);
+        const P zi = P::broadcast(zs[i]);
+        BlockAcc a;
+        std::uint64_t hits = 0;
+
+        for (std::size_t p = 0; p < n_ends; p += 2) {
+          for (std::size_t j = spans[p]; j < spans[p + 1]; j += kBlock) {
+            // r2 > 0 in the lane mask excludes the self pair; padded
+            // columns sit far outside the cutoff by construction.
+            for (std::size_t s = 0; s < kSub; ++s) {
+              const std::size_t js = j + s * kWidth;
+              const unsigned bits = lanes.accumulate(
+                  xi - P::load(xs + js), yi - P::load(ys + js),
+                  zi - P::load(zs + js), a.fx[s], a.fy[s], a.fz[s], a.pe[s],
+                  a.vir[s]);
+              hits += static_cast<std::uint64_t>(std::popcount(bits));
+            }
+          }
+        }
+
+        finish_row(a, inv_mass, accelerations[i], row_pe[i], row_virial[i]);
+        row_hits[i] = hits;
+      }
     }
   }
 

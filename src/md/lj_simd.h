@@ -39,6 +39,65 @@ inline P reflect_min_image(P d, P edge, P half_edge, P zero) {
   return d - select(cmp_ge(abs(d), half_edge), copysign(edge, d), zero);
 }
 
+/// One axis of the j-block cull of the N^2 sweep (kernel_rows.h): a lower
+/// bound g on the |dx| the lanes above compute for EVERY pair (i, j) with
+/// coordinate xi in [a_lo, a_hi] and xj in [b_lo, b_hi].  Each lane of the
+/// packs is one (A, B) interval pair.  Squared and summed in the lanes'
+/// order, gx*gx + gy*gy + gz*gz, the three axes bound the lane r2 from
+/// below: the block cull drops a block pair when that sum is >= cutoff_sq.
+///
+/// Precondition: every coordinate an interval bounds lies in [0, edge].
+/// An axis holding anything else (a NaN, or a coordinate the wrap left
+/// outside) gets the whole line (-inf, +inf) as its interval, for which g
+/// is 0.
+///
+/// Why no safety margin.  Write u for the unit roundoff (2^-53 in double,
+/// 2^-24 in float).  A gap test in real arithmetic on the true separations
+/// would have to pay for two roundings: fl(xi - xj) is off by up to
+/// u*|xi - xj| <= u*edge per axis (sqrt(3)*u*edge in r), and the three-term
+/// sum fl(fl(dx*dx + dy*dy) + dz*dz) by up to ((1 + u)^3 - 1)*r2 ~ 3u*r2 —
+/// so it could cull only above cutoff_sq * (1 + 3u + 2*sqrt(3)*u*edge/rc),
+/// a margin that grows with the box.  Instead this bound replays the
+/// lanes' own operations, in the lanes' own precision Real, on the
+/// interval ends, and round-to-nearest is monotone (s <= t implies
+/// fl(s) <= fl(t)), which turns every step into an exact inequality:
+///  1. xi - xj lies in [a_lo - b_hi, a_hi - b_lo], so the lane's rounded
+///     d = fl(xi - xj) lies in [d_lo, d_hi] = [fl(a_lo - b_hi),
+///     fl(a_hi - b_lo)] — the same rounding, applied at the ends.  With all
+///     coordinates in [0, edge], |d| <= edge.
+///  2. The lane's reflection is exact: for edge/2 <= |d| <= edge,
+///     d - copysign(edge, d) is exact by Sterbenz (edge/2 <= |d| <= 2 edge).
+///     So the lane's |dx| is m(d) = |d| below edge/2 and edge - |d| from
+///     there on, with no rounding at all.
+///  3. Over [d_lo, d_hi], m is at least min(direct, wrapped), where
+///     direct = max(d_lo, -d_hi) (exact) is the distance of the interval
+///     from 0, and wrapped = fl(edge - max(|d_lo|, |d_hi|)) its distance
+///     from ±edge.  When direct <= 0 the interval holds 0 and g is 0.
+///     Otherwise (say 0 < d_lo <= d_hi): a lane d below edge/2 has
+///     m(d) = d >= d_lo = direct; a lane d >= edge/2 forces
+///     edge/2 <= d_hi <= edge, so wrapped = edge - d_hi is exact by
+///     Sterbenz again and m(d) = edge - d >= wrapped.  Hence
+///     0 <= g <= |dx| with g = max(0, min(direct, wrapped)).
+///  4. r2 = fl(fl(fl(dx*dx) + fl(dy*dy)) + fl(dz*dz)) is, operation by
+///     operation, monotone in |dx|, |dy|, |dz|, so the same expression in
+///     (gx, gy, gz), evaluated in the same order, is <= r2.
+/// So a block pair whose bound is >= cutoff_sq has every lane r2 >=
+/// cutoff_sq: every lane fails the (r2 < cutoff_sq) mask, in double and in
+/// float.  The margin is exactly zero.  The per-ISA row TUs build with
+/// -ffp-contract=off, so neither side contracts into an FMA.  For point
+/// intervals (lo == hi) g IS the lane's |dx|, bit for bit.
+///
+/// In code: d_lo <= d_hi (lo <= hi on both sides, and rounding is
+/// monotone), so max(|d_lo|, |d_hi|) = max(d_hi, -d_lo); and -d_lo, -d_hi
+/// are taken as b_hi - a_lo, b_lo - a_hi, which round to exactly the
+/// negations (round-to-nearest is symmetric).  Nine operations per axis.
+template <typename P>
+inline P min_image_gap(P a_lo, P a_hi, P b_lo, P b_hi, P edge, P zero) {
+  const P direct = max(a_lo - b_hi, b_lo - a_hi);   // max(d_lo, -d_hi)
+  const P wrapped = edge - max(a_hi - b_lo, b_hi - a_lo);
+  return max(zero, min(direct, wrapped));
+}
+
 /// Broadcast constants plus the fused min-image + LJ accumulation step for
 /// one batch of Pack<Real, S>::kWidth j-lanes against a fixed atom i.
 template <typename Real, simd::SimdType S = simd::fastest_simd_type()>

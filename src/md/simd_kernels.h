@@ -29,13 +29,29 @@
 
 namespace emdpa::md::simd_kernels {
 
+/// The j-blocks of the N^2 sweep: the padded SoA columns cut into `count`
+/// 64-byte blocks (simd::block_lanes<Real>() atoms), each with the bounding
+/// box of its real atoms, stored as six SoA arrays (lo[axis][b],
+/// hi[axis][b]), 64-byte aligned and readable up to `count` rounded up to
+/// a whole block.  The row loop writes live[ib], the number of j-blocks
+/// i-block ib did not cull.  See SoaKernelT::compute and
+/// RowKernels::soa_rows.
+template <typename Real>
+struct SoaBlocks {
+  const Real* lo[3];
+  const Real* hi[3];
+  std::size_t count;
+  std::uint32_t* live;
+};
+
 /// Row-loop signatures; see RowKernels::soa_rows / list_rows for the
 /// parameter contract.
 template <typename Real, typename Acc>
 using SoaRowsFn = void (*)(const Real* xs, const Real* ys, const Real* zs,
-                           std::size_t padded, Real edge, Real cutoff_sq,
-                           const LjParamsT<Real>& lj, Acc inv_mass,
-                           std::size_t i_begin, std::size_t i_end,
+                           const SoaBlocks<Real>& blocks, Real edge,
+                           Real cutoff_sq, const LjParamsT<Real>& lj,
+                           Acc inv_mass, std::size_t i_begin,
+                           std::size_t i_end,
                            emdpa::Vec3<Acc>* accelerations, Acc* row_pe,
                            Acc* row_virial, std::uint64_t* row_hits);
 

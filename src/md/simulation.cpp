@@ -33,6 +33,7 @@ SimKernel resolve_kernel(const Simulation::Options& options,
 struct KernelBuild {
   std::unique_ptr<ForceKernel> kernel;
   NeighborListControl* list_control = nullptr;
+  const BlockCullStats* cull_stats = nullptr;
   std::optional<simd::SimdType> isa;
   std::size_t width = 1;
 };
@@ -53,7 +54,11 @@ KernelBuild build_simd_kernel(const Simulation::Options& options) {
   KernelBuild b;
   b.isa = kernel->isa();
   b.width = kernel->simd_width();
-  if constexpr (kIsList) b.list_control = kernel.get();
+  if constexpr (kIsList) {
+    b.list_control = kernel.get();
+  } else {
+    b.cull_stats = kernel.get();
+  }
   b.kernel = std::move(kernel);
   return b;
 }
@@ -178,6 +183,7 @@ Simulation::Simulation(ParticleSystem system, PeriodicBox box, long step,
   KernelBuild build = make_lj_kernel(kernel_kind_, options);
   lj_kernel_ = std::move(build.kernel);
   list_control_ = build.list_control;
+  cull_stats_ = build.cull_stats;
   simd_isa_ = build.isa;
   simd_width_ = build.width;
   if (options.health) health_.emplace(*options.health);
@@ -250,6 +256,14 @@ std::string Simulation::kernel_name() const { return lj_kernel_->name(); }
 
 std::uint64_t Simulation::list_rebuilds() const {
   return list_control_ != nullptr ? list_control_->list_rebuilds() : 0;
+}
+
+std::uint64_t Simulation::n2_live_block_pairs() const {
+  return cull_stats_ != nullptr ? cull_stats_->live_block_pairs() : 0;
+}
+
+std::uint64_t Simulation::n2_block_pairs() const {
+  return cull_stats_ != nullptr ? cull_stats_->block_pairs() : 0;
 }
 
 double Simulation::list_build_bin_seconds() const {
@@ -347,6 +361,7 @@ StepEnergies Simulation::step_once() {
 void Simulation::degrade_now() {
   kernel_kind_ = SimKernel::kReference;
   list_control_ = nullptr;
+  cull_stats_ = nullptr;
   simd_isa_.reset();
   simd_width_ = 1;
   // The composite (if any) holds a reference to the old kernel; rebuild it

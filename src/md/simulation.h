@@ -55,6 +55,7 @@ const char* to_string(SimKernel kernel);
 SimKernel to_sim_kernel(HostKernel kernel);
 
 struct RunConfig;
+class BlockCullStats;
 
 class Simulation {
  public:
@@ -144,6 +145,12 @@ class Simulation {
   std::size_t simd_width() const { return simd_width_; }
   /// Neighbour-list rebuilds so far; 0 for the stateless kernels.
   std::uint64_t list_rebuilds() const;
+  /// The N^2 kernel's j-block cull in the last force evaluation: the
+  /// (i-block, j-block) pairs it swept, and all of them (blocks squared).
+  /// Both 0 for the other kernels.  The host-parallel backend reports the
+  /// ratio as metadata key n2_live_block_frac.
+  std::uint64_t n2_live_block_pairs() const;
+  std::uint64_t n2_block_pairs() const;
   /// Cumulative wall-clock seconds the neighbour-list builds spent binning
   /// (counting sort + stencil tables + sorted gather) and filling (count +
   /// prefix + fill passes); 0 for the stateless kernels.  The host-parallel backend
@@ -226,6 +233,9 @@ class Simulation {
   /// neighbour-list kernels (dp, sp or mixed): rebuild statistics plus the
   /// checkpoint-time invalidation sync point.  nullptr otherwise.
   NeighborListControl* list_control_ = nullptr;
+  /// Non-owning view of lj_kernel_'s cull counters when it is one of the
+  /// SoA N^2 kernels; nullptr otherwise.
+  const BlockCullStats* cull_stats_ = nullptr;
   std::unique_ptr<ForceKernel> lj_kernel_;
   std::unique_ptr<ForceKernel> composite_;  ///< LJ + bonds/angles, if any
   std::optional<BondTopology> bonds_;

@@ -57,8 +57,9 @@ ForceResult run_single(Kernel& inner,
 
 }  // namespace detail
 
-/// SoaKernelT<float> behind the double ForceKernel interface.
-class SingleSoaKernel final : public ForceKernel {
+/// SoaKernelT<float> behind the double ForceKernel interface; forwards the
+/// BlockCullStats counters of the inner kernel.
+class SingleSoaKernel final : public ForceKernel, public BlockCullStats {
  public:
   using Options = SoaKernelF::Options;
 
@@ -68,6 +69,11 @@ class SingleSoaKernel final : public ForceKernel {
   std::string name() const override { return inner_.name(); }
   simd::SimdType isa() const { return inner_.isa(); }
   std::size_t simd_width() const { return inner_.simd_width(); }
+
+  std::uint64_t live_block_pairs() const override {
+    return inner_.live_block_pairs();
+  }
+  std::uint64_t block_pairs() const override { return inner_.block_pairs(); }
 
   ForceResult compute(const std::vector<emdpa::Vec3<double>>& positions,
                       const PeriodicBox& box, const LjParams& lj,

@@ -1,5 +1,7 @@
 #include "md/soa_kernel.h"
 
+#include <algorithm>
+#include <limits>
 #include <string>
 
 namespace emdpa::md {
@@ -35,6 +37,10 @@ void SoaKernelT<Real, Acc>::ensure_capacity(std::size_t padded,
   row_pe_.resize(n);
   row_virial_.resize(n);
   row_hits_.resize(n);
+  const std::size_t n_blocks = padded / block_width();
+  const std::size_t stride = box_stride(n_blocks);
+  if (!boxes_ || boxes_->size() < 6 * stride) boxes_.emplace(6 * stride);
+  block_live_.resize(n_blocks);
 }
 
 template <typename Real, typename Acc>
@@ -44,6 +50,7 @@ ForceResultT<Acc> SoaKernelT<Real, Acc>::compute(
   const std::size_t n = positions.size();
   ForceResultT<Acc> result;
   result.accelerations.assign(n, {});
+  live_block_pairs_ = block_pairs_ = 0;
   if (n == 0) return result;
 
   // Pad to whole accumulation blocks (not packs): the padded layout, and so
@@ -79,9 +86,44 @@ ForceResultT<Acc> SoaKernelT<Real, Acc>::compute(
     xs[j] = ys[j] = zs[j] = sentinel;
   }
 
+  // Block boxes for the j-block cull (kernel_rows.h), over real atoms only:
+  // the sentinel columns never pass the range mask, so leaving them out
+  // just tightens the last box.  An axis whose coordinates are not all in
+  // [0, edge] (a NaN, or a rare wrap rounding) gets the whole line, the
+  // cull bound's precondition (min_image_gap, lj_simd.h).
+  const std::size_t n_blocks = padded / kBlock;
+  const std::size_t stride = box_stride(n_blocks);
+  simd_kernels::SoaBlocks<Real> blocks{};
+  blocks.count = n_blocks;
+  blocks.live = block_live_.data();
+  const Real* coords[3] = {xs, ys, zs};
+  const Real edge = rbox.edge();
+  constexpr Real kInf = std::numeric_limits<Real>::infinity();
+  for (int k = 0; k < 3; ++k) {
+    Real* lo = boxes_->data() + (2 * k) * stride;
+    Real* hi = boxes_->data() + (2 * k + 1) * stride;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      const Real* c = coords[k] + b * kBlock;
+      const std::size_t count = std::min(kBlock, n - b * kBlock);
+      Real l = c[0], h = c[0];
+      bool inside = true;
+      for (std::size_t j = 0; j < count; ++j) {
+        inside = inside && c[j] >= Real(0) && c[j] <= edge;
+        l = std::min(l, c[j]);
+        h = std::max(h, c[j]);
+      }
+      lo[b] = inside ? l : -kInf;
+      hi[b] = inside ? h : kInf;
+    }
+    std::fill(lo + n_blocks, lo + stride, Real(0));
+    std::fill(hi + n_blocks, hi + stride, Real(0));
+    blocks.lo[k] = lo;
+    blocks.hi[k] = hi;
+  }
+
   const Acc inv_mass = Acc(1) / mass;
   auto rows = [&](std::size_t row_begin, std::size_t row_end) {
-    rows_fn_(xs, ys, zs, padded, rbox.edge(), ljr.cutoff_squared(), ljr,
+    rows_fn_(xs, ys, zs, blocks, edge, ljr.cutoff_squared(), ljr,
              inv_mass, row_begin, row_end, result.accelerations.data(),
              row_pe_.data(), row_virial_.data(), row_hits_.data());
   };
@@ -100,6 +142,8 @@ ForceResultT<Acc> SoaKernelT<Real, Acc>::compute(
     virial += row_virial_[i];
     interacting += row_hits_[i];
   }
+  for (const std::uint32_t live : block_live_) live_block_pairs_ += live;
+  block_pairs_ = static_cast<std::uint64_t>(n_blocks) * n_blocks;
   result.potential_energy = pe;
   result.virial = virial;
   // The row sweep visits every pair from both ends; report unordered pairs.

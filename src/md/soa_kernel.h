@@ -8,8 +8,14 @@
 //  * Batch inner loop: each atom row tests j-atoms one 64-byte block at a
 //    time (simd::block_lanes lanes, a whole number of packs on every ISA);
 //    the cutoff test and the force/energy accumulation are fused behind one
-//    lane mask (a blend), with an any-lane early-out per pack for the ~97%
-//    of batches with no interacting pair.
+//    lane mask (a blend), with an any-lane early-out per pack.
+//  * j-block cull: at pack time every 64-byte block gets the bounding box of
+//    its atoms, and each i-block skips the j-blocks whose min-image gap
+//    bound (lj_simd.h) already puts every pair beyond the cutoff — on a
+//    near-lattice run all but a few percent of them.  A culled block would
+//    have added exactly +0.0, so forces, energies, virials and PairStats
+//    are bit for bit what the full sweep gives (kernel_rows.h); the live
+//    share of the last evaluation is live_block_pairs() / block_pairs().
 //  * Runtime ISA dispatch: the row loop is compiled once per instruction
 //    set (md/simd_rows_*.cpp) and the constructor resolves which table to
 //    run — Options::isa, else EMDPA_SIMD, else the fastest this CPU
@@ -36,6 +42,7 @@
 //    gives).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "core/aligned_buffer.h"
@@ -48,8 +55,20 @@
 
 namespace emdpa::md {
 
+/// The block-cull counters of the last N^2 evaluation, independent of the
+/// kernel's precision — md::Simulation's view of whichever instance it
+/// drives.
+class BlockCullStats {
+ public:
+  virtual ~BlockCullStats() = default;
+  /// (i-block, j-block) pairs the last compute() swept after the cull.
+  virtual std::uint64_t live_block_pairs() const = 0;
+  /// All (i-block, j-block) pairs of the last compute(): blocks squared.
+  virtual std::uint64_t block_pairs() const = 0;
+};
+
 template <typename Real, typename Acc = Real>
-class SoaKernelT final : public ForceKernelT<Acc> {
+class SoaKernelT final : public ForceKernelT<Acc>, public BlockCullStats {
  public:
   struct Options {
     MinImageStrategy strategy = MinImageStrategy::kRound;
@@ -87,7 +106,15 @@ class SoaKernelT final : public ForceKernelT<Acc> {
                             const PeriodicBoxT<Acc>& box,
                             const LjParamsT<Acc>& lj, Acc mass) override;
 
+  std::uint64_t live_block_pairs() const override { return live_block_pairs_; }
+  std::uint64_t block_pairs() const override { return block_pairs_; }
+
  private:
+  /// Entries per box array: the block count rounded up to a whole 64-byte
+  /// block, so every array starts aligned and whole packs can be loaded.
+  static constexpr std::size_t box_stride(std::size_t n_blocks) {
+    return (n_blocks + block_width() - 1) / block_width() * block_width();
+  }
   void ensure_capacity(std::size_t padded, std::size_t n);
 
   Options options_;
@@ -98,6 +125,11 @@ class SoaKernelT final : public ForceKernelT<Acc> {
   std::optional<AlignedBuffer<Real, 64>> xs_, ys_, zs_;
   std::vector<Acc> row_pe_, row_virial_;
   std::vector<std::uint64_t> row_hits_;
+  // Block boxes: lo x, hi x, lo y, hi y, lo z, hi z, box_stride() apart.
+  std::optional<AlignedBuffer<Real, 64>> boxes_;
+  std::vector<std::uint32_t> block_live_;  ///< live j-blocks per i-block
+  std::uint64_t live_block_pairs_ = 0;
+  std::uint64_t block_pairs_ = 0;
 };
 
 using SoaKernel = SoaKernelT<double>;
