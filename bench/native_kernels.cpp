@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <vector>
 
 #include "core/random.h"
 #include "core/thread_pool.h"
@@ -163,7 +164,7 @@ BENCHMARK(BM_NeighborListParallel)
     ->Arg(1024)->Arg(2048)->Arg(4096)->Arg(16384);
 
 void BM_NeighborListBuild(benchmark::State& state) {
-  // Price the rebuild itself (bin + count + prefix + fill, pool-parallel):
+  // Price the rebuild itself (bin + filter + prefix + copy, pool-parallel):
   // what a simulation pays every few steps when atoms outrun the skin.
   // bin_ms / fill_ms split one build into its two phases (see
   // ParallelNeighborListT) so regressions localise.
@@ -213,6 +214,53 @@ void BM_NeighborListBuildThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborListBuildThreads)
     ->Args({100000, 1})->Args({100000, 2})->Args({100000, 8})
+    ->Unit(benchmark::kMillisecond);
+
+/// The lattice after `steps` neighbour-list MD steps: a melted
+/// configuration with fewer list entries than the lattice it started from.
+std::vector<Vec3d> melted_positions(std::size_t n, int steps) {
+  md::Simulation::Options options;
+  options.workload.n_atoms = n;
+  options.kernel = md::SimKernel::kNeighborList;
+  options.pool = &ThreadPool::global();
+  md::Simulation sim(options);
+  sim.run(steps);
+  return sim.system().positions();
+}
+
+void BM_NeighborListRebuildGrowing(benchmark::State& state) {
+  // One list object rebuilt alternately from the lattice and from a melt of
+  // it (different entry totals, ~5% apart at 100k), so the CSR and the fill
+  // scratch shrink and grow every iteration — the storage path a running
+  // simulation takes, which BM_NeighborListBuild (same positions every
+  // time) never exercises.  Two builds per iteration; bin_ms / fill_ms are
+  // per build.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const md::Workload lattice = fluid(n);
+  static const std::vector<Vec3d> melt = melted_positions(n, 100);
+  const std::vector<Vec3d>* configs[] = {&lattice.system.positions(), &melt};
+  md::LjParams lj;
+  md::ParallelNeighborListT<double> list(0.3, &ThreadPool::global());
+  std::uint64_t entries[2] = {0, 0};
+  for (auto _ : state) {
+    for (int k = 0; k < 2; ++k) {
+      list.build(*configs[k], lattice.box, lj.cutoff);
+      entries[k] = list.directed_entries();
+      benchmark::DoNotOptimize(list.entries().data());
+      benchmark::ClobberMemory();
+    }
+  }
+  const double builds = 2.0 * static_cast<double>(state.iterations());
+  state.counters["threads"] = static_cast<double>(ThreadPool::global().size());
+  state.counters["entries_lattice"] = static_cast<double>(entries[0]);
+  state.counters["entries_melt"] = static_cast<double>(entries[1]);
+  state.counters["bin_ms"] = list.bin_seconds_total() * 1e3 / builds;
+  state.counters["fill_ms"] = list.fill_seconds_total() * 1e3 / builds;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_NeighborListRebuildGrowing)
+    ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SimulationSoaN2(benchmark::State& state) {

@@ -167,9 +167,10 @@ class HostReferenceBackend final : public MdBackend {
 /// RunConfig::precision / simd_isa pick the kernels' numeric mode and
 /// instruction set (runtime-dispatched, not compile-time).  Wall-clock time
 /// lands in breakdown["host_wall"], the numeric execution facts (threads,
-/// the dispatched kernel's actual simd_width, kernel_list, list_rebuilds,
-/// and for the N^2 kernel n2_live_block_frac) in RunResult::metadata, and the textual ones (simd_isa, precision) in
-/// RunResult::labels.  In dp mode energies match host-reference to
+/// the dispatched kernel's actual simd_width, kernel_list; for the list
+/// kernel list_rebuilds, the build-phase times and the list_*_bytes memory
+/// counters; for the N^2 kernel n2_live_block_frac) in RunResult::metadata,
+/// and the textual ones (simd_isa, precision) in RunResult::labels.  In dp mode energies match host-reference to
 /// double-precision reduction tolerance and are bit-identical run to run at
 /// any thread count — and across dispatched ISAs.
 class HostParallelBackend final : public MdBackend {

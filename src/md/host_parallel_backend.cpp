@@ -176,6 +176,12 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
     // jobs can track the binning and fill passes separately.
     result.metadata["list_build_bin_ms"] = sim.list_build_bin_seconds() * 1e3;
     result.metadata["list_build_fill_ms"] = sim.list_build_fill_seconds() * 1e3;
+    // Bytes the list holds at the end of the run (allocated capacity).
+    const ListMemory memory = sim.list_memory();
+    result.metadata["list_csr_bytes"] = static_cast<double>(memory.csr_bytes);
+    result.metadata["list_scratch_bytes"] =
+        static_cast<double>(memory.scratch_bytes);
+    result.metadata["list_hist_bytes"] = static_cast<double>(memory.hist_bytes);
   }
   // Resilience facts, only when the corresponding knob was armed so the
   // default report keeps its exact historical shape.

@@ -255,63 +255,37 @@ struct RowKernels {
 /// exactly coincident atoms stay in the list.  Kept lanes are written in
 /// lane order (original atom indices, ascending within a cell), so a row is
 /// byte-identical on every ISA: vpcompressd on AVX-512, a mask-bit scan on
-/// the narrower packs.
+/// the narrower packs.  One write mode serves the whole build: the list
+/// points `out` at compact scratch (then copies each row into the CSR once
+/// the prefix over the counts is known) or, when the prefix is already
+/// known, one row at a time straight at the row's CSR slots.
 template <typename Real, simd::SimdType S>
 struct ListFill {
   using P = simd::Pack<Real, S>;
   static constexpr std::size_t kWidth = P::kWidth;
 
   /// Rows of the atoms at sorted positions [a_begin, a_end), each against
-  /// the n_spans spans (begin, end pairs) of their cell's stencil.  With
-  /// entries == nullptr this is the count pass: row_count[i] receives row
-  /// i's kept count.  Otherwise it is the fill pass: row i is written to
-  /// entries[row_begin[i] ..] and self-padded up to row_begin[i + 1].
-  static void cell_rows(const Real* xs, const Real* ys, const Real* zs,
-                        const std::uint32_t* ids, const std::uint32_t* spans,
-                        std::size_t n_spans, std::uint32_t a_begin,
-                        std::uint32_t a_end, Real edge, Real cutoff_sq,
-                        const std::uint32_t* row_begin,
-                        std::uint32_t* row_count, std::uint32_t* entries) {
-    if (entries == nullptr) {
-      rows<false>(xs, ys, zs, ids, spans, n_spans, a_begin, a_end, edge,
-                  cutoff_sq, row_begin, row_count, entries);
-    } else {
-      rows<true>(xs, ys, zs, ids, spans, n_spans, a_begin, a_end, edge,
-                 cutoff_sq, row_begin, row_count, entries);
-    }
-  }
-
- private:
-  static std::uint32_t* store_kept(std::uint32_t* out,
-                                   const std::uint32_t* ids, unsigned bits) {
-    if constexpr (requires { P::compress_indices(out, ids, bits); }) {
-      return P::compress_indices(out, ids, bits);
-    } else {
-      for (; bits != 0; bits &= bits - 1u) {
-        *out++ = ids[std::countr_zero(bits)];
-      }
-      return out;
-    }
-  }
-
-  template <bool kWrite>
-  static void rows(const Real* xs, const Real* ys, const Real* zs,
-                   const std::uint32_t* ids, const std::uint32_t* spans,
-                   std::size_t n_spans, std::uint32_t a_begin,
-                   std::uint32_t a_end, Real edge, Real cutoff_sq,
-                   const std::uint32_t* row_begin, std::uint32_t* row_count,
-                   std::uint32_t* entries) {
+  /// the n_spans spans (begin, end pairs) of their cell's stencil, written
+  /// back to back from `out` in sorted order (no padding); row_count[i]
+  /// receives row i's kept count.  Writes exactly the kept entries — at
+  /// most the stencil population minus one per row — and returns the end
+  /// of the last row.
+  static std::uint32_t* cell_rows(const Real* xs, const Real* ys,
+                                  const Real* zs, const std::uint32_t* ids,
+                                  const std::uint32_t* spans,
+                                  std::size_t n_spans, std::uint32_t a_begin,
+                                  std::uint32_t a_end, Real edge,
+                                  Real cutoff_sq, std::uint32_t* row_count,
+                                  std::uint32_t* out) {
     const P v_edge = P::broadcast(edge);
     const P v_half = P::broadcast(edge / Real(2));
     const P v_cut = P::broadcast(cutoff_sq);
     const P v_zero = P::zero();
     for (std::uint32_t s = a_begin; s < a_end; ++s) {
-      const std::uint32_t i = ids[s];
       const P xi = P::broadcast(xs[s]);
       const P yi = P::broadcast(ys[s]);
       const P zi = P::broadcast(zs[s]);
-      std::uint32_t* out = kWrite ? entries + row_begin[i] : nullptr;
-      std::uint32_t count = 0;
+      std::uint32_t* const row = out;
       for (std::size_t k = 0; k < n_spans; ++k) {
         const std::uint32_t end = spans[2 * k + 1];
         for (std::uint32_t j = spans[2 * k]; j < end; j += kWidth) {
@@ -325,19 +299,24 @@ struct ListFill {
                                               v_cut));
           if (end - j < kWidth) bits &= (1u << (end - j)) - 1u;  // tail
           if (s - j < kWidth) bits &= ~(1u << (s - j));          // j == i
-          if constexpr (kWrite) {
-            out = store_kept(out, ids + j, bits);
-          } else {
-            count += static_cast<std::uint32_t>(std::popcount(bits));
-          }
+          out = store_kept(out, ids + j, bits);
         }
       }
-      if constexpr (kWrite) {
-        std::uint32_t* const row_end = entries + row_begin[i + 1];
-        while (out < row_end) *out++ = i;  // self pad, r2 == 0
-      } else {
-        row_count[i] = count;
+      row_count[ids[s]] = static_cast<std::uint32_t>(out - row);
+    }
+    return out;
+  }
+
+ private:
+  static std::uint32_t* store_kept(std::uint32_t* out,
+                                   const std::uint32_t* ids, unsigned bits) {
+    if constexpr (requires { P::compress_indices(out, ids, bits); }) {
+      return P::compress_indices(out, ids, bits);
+    } else {
+      for (; bits != 0; bits &= bits - 1u) {
+        *out++ = ids[std::countr_zero(bits)];
       }
+      return out;
     }
   }
 };

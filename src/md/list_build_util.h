@@ -9,7 +9,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -19,6 +21,41 @@
 #include "md/box.h"
 
 namespace emdpa::md::listutil {
+
+/// Heap array of a trivially copyable T whose slots are never
+/// value-initialised: the builds write every slot they later read, so a
+/// zero-fill would only be a serial pass over memory the parallel passes
+/// are about to touch anyway (and first touch belongs in those passes).
+/// Capacity is kept across builds.
+template <typename T>
+class RawArray {
+  static_assert(std::is_trivially_copyable_v<T>);
+
+ public:
+  T* data() { return data_.get(); }
+  const T* data() const { return data_.get(); }
+  std::size_t capacity() const { return capacity_; }
+  std::size_t bytes() const { return capacity_ * sizeof(T); }
+
+  /// Room for at least n slots, contents discarded.  On growth the old
+  /// block is released BEFORE the new one is taken and nothing is copied,
+  /// so a growing list never holds two blocks and never pays a copy.  The
+  /// new block carries 1/8 headroom, so a slowly growing list (a melting
+  /// lattice) does not reallocate at every build; headroom nobody writes
+  /// is never touched.
+  void reserve_discard(std::size_t n) {
+    if (n <= capacity_) return;
+    data_.reset();
+    capacity_ = 0;
+    n += n / 8;
+    data_ = std::make_unique_for_overwrite<T[]>(n);
+    capacity_ = n;
+  }
+
+ private:
+  std::unique_ptr<T[]> data_;
+  std::size_t capacity_ = 0;
+};
 
 /// Largest padded entry count a CSR can hold: row_begin and entries index
 /// with uint32.
@@ -64,10 +101,14 @@ std::uint64_t padded_row_offsets(const std::vector<std::uint32_t>& row_count,
 /// Atoms per histogram chunk in the parallel counting sort.  The chunk
 /// decomposition is a function of N ONLY — never the thread count — because
 /// the scatter pass routes each chunk's atoms through per-chunk cursors and
-/// the resulting stable order must not depend on how many workers ran.  The
-/// cap bounds the bin_hist_ footprint (chunks * cells) for huge systems.
+/// the resulting stable order must not depend on how many workers ran (the
+/// sort is stable, so the order does not depend on the chunking either).
+/// The cap bounds the histogram at kMaxBinChunks * cells counters: at 1M
+/// atoms ~27 MB instead of the ~413 MB a 256-chunk cap allowed, and a
+/// 16-row merge stays cache-friendly.  16 chunks still keep a few-core
+/// pool busy; the histogram passes are a small share of a build.
 constexpr std::size_t kBinChunkAtoms = 2048;
-constexpr std::size_t kMaxBinChunks = 256;
+constexpr std::size_t kMaxBinChunks = 16;
 
 inline std::size_t bin_chunk_size(std::size_t n) {
   std::size_t chunk = kBinChunkAtoms;
@@ -81,19 +122,21 @@ inline double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// Degenerate-box fallback (fewer than 3 cells per axis): O(N^2) build,
-/// count-then-fill into the same padded CSR layout, still row-parallel.
-/// `run_rows` splits [0, n) over whatever pool the caller owns.
+/// count-then-fill into the same padded CSR layout and the same never
+/// value-initialised storage, still row-parallel.  `run_rows` splits
+/// [0, n) over whatever pool the caller owns; `limit` is the offset guard's
+/// (see padded_row_offsets).  Returns the padded entry count.
 template <typename Real>
-void build_all_pairs_csr(
+std::size_t build_all_pairs_csr(
     const std::vector<emdpa::Vec3<Real>>& wrapped,
     const PeriodicBoxT<Real>& box, Real list_cutoff_sq,
     const std::function<void(std::size_t,
                              const std::function<void(std::size_t,
                                                       std::size_t)>&)>&
         run_rows,
-    std::vector<std::uint32_t>& row_begin, std::vector<std::uint32_t>& entries,
+    std::vector<std::uint32_t>& row_begin, RawArray<std::uint32_t>& entries,
     std::vector<std::uint32_t>& row_count, std::uint64_t& directed_entries,
-    std::uint64_t& build_distance_tests) {
+    std::uint64_t& build_distance_tests, std::uint64_t limit) {
   const std::size_t n = wrapped.size();
   row_count.assign(n, 0);
   run_rows(n, [&](std::size_t i_begin, std::size_t i_end) {
@@ -108,10 +151,11 @@ void build_all_pairs_csr(
     }
   });
 
-  directed_entries = padded_row_offsets<Real>(row_count, row_begin);
+  directed_entries = padded_row_offsets<Real>(row_count, row_begin, limit);
   build_distance_tests = n == 0 ? 0 : static_cast<std::uint64_t>(n) * (n - 1);
 
-  entries.assign(row_begin[n], 0);
+  entries.reserve_discard(row_begin[n]);
+  std::uint32_t* const out = entries.data();
   run_rows(n, [&](std::size_t i_begin, std::size_t i_end) {
     for (std::size_t i = i_begin; i < i_end; ++i) {
       std::uint32_t slot = row_begin[i];
@@ -119,14 +163,15 @@ void build_all_pairs_csr(
         if (j == i) continue;
         const auto dr = box.min_image(wrapped[i] - wrapped[j]);
         if (length_squared(dr) < list_cutoff_sq) {
-          entries[slot++] = static_cast<std::uint32_t>(j);
+          out[slot++] = static_cast<std::uint32_t>(j);
         }
       }
       for (; slot < row_begin[i + 1]; ++slot) {
-        entries[slot] = static_cast<std::uint32_t>(i);  // self pad, r2 == 0
+        out[slot] = static_cast<std::uint32_t>(i);  // self pad, r2 == 0
       }
     }
   });
+  return row_begin[n];
 }
 
 /// How the builds split an index range over their pool: (n, grain, body).
@@ -157,8 +202,9 @@ std::size_t cell_index(const emdpa::Vec3<Real>& p, double inv_cell,
 }
 
 /// Pass 1 of the stable counting sort — per-chunk cell histograms.  Each
-/// chunk owns a disjoint row of bin_hist and a disjoint range of
-/// cell_of_atom, so chunks are embarrassingly parallel.
+/// chunk owns a disjoint row of bin_hist (which it zeroes itself, so the
+/// reset is parallel too) and a disjoint range of cell_of_atom, so chunks
+/// are embarrassingly parallel.
 template <typename Real>
 void bin_pass_histogram(const std::vector<emdpa::Vec3<Real>>& wrapped,
                         std::size_t cells, std::size_t n_cells,
@@ -169,10 +215,11 @@ void bin_pass_histogram(const std::vector<emdpa::Vec3<Real>>& wrapped,
   const std::size_t chunk = bin_chunk_size(n);
   const std::size_t n_chunks = (n + chunk - 1) / chunk;
   cell_of_atom.resize(n);
-  bin_hist.assign(n_chunks * n_cells, 0);
+  bin_hist.resize(n_chunks * n_cells);
   run_span(n_chunks, 1, [&](std::size_t k_begin, std::size_t k_end) {
     for (std::size_t k = k_begin; k < k_end; ++k) {
       std::uint32_t* hist = bin_hist.data() + k * n_cells;
+      std::fill_n(hist, n_cells, 0u);
       const std::size_t i_end = std::min(n, (k + 1) * chunk);
       for (std::size_t i = k * chunk; i < i_end; ++i) {
         const std::size_t c = cell_index(wrapped[i], inv_cell, cells);
@@ -183,13 +230,20 @@ void bin_pass_histogram(const std::vector<emdpa::Vec3<Real>>& wrapped,
   });
 }
 
+/// Cells per block of the parallel prefix in bin_merge_scatter.
+constexpr std::size_t kMergeCells = 4096;
+
 /// Passes 2 and 3 of the stable counting sort: prefix-merge the per-chunk
 /// histograms into write cursors, then scatter.  Within a chunk atoms are
 /// visited in index order and chunk cursors are ordered by chunk id, so
 /// cell_atoms is the stable counting sort by cell — the unique order a
 /// serial sort would produce, independent of thread count and chunk
-/// execution order.  Requires bin_hist/cell_of_atom exactly as
-/// bin_pass_histogram leaves them.
+/// execution order.  The prefix over cells is parallel too: fixed blocks
+/// of kMergeCells cells sum their totals, the block sums are folded in
+/// block order (integers, so exact), and each block then writes its own
+/// cell_start entries and cursors from its base.  Every pass walks the
+/// histogram row by row within a block.  Requires bin_hist/cell_of_atom
+/// exactly as bin_pass_histogram leaves them.
 inline void bin_merge_scatter(std::size_t n, std::size_t n_cells,
                               const RunSpanFn& run_span,
                               const std::vector<std::uint32_t>& cell_of_atom,
@@ -198,28 +252,57 @@ inline void bin_merge_scatter(std::size_t n, std::size_t n_cells,
                               std::vector<std::uint32_t>& cell_atoms) {
   const std::size_t chunk = bin_chunk_size(n);
   const std::size_t n_chunks = (n + chunk - 1) / chunk;
+  const std::size_t n_blocks = (n_cells + kMergeCells - 1) / kMergeCells;
+  const auto block_end = [&](std::size_t b) {
+    return std::min(n_cells, (b + 1) * kMergeCells);
+  };
 
-  cell_start.assign(n_cells + 1, 0);
-  run_span(n_cells, 4096, [&](std::size_t c_begin, std::size_t c_end) {
-    for (std::size_t c = c_begin; c < c_end; ++c) {
-      std::uint32_t total = 0;
+  // Per-cell totals land in cell_start[c + 1] — entries (c0, c1] belong to
+  // block [c0, c1) — and each block's sum in base[b].
+  cell_start.resize(n_cells + 1);
+  cell_start[0] = 0;
+  std::vector<std::uint32_t> base(n_blocks);
+  run_span(n_blocks, 1, [&](std::size_t b_begin, std::size_t b_end) {
+    for (std::size_t b = b_begin; b < b_end; ++b) {
+      const std::size_t c0 = b * kMergeCells;
+      const std::size_t c1 = block_end(b);
+      std::uint32_t* total = cell_start.data() + 1;
+      std::fill(total + c0, total + c1, 0u);
       for (std::size_t k = 0; k < n_chunks; ++k) {
-        total += bin_hist[k * n_cells + c];
+        const std::uint32_t* hist = bin_hist.data() + k * n_cells;
+        for (std::size_t c = c0; c < c1; ++c) total[c] += hist[c];
       }
-      cell_start[c + 1] = total;
+      std::uint32_t sum = 0;
+      for (std::size_t c = c0; c < c1; ++c) sum += total[c];
+      base[b] = sum;
     }
   });
-  for (std::size_t c = 0; c < n_cells; ++c) {
-    cell_start[c + 1] += cell_start[c];
+  std::uint32_t running = 0;
+  for (std::uint32_t& b : base) {
+    const std::uint32_t sum = b;
+    b = running;
+    running += sum;
   }
-  run_span(n_cells, 4096, [&](std::size_t c_begin, std::size_t c_end) {
-    for (std::size_t c = c_begin; c < c_end; ++c) {
-      std::uint32_t cursor = cell_start[c];
+  run_span(n_blocks, 1, [&](std::size_t b_begin, std::size_t b_end) {
+    std::vector<std::uint32_t> cursor;
+    for (std::size_t b = b_begin; b < b_end; ++b) {
+      const std::size_t c0 = b * kMergeCells;
+      const std::size_t c1 = block_end(b);
+      // Totals -> inclusive prefix in place, cell starts into cursor.
+      cursor.resize(c1 - c0);
+      std::uint32_t start = base[b];
+      for (std::size_t c = c0; c < c1; ++c) {
+        cursor[c - c0] = start;
+        start += cell_start[c + 1];
+        cell_start[c + 1] = start;
+      }
       for (std::size_t k = 0; k < n_chunks; ++k) {
-        std::uint32_t& h = bin_hist[k * n_cells + c];
-        const std::uint32_t count = h;
-        h = cursor;
-        cursor += count;
+        std::uint32_t* hist = bin_hist.data() + k * n_cells;
+        for (std::size_t c = c0; c < c1; ++c) {
+          const std::uint32_t count = hist[c];
+          hist[c] = cursor[c - c0];
+          cursor[c - c0] += count;
+        }
       }
     }
   });

@@ -100,14 +100,24 @@ template <typename Real>
 void ParallelNeighborListT<Real>::build_all_pairs(
     const std::vector<emdpa::Vec3<Real>>& wrapped,
     const PeriodicBoxT<Real>& box) {
-  listutil::build_all_pairs_csr<Real>(
+  entry_count_ = listutil::build_all_pairs_csr<Real>(
       wrapped, box, list_cutoff_sq_,
       [this](std::size_t n,
              const std::function<void(std::size_t, std::size_t)>& body) {
         run_rows(n, body);
       },
       row_begin_, entries_, row_count_, directed_entries_,
-      build_distance_tests_);
+      build_distance_tests_, csr_limit_);
+}
+
+template <typename Real>
+ListMemory ParallelNeighborListT<Real>::memory() const {
+  ListMemory memory;
+  memory.csr_bytes =
+      row_begin_.capacity() * sizeof(std::uint32_t) + entries_.bytes();
+  memory.scratch_bytes = scratch_.bytes();
+  memory.hist_bytes = bin_hist_.capacity() * sizeof(std::uint32_t);
+  return memory;
 }
 
 template <typename Real>
@@ -154,58 +164,171 @@ void ParallelNeighborListT<Real>::populate_stencil(std::size_t cells,
 }
 
 template <typename Real>
-void ParallelNeighborListT<Real>::filter_cells(std::size_t cells,
-                                               std::size_t range, Real edge,
-                                               std::uint32_t* entries) {
-  // One pool chunk = a run of cells.  A cell's stencil is the same for all
-  // its atoms, so its spans are gathered once per cell: for each stencil
-  // (x, y) line the z-window is consecutive cell ids — hence one contiguous
-  // range of the sorted arrays — except where it wraps past the box edge,
-  // which splits it in two.  Spans are appended in stencil order (x, then
-  // y, then z with the wrapped part last, exactly the cells' table order)
-  // and any span that starts where the previous one ended is merged into
-  // it, so the filter streams a few long runs instead of width^3 cells of
-  // ~2 atoms each.  Rows are disjoint, so cell order across threads is
-  // irrelevant to the result.
+template <typename Visit>
+std::uint64_t ParallelNeighborListT<Real>::filter_chunk(
+    std::size_t k, std::size_t cells, std::size_t range, Real edge,
+    std::vector<std::uint32_t>& spans, Visit&& visit) {
+  // A cell's stencil is the same for all its atoms, so its spans are
+  // gathered once per cell: for each stencil (x, y) line the z-window is
+  // consecutive cell ids — hence one contiguous range of the sorted arrays
+  // — except where it wraps past the box edge, which splits it in two.
+  // Spans are appended in stencil order (x, then y, then z with the wrapped
+  // part last, exactly the cells' table order) and any span that starts
+  // where the previous one ended is merged into it, so the filter streams a
+  // few long runs instead of width^3 cells of ~2 atoms each.
   const std::size_t width = 2 * range + 1;
   const std::size_t n_lines = cells * cells;
+  const std::size_t n_cells = n_lines * cells;
   const std::uint32_t* cell_start = cell_start_.data();
-  const auto axis = [&](std::size_t a, std::size_t k) {
-    return (a + k + cells - range) % cells;
+  const auto axis = [&](std::size_t a, std::size_t j) {
+    return (a + j + cells - range) % cells;
   };
-  run_span(n_lines * cells, kFillCellGrain,
-           [&](std::size_t c_begin, std::size_t c_end) {
+  const auto add_span = [&](std::uint32_t b, std::uint32_t e) {
+    if (b == e) return;
+    if (!spans.empty() && spans.back() == b) {
+      spans.back() = e;
+    } else {
+      spans.push_back(b);
+      spans.push_back(e);
+    }
+  };
+  std::uint64_t chunk_tests = 0;
+  const std::size_t c_end = std::min(n_cells, (k + 1) * kFillCellGrain);
+  for (std::size_t c = k * kFillCellGrain; c < c_end; ++c) {
+    const std::uint32_t pop = cell_start[c + 1] - cell_start[c];
+    if (pop == 0) continue;
+    const std::size_t cx = c / n_lines;
+    const std::size_t cy = (c / cells) % cells;
+    const std::size_t z0 = axis(c % cells, 0);
+    const std::size_t z_end = std::min(z0 + width, cells);
+    const std::size_t z_wrapped = z0 + width - z_end;  // cells from z = 0
+    spans.clear();
+    for (std::size_t kx = 0; kx < width; ++kx) {
+      const std::size_t px = axis(cx, kx);
+      for (std::size_t ky = 0; ky < width; ++ky) {
+        const std::size_t line = (px * cells + axis(cy, ky)) * cells;
+        add_span(cell_start[line + z0], cell_start[line + z_end]);
+        add_span(cell_start[line], cell_start[line + z_wrapped]);
+      }
+    }
+    // Each of the cell's rows keeps at most its stencil minus itself.
+    const std::uint64_t tests =
+        static_cast<std::uint64_t>(pop) * (stencil_pop_[c] - 1);
+    chunk_tests += tests;
+    visit(c, tests,
+          [&](std::uint32_t s_begin, std::uint32_t s_end, std::uint32_t* out) {
+            return static_cast<std::size_t>(
+                fill_(sorted_x_.data(), sorted_y_.data(), sorted_z_.data(),
+                      cell_atoms_.data(), spans.data(), spans.size() / 2,
+                      s_begin, s_end, edge, list_cutoff_sq_,
+                      row_count_.data(), out) -
+                out);
+          });
+  }
+  return chunk_tests;
+}
+
+template <typename Real>
+bool ParallelNeighborListT<Real>::store_chunks(std::size_t cells,
+                                               std::size_t range, Real edge) {
+  // Each cell's rows are appended to the chunk's pages, taken in turn from
+  // one shared counter — so the pages in use are always a prefix of
+  // scratch_, and a chunk wastes at most part of its last page.  Once the
+  // pages run out a chunk stops storing but keeps counting.  Rows are
+  // disjoint, so chunk order across threads is irrelevant to the result.
+  const std::size_t n_pages = scratch_.capacity() / kPageEntries;
+  std::atomic<std::size_t> next_page{0};
+  std::atomic<bool> complete{true};
+  run_span(chunks_.size(), 1, [&](std::size_t k_begin, std::size_t k_end) {
     std::vector<std::uint32_t> spans;
-    spans.reserve(4 * width * width);
-    auto add_span = [&](std::uint32_t b, std::uint32_t e) {
-      if (b == e) return;
-      if (!spans.empty() && spans.back() == b) {
-        spans.back() = e;
-      } else {
-        spans.push_back(b);
-        spans.push_back(e);
-      }
-    };
-    for (std::size_t c = c_begin; c < c_end; ++c) {
-      if (cell_start[c] == cell_start[c + 1]) continue;  // empty cell
-      const std::size_t cx = c / n_lines;
-      const std::size_t cy = (c / cells) % cells;
-      const std::size_t z0 = axis(c % cells, 0);
-      const std::size_t z_end = std::min(z0 + width, cells);
-      const std::size_t z_wrapped = z0 + width - z_end;  // cells from z = 0
-      spans.clear();
-      for (std::size_t kx = 0; kx < width; ++kx) {
-        const std::size_t px = axis(cx, kx);
-        for (std::size_t ky = 0; ky < width; ++ky) {
-          const std::size_t line = (px * cells + axis(cy, ky)) * cells;
-          add_span(cell_start[line + z0], cell_start[line + z_end]);
-          add_span(cell_start[line], cell_start[line + z_wrapped]);
+    listutil::RawArray<std::uint32_t> staging;  // one cell's rows
+    for (std::size_t k = k_begin; k < k_end; ++k) {
+      FillChunk& chunk = chunks_[k];
+      chunk.pages.clear();
+      chunk.count = 0;
+      bool stored = true;
+      chunk.tests = filter_chunk(
+          k, cells, range, edge, spans,
+          [&](std::size_t c, std::uint64_t tests, const auto& filter) {
+            staging.reserve_discard(tests);
+            const std::size_t kept =
+                filter(cell_start_[c], cell_start_[c + 1], staging.data());
+            for (std::size_t done = 0; stored && done < kept;) {
+              const std::size_t at = (chunk.count + done) % kPageEntries;
+              if (at == 0) {  // current page full, or none yet
+                const std::size_t page = next_page.fetch_add(1);
+                if (page >= n_pages) {
+                  stored = false;
+                  break;
+                }
+                chunk.pages.push_back(static_cast<std::uint32_t>(page));
+              }
+              const std::size_t take =
+                  std::min(kept - done, kPageEntries - at);
+              std::copy_n(staging.data() + done, take,
+                          scratch_.data() + chunk.pages.back() * kPageEntries +
+                              at);
+              done += take;
+            }
+            chunk.count += kept;
+          });
+      if (!stored) complete.store(false, std::memory_order_relaxed);
+    }
+  });
+  return complete.load(std::memory_order_relaxed);
+}
+
+template <typename Real>
+void ParallelNeighborListT<Real>::place_chunks(std::size_t cells,
+                                               std::size_t range, Real edge) {
+  // Row by row: with row_begin_ known, each row is filtered straight into
+  // its CSR slots, then self-padded.
+  const std::uint32_t* row_begin = row_begin_.data();
+  std::uint32_t* const entries = entries_.data();
+  run_span(chunks_.size(), 1, [&](std::size_t k_begin, std::size_t k_end) {
+    std::vector<std::uint32_t> spans;
+    for (std::size_t k = k_begin; k < k_end; ++k) {
+      filter_chunk(k, cells, range, edge, spans,
+                   [&](std::size_t c, std::uint64_t, const auto& filter) {
+        for (std::uint32_t s = cell_start_[c]; s < cell_start_[c + 1]; ++s) {
+          const std::uint32_t i = cell_atoms_[s];
+          std::uint32_t* const row = entries + row_begin[i];
+          std::fill(row + filter(s, s + 1, row), entries + row_begin[i + 1],
+                    i);  // self pad, r2 == 0
         }
+      });
+    }
+  });
+}
+
+template <typename Real>
+void ParallelNeighborListT<Real>::copy_rows(std::size_t n_cells) {
+  // Chunk k's pages hold the rows of sorted atoms
+  // [cell_start[first cell], cell_start[last cell + 1]) back to back.
+  const std::uint32_t* row_begin = row_begin_.data();
+  std::uint32_t* const entries = entries_.data();
+  const std::uint32_t* const scratch = scratch_.data();
+  run_span(chunks_.size(), 1, [&](std::size_t k_begin, std::size_t k_end) {
+    for (std::size_t k = k_begin; k < k_end; ++k) {
+      const std::uint32_t* page = chunks_[k].pages.data();
+      std::size_t at = 0;  // read position in *page
+      const std::uint32_t s_end =
+          cell_start_[std::min(n_cells, (k + 1) * kFillCellGrain)];
+      for (std::uint32_t s = cell_start_[k * kFillCellGrain]; s < s_end; ++s) {
+        const std::uint32_t i = cell_atoms_[s];
+        std::uint32_t* row = entries + row_begin[i];
+        for (std::size_t left = row_count_[i]; left > 0;) {
+          if (at == kPageEntries) {
+            ++page;
+            at = 0;
+          }
+          const std::size_t take = std::min(left, kPageEntries - at);
+          row = std::copy_n(scratch + *page * kPageEntries + at, take, row);
+          at += take;
+          left -= take;
+        }
+        std::fill(row, entries + row_begin[i + 1], i);  // self pad, r2 == 0
       }
-      fill_(sorted_x_.data(), sorted_y_.data(), sorted_z_.data(),
-            cell_atoms_.data(), spans.data(), spans.size() / 2,
-            cell_start[c], cell_start[c + 1], edge, list_cutoff_sq_,
-            row_begin_.data(), row_count_.data(), entries);
     }
   });
 }
@@ -253,7 +376,7 @@ void ParallelNeighborListT<Real>::build_csr(
 
   if (n == 0) {
     row_begin_.assign(1, 0);
-    entries_.clear();
+    entry_count_ = 0;
     return;
   }
 
@@ -293,30 +416,44 @@ void ParallelNeighborListT<Real>::build_csr(
 
   // Stencil population per cell, computed separably (one 1-D wrap-around
   // window pass per axis).  Every atom in a cell tests exactly the atoms of
-  // that cell's stencil minus itself, so this gives the build's exact
-  // distance-test count without touching an atom.
+  // that cell's stencil minus itself, so this bounds each row — and gives
+  // the build's exact distance-test count — without touching an atom.
   populate_stencil(cells, range);
-  for (std::size_t c = 0; c < n_cells; ++c) {
-    const std::uint64_t pop = cell_start_[c + 1] - cell_start_[c];
-    if (pop != 0) build_distance_tests_ += pop * (stencil_pop_[c] - 1);
-  }
 
   last_bin_seconds_ = seconds_since(t_start);
   bin_seconds_total_ += last_bin_seconds_;
   const auto t_fill = std::chrono::steady_clock::now();
 
-  // Count-then-fill: pass 1 counts each row's kept entries, a checked
-  // prefix turns the counts into padded offsets, pass 2 repeats the same
-  // filter writing straight into the final CSR.  Both passes visit a row's
-  // candidates in one fixed order — stencil cells in table order, atoms
-  // within a cell in index order — so the list is a pure function of the
-  // inputs, whatever the thread count or ISA.
+  // One filter pass into per-chunk scratch, then the checked prefix turns
+  // the row counts into padded offsets, then the copy pass places each row.
+  // The filter visits a row's candidates in one fixed order — stencil cells
+  // in table order, atoms within a cell in index order — so the list is a
+  // pure function of the inputs, whatever the thread count or ISA.
   row_count_.resize(n);
-  filter_cells(cells, range, box.edge(), nullptr);
+  chunks_.resize((n_cells + kFillCellGrain - 1) / kFillCellGrain);
+  scratch_.reserve_discard(scratch_need_);  // none before a first build
+  const bool stored = store_chunks(cells, range, box.edge());
+  if (!stored) {
+    // The scratch ran out — the first build, or a list that outgrew the
+    // scratch's 1/8 headroom.  The counts are exact anyway: they size the
+    // scratch the next build takes, and this once the filter runs again
+    // straight into the CSR.  Every other build tests each candidate once.
+    scratch_need_ = 0;
+    for (const FillChunk& chunk : chunks_) {
+      scratch_need_ += (chunk.count + kPageEntries - 1) / kPageEntries;
+    }
+    scratch_need_ *= kPageEntries;
+  }
+  for (const FillChunk& chunk : chunks_) build_distance_tests_ += chunk.tests;
   directed_entries_ =
-      listutil::padded_row_offsets<Real>(row_count_, row_begin_);
-  entries_.resize(row_begin_[n]);
-  filter_cells(cells, range, box.edge(), entries_.data());
+      listutil::padded_row_offsets<Real>(row_count_, row_begin_, csr_limit_);
+  entries_.reserve_discard(row_begin_[n]);
+  entry_count_ = row_begin_[n];
+  if (stored) {
+    copy_rows(n_cells);
+  } else {
+    place_chunks(cells, range, box.edge());
+  }
 
   last_fill_seconds_ = seconds_since(t_fill);
   fill_seconds_total_ += last_fill_seconds_;

@@ -8,34 +8,48 @@
 //
 //  * ParallelNeighborListT — a SIMD-padded CSR neighbour list built with a
 //    cell-grid bin-and-filter.  Binning is a pool-parallel stable counting
-//    sort: fixed atom chunks build per-chunk cell histograms, a prefix-merge
-//    pass turns the per-chunk columns into write cursors, and a second
-//    chunk-parallel pass scatters atoms into their cells.  The output is the
-//    unique stable sort by cell — atoms stay in index order within each cell
-//    — so the list is a pure function of the inputs at any thread count (the
-//    chunk decomposition depends only on N).  The wrapped coordinates are
-//    then gathered into cell-sorted SoA arrays (atoms keep their numbering;
-//    only this copy is sorted), so each stencil cell is a contiguous stream.
+//    sort: fixed atom chunks (at most listutil::kMaxBinChunks of them) build
+//    per-chunk cell histograms, a block-parallel prefix-merge pass turns the
+//    per-chunk columns into write cursors, and a second chunk-parallel pass
+//    scatters atoms into their cells.  The output is the unique stable sort
+//    by cell — atoms stay in index order within each cell — so the list is
+//    a pure function of the inputs at any thread count (the chunk
+//    decomposition depends only on N).  The wrapped coordinates are then
+//    gathered into cell-sorted SoA arrays (atoms keep their numbering; only
+//    this copy is sorted), so each stencil cell is a contiguous stream.
 //    Cells are sized to about HALF the list radius with a correspondingly
 //    wider stencil — much tighter around the list sphere than a cutoff-sized
 //    27-cell grid — and per stencil (x, y) line the z-window is consecutive
 //    cell ids, so a cell's whole stencil is a few merged spans of the sorted
-//    arrays (two per line at most, where the window wraps).  The fill is
-//    count-then-fill over those spans: the runtime-dispatched per-ISA
-//    distance filter (kernel_rows.h ListFill — the force sweep's copysign
-//    reflection across SIMD lanes, kept indices written with vpcompressd or
-//    a mask-bit scan) first counts every row, a checked prefix sum turns
-//    the counts into padded offsets, and a second pass writes straight into
-//    the final CSR.  Row slot ranges and contents are a pure function of the
-//    inputs, independent of thread count and ISA.  Each row is padded to
-//    the 64-byte ACCUMULATION BLOCK (simd::block_lanes<Real>() — 8 doubles
-//    / 16 floats), not the hardware pack width, so the padded layout is
+//    arrays (two per line at most, where the window wraps).  The fill runs
+//    every distance test once: the runtime-dispatched per-ISA distance
+//    filter (kernel_rows.h ListFill — the force sweep's copysign reflection
+//    across SIMD lanes, kept indices written with vpcompressd or a mask-bit
+//    scan) writes each fixed chunk of cells' rows compactly into scratch
+//    pages the chunk takes from one shared block, and records the row
+//    counts; a checked prefix sum turns the counts into padded offsets; a
+//    parallel copy pass places and self-pads every row in the final CSR.
+//    Only a build whose scratch runs out — the first, or one whose list
+//    outgrew the scratch's 1/8 headroom — filters twice: its first pass
+//    still counts exactly and sizes the scratch for the next build, and a
+//    second pass filters each row straight into its CSR slots.
+//    Row slot ranges and contents are a pure function of the inputs,
+//    independent of thread count and ISA.  Each row is padded to the
+//    64-byte ACCUMULATION BLOCK (simd::block_lanes<Real>() — 8 doubles / 16
+//    floats), not the hardware pack width, so the padded layout is
 //    identical on every runtime-dispatched ISA; padding slots hold the
 //    atom's own index, whose r2 == 0 the shared lane mask (lj_simd.h)
-//    already rejects.  The build reports two phase timings — "bin" (wrap +
-//    counting sort + stencil tables + sorted SoA gather) and "fill" (count
-//    + prefix + fill) — which the host-parallel backend surfaces as
-//    RunResult::metadata keys list_build_bin_ms / list_build_fill_ms.
+//    already rejects.  The CSR entries and the scratch are never
+//    value-initialised and keep their capacity across builds; a growing
+//    block is released before its replacement is taken and nothing is
+//    copied, so first touch happens in the parallel passes.  The scratch in
+//    use is a prefix of its block, about the directed entries plus part of
+//    a page per chunk.  The build reports two phase timings —
+//    "bin" (wrap + counting sort + stencil tables + sorted SoA gather) and
+//    "fill" (filter + prefix + copy) — which the host-parallel backend
+//    surfaces as RunResult::metadata keys list_build_bin_ms /
+//    list_build_fill_ms, and its memory (CSR, fill scratch, histogram) as
+//    list_csr_bytes / list_scratch_bytes / list_hist_bytes.
 //
 //  * NeighborListKernelT — a ForceKernelT that walks each atom's neighbour
 //    lanes one block at a time (hardware vgatherdpd / vgatherdps straight
@@ -54,6 +68,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -62,6 +77,7 @@
 #include "core/simd.h"
 #include "core/thread_pool.h"
 #include "md/force_kernel.h"
+#include "md/list_build_util.h"
 #include "md/precision.h"
 #include "md/simd_kernels.h"
 
@@ -86,6 +102,14 @@ enum class SkinPolicy {
 
 const char* to_string(SkinPolicy policy);
 
+/// Bytes a neighbour list holds between builds: the CSR (row offsets plus
+/// allocated entries), the fill's row scratch, and the binning histogram.
+struct ListMemory {
+  std::uint64_t csr_bytes = 0;
+  std::uint64_t scratch_bytes = 0;
+  std::uint64_t hist_bytes = 0;
+};
+
 /// What the simulation seam needs from any neighbour-list kernel regardless
 /// of its numeric types: rebuild statistics for the run report, the
 /// checkpoint-time invalidation that keeps a continuing run and a future
@@ -99,6 +123,7 @@ class NeighborListControl {
   virtual void invalidate_list() = 0;
   virtual double list_bin_seconds() const = 0;
   virtual double list_fill_seconds() const = 0;
+  virtual ListMemory list_memory() const = 0;
 
   /// True when a built list is live (a build happened and nothing
   /// invalidated it since).
@@ -155,6 +180,10 @@ class ParallelNeighborListT {
   void build(const std::vector<emdpa::Vec3<Real>>& positions,
              const PeriodicBoxT<Real>& box, Real cutoff);
 
+  /// Lower the padded-entry limit of that offset guard (default: the uint32
+  /// offset range), so a test can trip it at a small size.
+  void set_csr_limit(std::uint64_t limit) { csr_limit_ = limit; }
+
   /// Call build() iff needs_rebuild(); returns true when a build happened.
   bool ensure(const std::vector<emdpa::Vec3<Real>>& positions,
               const PeriodicBoxT<Real>& box, Real cutoff);
@@ -188,7 +217,12 @@ class ParallelNeighborListT {
   /// Row i's padded entry range in entries(): a multiple of
   /// padded_multiple(); padding slots hold i itself.
   const std::vector<std::uint32_t>& row_begin() const { return row_begin_; }
-  const std::vector<std::uint32_t>& entries() const { return entries_; }
+  /// The padded neighbour indices, row_begin().back() of them.  Every slot
+  /// is written by each build (the storage behind them is reused and never
+  /// value-initialised).
+  std::span<const std::uint32_t> entries() const {
+    return {entries_.data(), entry_count_};
+  }
 
   /// Directed (i,j) entries excluding padding, i.e. 2x the unordered pair
   /// count within cutoff+skin.
@@ -196,15 +230,20 @@ class ParallelNeighborListT {
 
   /// Directed candidate pairs of the most recent build: the sum over atoms
   /// of their cell's stencil population minus the atom itself — what the
-  /// device cost models price, one test per candidate.  The count-then-fill
-  /// passes run each test twice on the host; this counts it once.
+  /// device cost models price, one test per candidate.  The host fill runs
+  /// each test once too (twice only in a build whose scratch ran out).
   std::uint64_t build_distance_tests() const { return build_distance_tests_; }
+
+  /// Bytes held between builds (allocated, not merely used): CSR offsets
+  /// and entries, the fill's row scratch, the bin histogram.
+  ListMemory memory() const;
 
   /// Wall-clock seconds the most recent build spent in the binning phase
   /// (wrap + parallel counting sort + stencil tables + cell-sorted SoA
-  /// gather) and in the fill phase (count pass + padded prefix + fill
-  /// pass).  The *_seconds_total accessors accumulate across every build
-  /// since construction — what the backend metadata and benchmarks report.
+  /// gather) and in the fill phase (filter into chunk scratch + padded
+  /// prefix + copy into the CSR).  The *_seconds_total accessors accumulate
+  /// across every build since construction — what the backend metadata and
+  /// benchmarks report.
   double last_bin_seconds() const { return last_bin_seconds_; }
   double last_fill_seconds() const { return last_fill_seconds_; }
   double bin_seconds_total() const { return bin_seconds_total_; }
@@ -222,15 +261,42 @@ class ParallelNeighborListT {
   void populate_stencil(std::size_t cells, std::size_t range);
   void build_csr(const std::vector<emdpa::Vec3<Real>>& positions,
                  const PeriodicBoxT<Real>& box, Real cutoff);
-  /// One pass of the distance filter over every non-empty cell: the count
-  /// pass when `entries` is null, else the fill pass into `entries`.
-  void filter_cells(std::size_t cells, std::size_t range, Real edge,
-                    std::uint32_t* entries);
+  /// Walk fill chunk k's non-empty cells, gathering each one's stencil
+  /// spans, and call visit(c, tests, filter): `tests` is the cell's
+  /// distance-test count (the bound on its kept entries), and
+  /// filter(s_begin, s_end, out) runs the distance filter for the rows of
+  /// sorted atoms [s_begin, s_end) of the cell, writing them back to back
+  /// from `out`, recording their counts, and returning the entries
+  /// written.  Returns the chunk's distance tests.
+  template <typename Visit>
+  std::uint64_t filter_chunk(std::size_t k, std::size_t cells,
+                             std::size_t range, Real edge,
+                             std::vector<std::uint32_t>& spans, Visit&& visit);
+  /// Filter every chunk into its scratch pages.  False when the pages ran
+  /// out (every chunk's count is still exact).
+  bool store_chunks(std::size_t cells, std::size_t range, Real edge);
+  /// Filter every chunk again, placing and self-padding each row straight
+  /// in entries_ (row_begin_ known): the path of a build without scratch.
+  void place_chunks(std::size_t cells, std::size_t range, Real edge);
+  /// Place and self-pad every row of the chunk pages in entries_.
+  void copy_rows(std::size_t n_cells);
 
   /// Atoms per chunk of the pool-parallel staleness check.
   static constexpr std::size_t kStaleGrain = 4096;
-  /// Cells per chunk of the fill passes (~2 atoms each at MD densities).
+  /// Cells per fill chunk (~2 atoms each at MD densities).  Fixed, so the
+  /// chunk a row's scratch lives in depends only on the grid.
   static constexpr std::size_t kFillCellGrain = 32;
+
+  /// Entries per page of the fill scratch.
+  static constexpr std::size_t kPageEntries = 512;
+
+  /// One fill chunk's rows, compact and in cell-sorted atom order, spread
+  /// over the scratch pages it took (in order).
+  struct FillChunk {
+    std::vector<std::uint32_t> pages;
+    std::size_t count = 0;    ///< entries kept by the last pass
+    std::uint64_t tests = 0;  ///< distance tests of the chunk's rows
+  };
 
   Real skin_;
   ThreadPool* pool_;
@@ -242,8 +308,10 @@ class ParallelNeighborListT {
   Real list_cutoff_sq_ = Real(0);
   std::vector<emdpa::Vec3<Real>> build_positions_;
   std::vector<std::uint32_t> row_begin_;   ///< n+1 padded CSR offsets
-  std::vector<std::uint32_t> entries_;     ///< padded neighbour indices
+  listutil::RawArray<std::uint32_t> entries_;  ///< padded neighbour indices
+  std::size_t entry_count_ = 0;            ///< slots of entries_ in use
   std::vector<std::uint32_t> row_count_;   ///< true (unpadded) counts
+  std::uint64_t csr_limit_ = listutil::kMaxCsrEntries;
   std::uint64_t directed_entries_ = 0;
   std::uint64_t build_distance_tests_ = 0;
   std::uint64_t rebuilds_ = 0;
@@ -261,6 +329,9 @@ class ParallelNeighborListT {
   std::vector<std::uint32_t> bin_hist_;      ///< per-chunk cell histograms
   std::vector<std::uint32_t> stencil_pop_;   ///< atoms per cell stencil
   std::vector<std::uint32_t> stencil_tmp_;   ///< separable-pass intermediate
+  std::vector<FillChunk> chunks_;            ///< fill chunks of kFillCellGrain
+  listutil::RawArray<std::uint32_t> scratch_;  ///< fill pages
+  std::size_t scratch_need_ = 0;  ///< entries the last full count asked for
   /// wrapped_ in cell_atoms_ order, padded for the filter's tail pack.
   std::vector<Real> sorted_x_, sorted_y_, sorted_z_;
 
@@ -347,6 +418,7 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
   double list_fill_seconds() const override {
     return list_.fill_seconds_total();
   }
+  ListMemory list_memory() const override { return list_.memory(); }
   bool has_list() const override { return list_.valid(); }
   std::vector<emdpa::Vec3d> list_reference_positions() const override {
     std::vector<emdpa::Vec3d> out;

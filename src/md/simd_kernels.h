@@ -68,13 +68,14 @@ using ListRowsFn = void (*)(const Real* xs, const Real* ys, const Real* zs,
 /// List-build distance filter over one cell's rows; see
 /// rows::ListFill::cell_rows for the parameter contract.
 template <typename Real>
-using ListFillFn = void (*)(const Real* xs, const Real* ys, const Real* zs,
-                            const std::uint32_t* ids,
-                            const std::uint32_t* spans, std::size_t n_spans,
-                            std::uint32_t a_begin, std::uint32_t a_end,
-                            Real edge, Real cutoff_sq,
-                            const std::uint32_t* row_begin,
-                            std::uint32_t* row_count, std::uint32_t* entries);
+using ListFillFn = std::uint32_t* (*)(const Real* xs, const Real* ys,
+                                      const Real* zs, const std::uint32_t* ids,
+                                      const std::uint32_t* spans,
+                                      std::size_t n_spans,
+                                      std::uint32_t a_begin,
+                                      std::uint32_t a_end, Real edge,
+                                      Real cutoff_sq, std::uint32_t* row_count,
+                                      std::uint32_t* out);
 
 /// One ISA's worth of compiled row kernels: both hot loops in all three
 /// precision combinations, the list-build filter in both list precisions,

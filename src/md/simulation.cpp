@@ -274,6 +274,10 @@ double Simulation::list_build_fill_seconds() const {
   return list_control_ != nullptr ? list_control_->list_fill_seconds() : 0;
 }
 
+ListMemory Simulation::list_memory() const {
+  return list_control_ != nullptr ? list_control_->list_memory() : ListMemory{};
+}
+
 void Simulation::prime() {
   last_energies_ = integrator_.prime(system_, box_, lj_, active_kernel());
   ++force_evaluations_;

@@ -152,11 +152,16 @@ class Simulation {
   std::uint64_t n2_live_block_pairs() const;
   std::uint64_t n2_block_pairs() const;
   /// Cumulative wall-clock seconds the neighbour-list builds spent binning
-  /// (counting sort + stencil tables + sorted gather) and filling (count +
-  /// prefix + fill passes); 0 for the stateless kernels.  The host-parallel backend
-  /// reports these as metadata keys list_build_bin_ms / list_build_fill_ms.
+  /// (counting sort + stencil tables + sorted gather) and filling (filter +
+  /// prefix + copy); 0 for the stateless kernels.  The host-parallel
+  /// backend reports these as metadata keys list_build_bin_ms /
+  /// list_build_fill_ms.
   double list_build_bin_seconds() const;
   double list_build_fill_seconds() const;
+  /// Bytes the neighbour list holds (CSR, fill scratch, bin histogram); all
+  /// 0 for the stateless kernels.  Reported as metadata keys
+  /// list_csr_bytes / list_scratch_bytes / list_hist_bytes.
+  ListMemory list_memory() const;
   /// Integrator-driven LJ force evaluations so far (primes + steps; the
   /// minimizer's internal probes are not counted).
   std::uint64_t force_evaluations() const { return force_evaluations_; }

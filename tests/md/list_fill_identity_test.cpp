@@ -12,21 +12,36 @@
 // (every z-window wraps), coincident atoms (r2 == 0 but j != i: kept), a
 // pair exactly half the edge apart, and mostly-empty cell grids.
 //
-// Also here: the pool-parallel staleness check and the checked 32-bit CSR
-// offset prefix, both of which the fill rests on.
+// The storage behind the CSR and the fill's per-chunk scratch is reused
+// across builds and never value-initialised, so a sequence of builds on ONE
+// list object — growing past its capacity, shrinking, regrowing, through
+// the all-pairs fallback — must give the bytes a fresh list gives, and every
+// slot of a shrunken CSR must be rewritten (no stale index survives).
+//
+// Also here: the pool-parallel staleness check, the checked 32-bit CSR
+// offset prefix (a build that trips it leaves the list invalid), the
+// bounded bin-histogram chunking, and the list memory counters the
+// host-parallel backend reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/error.h"
 #include "core/random.h"
 #include "core/thread_pool.h"
+#include "md/backend.h"
 #include "md/list_build_util.h"
+#include "md/lj_potential.h"
 #include "md/parallel_neighbor.h"
 #include "md/simd_kernels.h"
+#include "md/workload.h"
 #include "property_configs.h"
 
 namespace emdpa::md {
@@ -166,7 +181,7 @@ Csr expect_identity(const std::vector<Vec3d>& positions_d, double edge_d,
       list.set_isa(isa);
       list.build(positions, PeriodicBoxT<Real>(edge), cutoff);
       EXPECT_EQ(list.row_begin(), expected.row_begin);
-      EXPECT_EQ(list.entries(), expected.entries);
+      EXPECT_TRUE(std::ranges::equal(list.entries(), expected.entries));
     }
   }
   return expected;
@@ -335,6 +350,279 @@ TEST(ListCsrOffsets, OverflowThrowsWithContextInsteadOfWrapping) {
   const std::vector<std::uint32_t> huge = {UINT32_MAX - 4, 8};
   EXPECT_THROW(listutil::padded_row_offsets<double>(huge, row_begin),
                RuntimeFailure);
+}
+
+// ---------------------------------------------------------------------------
+// Storage reuse.
+
+/// One list object per (ISA, threads) rebuilt through a sequence that grows
+/// the CSR past its capacity, shrinks it, detours through the all-pairs
+/// fallback (a box too small for the stencil) and regrows it past the
+/// largest capacity so far.  Every build must equal a freshly constructed
+/// list's and the brute-force reference.
+template <typename Real>
+void expect_reuse_sequence() {
+  struct Step {
+    std::size_t n;
+    double edge;
+    std::uint64_t seed;
+  };
+  const Step steps[] = {{300, 14.0, 21},   // sparse: small CSR
+                        {2000, 14.0, 22},  // ~7x the entries: grows
+                        {500, 14.0, 23},   // shrinks, storage kept
+                        {150, 5.0, 24},    // all-pairs fallback
+                        {3000, 14.0, 25}}; // past every capacity so far
+  const auto cutoff = static_cast<Real>(2.5);
+  const auto skin = static_cast<Real>(0.3);
+  ASSERT_FALSE(grid_for(static_cast<Real>(14.0), cutoff + skin).degenerate());
+  ASSERT_TRUE(grid_for(static_cast<Real>(5.0), cutoff + skin).degenerate());
+
+  std::vector<std::vector<Vec3<Real>>> positions;
+  std::vector<Csr> expected;
+  for (const Step& step : steps) {
+    positions.push_back(
+        narrow<Real>(random_positions(step.n, step.edge, step.seed)));
+    expected.push_back(reference_csr(positions.back(),
+                                     static_cast<Real>(step.edge), cutoff,
+                                     skin));
+  }
+  ASSERT_GT(expected[1].entries.size(), 2 * expected[0].entries.size());
+  ASSERT_LT(expected[2].entries.size(), expected[1].entries.size());
+  ASSERT_GT(expected[4].entries.size(), 2 * expected[1].entries.size());
+
+  for (const simd::SimdType isa : simd_kernels::available_isas()) {
+    for (const std::size_t threads : {1u, 8u}) {
+      ThreadPool pool(threads);
+      ParallelNeighborListT<Real> reused(skin, &pool);
+      reused.set_isa(isa);
+      std::vector<std::uint64_t> csr_bytes;
+      for (std::size_t k = 0; k < std::size(steps); ++k) {
+        SCOPED_TRACE(::testing::Message()
+                     << simd::to_string(isa) << ", " << threads
+                     << " threads, " << (sizeof(Real) == 8 ? "dp" : "sp")
+                     << ", step " << k);
+        const PeriodicBoxT<Real> box(static_cast<Real>(steps[k].edge));
+        reused.build(positions[k], box, cutoff);
+        ParallelNeighborListT<Real> fresh(skin, &pool);
+        fresh.set_isa(isa);
+        fresh.build(positions[k], box, cutoff);
+
+        EXPECT_EQ(reused.row_begin(), expected[k].row_begin);
+        EXPECT_TRUE(std::ranges::equal(reused.entries(), expected[k].entries));
+        EXPECT_EQ(reused.row_begin(), fresh.row_begin());
+        EXPECT_TRUE(std::ranges::equal(reused.entries(), fresh.entries()));
+        EXPECT_EQ(reused.directed_entries(), fresh.directed_entries());
+        EXPECT_EQ(reused.build_distance_tests(), fresh.build_distance_tests());
+        csr_bytes.push_back(reused.memory().csr_bytes);
+      }
+      // The sequence really exercised growth and reuse: the CSR storage
+      // grew at steps 1 and 4 and was kept (never shrunk) in between.
+      EXPECT_GT(csr_bytes[1], csr_bytes[0]);
+      EXPECT_GE(csr_bytes[2], csr_bytes[1]);
+      EXPECT_GE(csr_bytes[3], csr_bytes[2]);
+      EXPECT_GT(csr_bytes[4], csr_bytes[3]);
+    }
+  }
+}
+
+TEST(ListStorage, GrowShrinkRegrowMatchesAFreshListAndTheReference) {
+  {
+    SCOPED_TRACE("dp");
+    expect_reuse_sequence<double>();
+  }
+  {
+    SCOPED_TRACE("sp");
+    expect_reuse_sequence<float>();
+  }
+}
+
+template <typename Real>
+void expect_every_slot_written() {
+  // Both sizes in the same box, so the second CSR is about a quarter of
+  // the first and lives inside its storage, whose slots past every new
+  // row still hold indices >= 2048 from the first build.
+  const double edge = box_edge_for(4096, 0.8442);
+  const auto cutoff = static_cast<Real>(2.5);
+  const auto skin = static_cast<Real>(0.3);
+  const PeriodicBoxT<Real> box(static_cast<Real>(edge));
+  const auto big = narrow<Real>(random_positions(4096, edge, 31));
+  const auto small = narrow<Real>(random_positions(2048, edge, 32));
+  const Csr expected = reference_csr(small, static_cast<Real>(edge), cutoff,
+                                     skin);
+  for (const simd::SimdType isa : simd_kernels::available_isas()) {
+    for (const std::size_t threads : {1u, 8u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << simd::to_string(isa) << ", " << threads << " threads, "
+                   << (sizeof(Real) == 8 ? "dp" : "sp"));
+      ThreadPool pool(threads);
+      ParallelNeighborListT<Real> list(skin, &pool);
+      list.set_isa(isa);
+      list.build(big, box, cutoff);
+      const std::uint64_t bytes = list.memory().csr_bytes;
+      list.build(small, box, cutoff);
+      EXPECT_EQ(list.memory().csr_bytes, bytes);  // reused, not reallocated
+      ASSERT_EQ(list.entries().size(), list.row_begin().back());
+      std::size_t stale = 0;
+      for (const std::uint32_t e : list.entries()) stale += e >= 2048;
+      EXPECT_EQ(stale, 0u);
+      EXPECT_TRUE(std::ranges::equal(list.entries(), expected.entries));
+    }
+  }
+}
+
+TEST(ListStorage, EverySlotIsRewrittenWhenAShrunkenListReusesItsStorage) {
+  {
+    SCOPED_TRACE("dp");
+    expect_every_slot_written<double>();
+  }
+  {
+    SCOPED_TRACE("sp");
+    expect_every_slot_written<float>();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Failed builds.
+
+TEST(ListCsrOffsets, FailedBuildLeavesTheListInvalidAndTheNextBuildIsCorrect) {
+  // Grid path (edge 12) and all-pairs fallback (edge 5).
+  for (const double edge : {12.0, 5.0}) {
+    SCOPED_TRACE(::testing::Message() << "edge " << edge);
+    const double cutoff = 2.5, skin = 0.3;
+    const PeriodicBox box(edge);
+    const auto first = random_positions(300, edge, 41);
+    const auto second = random_positions(400, edge, 42);
+    const Csr expected = reference_csr(second, edge, cutoff, skin);
+    for (const std::size_t threads : {1u, 8u}) {
+      ThreadPool pool(threads);
+      ParallelNeighborListT<double> list(skin, &pool);
+      list.build(first, box, cutoff);
+      ASSERT_TRUE(list.valid());
+
+      list.set_csr_limit(expected.entries.size() - 1);
+      EXPECT_THROW(list.build(second, box, cutoff), RuntimeFailure);
+      EXPECT_FALSE(list.valid());
+      EXPECT_TRUE(list.needs_rebuild(second, box, cutoff));
+
+      list.set_csr_limit(listutil::kMaxCsrEntries);
+      EXPECT_TRUE(list.ensure(second, box, cutoff));
+      EXPECT_TRUE(list.valid());
+      EXPECT_EQ(list.row_begin(), expected.row_begin);
+      EXPECT_TRUE(std::ranges::equal(list.entries(), expected.entries));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Bounded binning histogram.
+
+TEST(ListBinChunks, ChunkCountStaysWithinTheCapUpTo1e8Atoms) {
+  std::vector<std::size_t> sizes = {1, 2047, 2048, 2049, 32768, 32769,
+                                    103823, 1000000, 10000000, 100000000};
+  for (std::size_t n = 1; n <= 100000000; n = n * 3 + 1) sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    const std::size_t chunk = listutil::bin_chunk_size(n);
+    const std::size_t n_chunks = (n + chunk - 1) / chunk;
+    EXPECT_LE(n_chunks, listutil::kMaxBinChunks) << n;
+    EXPECT_GE(chunk, listutil::kBinChunkAtoms) << n;
+    // The smallest power-of-two multiple of kBinChunkAtoms that fits.
+    if (chunk > listutil::kBinChunkAtoms) {
+      EXPECT_GT((n + chunk / 2 - 1) / (chunk / 2), listutil::kMaxBinChunks)
+          << n;
+    }
+  }
+}
+
+TEST(ListBinChunks, CountingSortDoesNotDependOnTheThreadCount) {
+  // 50,000 atoms: 13 histogram chunks of 4096; a 30^3 grid: 27,000 cells,
+  // several prefix blocks of listutil::kMergeCells.
+  const std::size_t n = 50000, cells = 30;
+  const double edge = 30.0;
+  const std::size_t n_cells = cells * cells * cells;
+  const double inv_cell = static_cast<double>(cells) / edge;
+  const PeriodicBox box(edge);
+  std::vector<Vec3d> wrapped = random_positions(n, edge, 51);
+  for (auto& p : wrapped) p = box.wrap(p);
+  ASSERT_GT(n_cells, 2 * listutil::kMergeCells);
+
+  // Reference: a serial stable sort of the atom ids by cell.
+  std::vector<std::uint32_t> cell_of(n);
+  std::vector<std::uint32_t> expected_atoms(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cell_of[i] = static_cast<std::uint32_t>(
+        listutil::cell_index(wrapped[i], inv_cell, cells));
+    expected_atoms[i] = static_cast<std::uint32_t>(i);
+  }
+  std::stable_sort(expected_atoms.begin(), expected_atoms.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return cell_of[a] < cell_of[b];
+                   });
+  std::vector<std::uint32_t> expected_start(n_cells + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) ++expected_start[cell_of[i] + 1];
+  for (std::size_t c = 0; c < n_cells; ++c) {
+    expected_start[c + 1] += expected_start[c];
+  }
+
+  const std::size_t chunk = listutil::bin_chunk_size(n);
+  const std::size_t n_chunks = (n + chunk - 1) / chunk;
+  for (const std::size_t threads : {0u, 1u, 3u, 8u}) {  // 0: no pool
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    std::optional<ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    const listutil::RunSpanFn run =
+        [&](std::size_t count, std::size_t grain,
+            const std::function<void(std::size_t, std::size_t)>& body) {
+          if (pool) {
+            pool->parallel_for(0, count, grain, body);
+          } else {
+            body(0, count);
+          }
+        };
+    std::vector<std::uint32_t> cell_of_atom, bin_hist, cell_start, cell_atoms;
+    // Stale contents from an earlier, larger use must not leak through.
+    bin_hist.assign(2 * n_chunks * n_cells, 7u);
+    bin_hist.resize(n_chunks * n_cells / 2);
+    listutil::bin_pass_histogram(wrapped, cells, n_cells, inv_cell, run,
+                                 cell_of_atom, bin_hist);
+    EXPECT_EQ(bin_hist.size(), n_chunks * n_cells);
+    EXPECT_LE(bin_hist.size(), listutil::kMaxBinChunks * n_cells);
+    listutil::bin_merge_scatter(n, n_cells, run, cell_of_atom, bin_hist,
+                                cell_start, cell_atoms);
+    EXPECT_EQ(cell_start, expected_start);
+    EXPECT_EQ(cell_atoms, expected_atoms);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Memory counters.
+
+TEST(ListMemoryCounters, BackendReportsCsrScratchAndHistogramBytes) {
+  // Enough steps for rebuilds after the first: the first build counts and
+  // fills the CSR directly, the later ones run through the fill scratch.
+  RunConfig cfg;
+  cfg.workload.n_atoms = 4096;
+  cfg.steps = 40;
+  cfg.host_kernel = HostKernel::kList;
+  const RunResult list = HostParallelBackend().run(cfg);
+  ASSERT_GE(list.metadata.at("list_rebuilds"), 2.0);
+  for (const char* key :
+       {"list_csr_bytes", "list_scratch_bytes", "list_hist_bytes"}) {
+    ASSERT_EQ(list.metadata.count(key), 1u) << key;
+    EXPECT_GT(list.metadata.at(key), 0.0) << key;
+  }
+  // The histogram holds at most kMaxBinChunks rows of one counter per cell
+  // (the list radius is the LJ cutoff plus the default 0.3 skin).
+  const Grid g = grid_for(box_edge_for(4096, cfg.workload.density),
+                          LjParams{}.cutoff + 0.3);
+  const double n_cells = static_cast<double>(g.cells * g.cells * g.cells);
+  EXPECT_LE(list.metadata.at("list_hist_bytes"),
+            static_cast<double>(listutil::kMaxBinChunks) * n_cells * 4.0);
+
+  cfg.host_kernel = HostKernel::kN2;
+  const RunResult n2 = HostParallelBackend().run(cfg);
+  EXPECT_EQ(n2.metadata.count("list_csr_bytes"), 0u);
+  EXPECT_EQ(n2.metadata.count("list_scratch_bytes"), 0u);
+  EXPECT_EQ(n2.metadata.count("list_hist_bytes"), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // stability across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -49,7 +50,8 @@ void expect_list_matches_reference(const std::vector<Vec3d>& positions,
     ParallelNeighborListT<double> list(skin, &pool);
     list.build(positions, box, lj.cutoff);
     ASSERT_EQ(list.row_begin(), reference_list.row_begin()) << threads;
-    ASSERT_EQ(list.entries(), reference_list.entries()) << threads;
+    ASSERT_TRUE(std::ranges::equal(list.entries(), reference_list.entries()))
+        << threads;
     EXPECT_EQ(list.build_distance_tests(),
               reference_list.build_distance_tests())
         << threads;
