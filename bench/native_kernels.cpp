@@ -457,6 +457,34 @@ void BM_VerletStep(benchmark::State& state) {
 }
 BENCHMARK(BM_VerletStep)->Arg(256)->Arg(1024);
 
+void BM_VerletStepPooled(benchmark::State& state) {
+  // The host production step: list kernel and integrator passes on the
+  // global pool.  integrate_ms is the step's non-force tail (kicks, drift,
+  // kinetic energy) per step, force_ms the force call (list rebuilds
+  // included whenever the skin runs out).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  md::Workload w = fluid(n);
+  md::LjParams lj;
+  ThreadPool& pool = ThreadPool::global();
+  md::NeighborListKernel::Options options;
+  options.pool = &pool;
+  md::NeighborListKernel kernel(options);
+  const md::VelocityVerlet vv(0.005, &pool);
+  vv.prime(w.system, w.box, lj, kernel);
+  md::StepPhaseSeconds phases;
+  for (auto _ : state) {
+    auto e = vv.step(w.system, w.box, lj, kernel, &phases);
+    benchmark::DoNotOptimize(e.kinetic);
+  }
+  const double steps = static_cast<double>(state.iterations());
+  state.counters["threads"] = static_cast<double>(pool.size());
+  state.counters["integrate_ms"] = phases.integrate * 1e3 / steps;
+  state.counters["force_ms"] = phases.force * 1e3 / steps;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_VerletStepPooled)->Arg(100000)->Unit(benchmark::kMillisecond);
+
 void BM_WorkloadConstruction(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {

@@ -76,6 +76,12 @@ class ForceKernelT {
   virtual ForceResultT<Real> compute(
       const std::vector<emdpa::Vec3<Real>>& positions,
       const PeriodicBoxT<Real>& box, const LjParamsT<Real>& lj, Real mass) = 0;
+
+  /// Take back an acceleration array its caller is done with (typically
+  /// one a previous compute() returned).  A kernel may return it, resized,
+  /// from a later compute() instead of allocating; its contents are stale
+  /// and its size may be wrong.  The default drops it.
+  virtual void recycle(std::vector<emdpa::Vec3<Real>>&& /*spare*/) {}
 };
 
 using ForceKernel = ForceKernelT<double>;

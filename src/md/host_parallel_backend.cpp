@@ -160,6 +160,10 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
   // of the selected ISA and precision, not the compile-time native width.
   result.metadata["simd_width"] = static_cast<double>(sim.simd_width());
   result.metadata["kernel_list"] = use_list ? 1.0 : 0.0;
+  // Cumulative phase wall times (primes included): the force call, and the
+  // integrator's kicks, drift and kinetic energy around it.
+  result.metadata["phase_force_ms"] = sim.phase_seconds().force * 1e3;
+  result.metadata["phase_integrate_ms"] = sim.phase_seconds().integrate * 1e3;
   result.labels["simd_isa"] =
       sim.simd_isa() ? simd::to_string(*sim.simd_isa()) : "none";
   result.labels["precision"] = to_string(sim.precision());

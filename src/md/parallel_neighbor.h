@@ -71,6 +71,7 @@
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/aligned_buffer.h"
@@ -453,7 +454,9 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
                             const LjParamsT<Acc>& lj, Acc mass) override {
     const std::size_t n = positions.size();
     ForceResultT<Acc> result;
-    result.accelerations.assign(n, {});
+    // The row loop writes every row, so a recycled array needs no zero-fill.
+    result.accelerations = std::exchange(spare_accelerations_, {});
+    result.accelerations.resize(n);
     if (n == 0) return result;
 
     // The list build and the lane math both run in Real: narrow the box, LJ
@@ -538,6 +541,10 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
     return result;
   }
 
+  void recycle(std::vector<emdpa::Vec3<Acc>>&& spare) override {
+    spare_accelerations_ = std::move(spare);
+  }
+
  private:
   ParallelNeighborListT<Real> list_;
   ThreadPool* pool_;
@@ -549,6 +556,7 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
   // Scratch reused across steps.
   std::optional<AlignedBuffer<Real, 64>> xs_, ys_, zs_;
   std::vector<emdpa::Vec3<Real>> cast_positions_;  ///< Real != Acc only
+  std::vector<emdpa::Vec3<Acc>> spare_accelerations_;  ///< from recycle()
   std::vector<Acc> row_pe_, row_virial_;
   std::vector<std::uint64_t> row_hits_;
 };

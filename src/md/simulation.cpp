@@ -141,6 +141,10 @@ class CompositeKernel final : public ForceKernel {
     return result;
   }
 
+  void recycle(std::vector<Vec3d>&& spare) override {
+    lj_.recycle(std::move(spare));
+  }
+
  private:
   ForceKernel& lj_;
   std::optional<BondTopology> bonds_;
@@ -175,7 +179,7 @@ Simulation::Simulation(ParticleSystem system, PeriodicBox box, long step,
     : box_(box),
       system_(std::move(system)),
       lj_(options.lj),
-      integrator_(options.dt),
+      integrator_(options.dt, options.pool),
       kernel_kind_(resolve_kernel(options, system_.size())),
       precision_(options.precision),
       degrade_enabled_(options.degrade_to_reference),
@@ -279,7 +283,8 @@ ListMemory Simulation::list_memory() const {
 }
 
 void Simulation::prime() {
-  last_energies_ = integrator_.prime(system_, box_, lj_, active_kernel());
+  last_energies_ =
+      integrator_.prime(system_, box_, lj_, active_kernel(), &phase_seconds_);
   ++force_evaluations_;
 }
 
@@ -342,7 +347,8 @@ StepEnergies Simulation::step_once() {
     vx = std::nextafter(vx, std::numeric_limits<double>::infinity());
   }
   try {
-    last_energies_ = integrator_.step(system_, box_, lj_, active_kernel());
+    last_energies_ = integrator_.step(system_, box_, lj_, active_kernel(),
+                                      &phase_seconds_);
   } catch (RuntimeFailure& e) {
     // Annotate what this layer knows (the kernel threw mid-step, so the
     // failing step is the one about to complete) and let it unwind.
@@ -390,17 +396,18 @@ StepEnergies Simulation::step() {
 
   // Snapshot so a failed step can be retried cleanly on the fallback kernel
   // (the failure may surface mid-step, after positions already advanced).
-  const std::vector<Vec3d> positions = system_.positions();
-  const std::vector<Vec3d> velocities = system_.velocities();
-  const std::vector<Vec3d> accelerations = system_.accelerations();
+  // The copies land in retained buffers: no allocation after the first step.
+  pre_step_positions_ = system_.positions();
+  pre_step_velocities_ = system_.velocities();
+  pre_step_accelerations_ = system_.accelerations();
   const StepEnergies energies = last_energies_;
   const long step_before = step_;
   try {
     return step_once();
   } catch (const RuntimeFailure&) {
-    system_.positions() = positions;
-    system_.velocities() = velocities;
-    system_.accelerations() = accelerations;
+    system_.positions() = pre_step_positions_;
+    system_.velocities() = pre_step_velocities_;
+    system_.accelerations() = pre_step_accelerations_;
     last_energies_ = energies;
     step_ = step_before;
     if (!state_is_finite(system_)) throw;  // nothing trustworthy to retry from

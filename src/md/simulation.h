@@ -70,8 +70,9 @@ class Simulation {
     /// Neighbour-list staleness policy; tests inject kNeverRebuild to prove
     /// the displacement check matters.  (kNeighborList only.)
     SkinPolicy skin_policy = SkinPolicy::kHalfSkinDisplacement;
-    /// Pool for the SoA/list kernels' row parallelism; nullptr runs serial.
-    /// Results are bitwise identical at any thread count either way.
+    /// Pool for the SoA/list kernels' row parallelism and the integrator's
+    /// O(N) passes; nullptr runs serial.  Results are bitwise identical at
+    /// any thread count either way.
     ThreadPool* pool = nullptr;
     /// Numeric precision of the LJ fast path (md/precision.h): dp runs
     /// double end to end, sp runs the float kernels behind a narrowing
@@ -165,6 +166,11 @@ class Simulation {
   /// Integrator-driven LJ force evaluations so far (primes + steps; the
   /// minimizer's internal probes are not counted).
   std::uint64_t force_evaluations() const { return force_evaluations_; }
+  /// Cumulative steady-clock seconds the integrator spent in the force call
+  /// and in its own passes (kicks, drift, kinetic energy), primes included.
+  /// Observers only.  The host-parallel backend reports them as metadata
+  /// keys phase_force_ms / phase_integrate_ms.
+  const StepPhaseSeconds& phase_seconds() const { return phase_seconds_; }
   /// True once a failure made the run fall back to the reference kernel
   /// (Options::degrade_to_reference).
   bool degraded() const { return degraded_; }
@@ -253,9 +259,15 @@ class Simulation {
   std::optional<HealthMonitor> health_;
   bool degrade_enabled_ = false;
   bool degraded_ = false;
+  /// step()'s pre-step state while degrade_to_reference is armed, kept
+  /// across steps so the copy reuses their capacity.
+  std::vector<Vec3d> pre_step_positions_;
+  std::vector<Vec3d> pre_step_velocities_;
+  std::vector<Vec3d> pre_step_accelerations_;
   StepEnergies last_energies_{};
   long step_ = 0;
   std::uint64_t force_evaluations_ = 0;
+  StepPhaseSeconds phase_seconds_{};
 };
 
 /// Map the backend-facing RunConfig onto Simulation options: workload, LJ

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <utility>
 
 namespace emdpa::md {
 
@@ -49,7 +50,9 @@ ForceResultT<Acc> SoaKernelT<Real, Acc>::compute(
     const PeriodicBoxT<Acc>& box, const LjParamsT<Acc>& lj, Acc mass) {
   const std::size_t n = positions.size();
   ForceResultT<Acc> result;
-  result.accelerations.assign(n, {});
+  // The row loop writes every row, so a recycled array needs no zero-fill.
+  result.accelerations = std::exchange(spare_accelerations_, {});
+  result.accelerations.resize(n);
   live_block_pairs_ = block_pairs_ = 0;
   if (n == 0) return result;
 

@@ -105,6 +105,9 @@ class SoaKernelT final : public ForceKernelT<Acc>, public BlockCullStats {
   ForceResultT<Acc> compute(const std::vector<emdpa::Vec3<Acc>>& positions,
                             const PeriodicBoxT<Acc>& box,
                             const LjParamsT<Acc>& lj, Acc mass) override;
+  void recycle(std::vector<emdpa::Vec3<Acc>>&& spare) override {
+    spare_accelerations_ = std::move(spare);
+  }
 
   std::uint64_t live_block_pairs() const override { return live_block_pairs_; }
   std::uint64_t block_pairs() const override { return block_pairs_; }
@@ -123,6 +126,7 @@ class SoaKernelT final : public ForceKernelT<Acc>, public BlockCullStats {
   simd_kernels::SoaRowsFn<Real, Acc> rows_fn_;
   // Scratch reused across steps (one kernel instance drives a whole run).
   std::optional<AlignedBuffer<Real, 64>> xs_, ys_, zs_;
+  std::vector<emdpa::Vec3<Acc>> spare_accelerations_;  ///< from recycle()
   std::vector<Acc> row_pe_, row_virial_;
   std::vector<std::uint64_t> row_hits_;
   // Block boxes: lo x, hi x, lo y, hi y, lo z, hi z, box_stride() apart.

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/error.h"
+#include "core/thread_pool.h"
 #include "md/integrator.h"
 #include "md/observables.h"
 #include "md/reference_kernel.h"
@@ -157,6 +161,144 @@ TEST_P(TimestepConvergence, SmallerStepsConserveEnergyBetter) {
 
 INSTANTIATE_TEST_SUITE_P(Steps, TimestepConvergence,
                          ::testing::Values(0.001, 0.002, 0.004));
+
+/// A cheap O(N) force: every atom is pulled toward the box centre by a
+/// spring.  Enough to drive the integrator's chunked passes at tens of
+/// thousands of atoms without an N^2 kernel.
+template <typename Real>
+class SpringKernel final : public ForceKernelT<Real> {
+ public:
+  std::string name() const override { return "spring"; }
+
+  ForceResultT<Real> compute(const std::vector<Vec3<Real>>& positions,
+                             const PeriodicBoxT<Real>& box,
+                             const LjParamsT<Real>& /*lj*/,
+                             Real mass) override {
+    ForceResultT<Real> result;
+    result.accelerations.resize(positions.size());
+    const Real c = Real(0.5) * box.edge();
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      const Vec3<Real> d = positions[i] - Vec3<Real>{c, c, c};
+      result.accelerations[i] = d * (-kStiffness / mass);
+      result.potential_energy += Real(0.5) * kStiffness * length_squared(d);
+    }
+    return result;
+  }
+
+  void recycle(std::vector<Vec3<Real>>&& spare) override {
+    recycled.push_back(spare.data());
+  }
+
+  static constexpr Real kStiffness = Real(0.25);
+  std::vector<const Vec3<Real>*> recycled;  ///< data() of each handed back
+};
+
+template <typename T>
+bool bits_equal(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <typename Real>
+bool bits_equal(const std::vector<Vec3<Real>>& a,
+                const std::vector<Vec3<Real>>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3<Real>)) == 0;
+}
+
+/// A hot lattice of `n` atoms in `Real`; run with a large dt so atoms near
+/// the box faces move far enough to be wrapped.
+template <typename Real>
+std::pair<ParticleSystemT<Real>, PeriodicBoxT<Real>> hot_system(std::size_t n) {
+  WorkloadSpec spec;
+  spec.n_atoms = n;
+  spec.temperature = 4.0;
+  const Workload w = make_lattice_workload(spec);
+  return {w.system.template cast<Real>(),
+          PeriodicBoxT<Real>(static_cast<Real>(w.box.edge()))};
+}
+
+template <typename Real>
+class PooledVerlet : public ::testing::Test {};
+
+using Precisions = ::testing::Types<double, float>;
+TYPED_TEST_SUITE(PooledVerlet, Precisions);
+
+TYPED_TEST(PooledVerlet, MatchesInlinePassesBitwiseAtAnyThreadCount) {
+  using Real = TypeParam;
+  constexpr std::size_t kChunk = VelocityVerletT<Real>::kChunkAtoms;
+  const LjParamsT<Real> lj = LjParams{}.cast<Real>();
+  const Real dt = Real(0.02);
+  // Below one chunk (inline even with a pool), an exact multiple of the
+  // chunk, and a ragged last chunk.
+  for (const std::size_t n : {std::size_t{1000}, 2 * kChunk, 2 * kChunk + 777}) {
+    auto [start, box] = hot_system<Real>(n);
+    SpringKernel<Real> serial_kernel;
+    ParticleSystemT<Real> serial = start;
+    const VelocityVerletT<Real> inline_vv(dt);
+    inline_vv.prime(serial, box, lj, serial_kernel);
+    std::vector<StepEnergiesT<Real>> expected;
+    for (int s = 0; s < 20; ++s) {
+      expected.push_back(inline_vv.step(serial, box, lj, serial_kernel));
+    }
+
+    for (const std::size_t threads : {1, 2, 3, 8}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " threads=" + std::to_string(threads));
+      ThreadPool pool(threads);
+      SpringKernel<Real> kernel;
+      ParticleSystemT<Real> system = start;
+      const VelocityVerletT<Real> vv(dt, &pool);
+      vv.prime(system, box, lj, kernel);
+      for (int s = 0; s < 20; ++s) {
+        const StepEnergiesT<Real> e = vv.step(system, box, lj, kernel);
+        EXPECT_TRUE(bits_equal(e.kinetic, expected[s].kinetic)) << "step " << s;
+        EXPECT_TRUE(bits_equal(e.potential, expected[s].potential));
+        const Real ke = kinetic_energy_of(system);
+        EXPECT_TRUE(bits_equal(e.kinetic, ke)) << "step " << s;
+      }
+      EXPECT_TRUE(bits_equal(system.positions(), serial.positions()));
+      EXPECT_TRUE(bits_equal(system.velocities(), serial.velocities()));
+      EXPECT_TRUE(bits_equal(system.accelerations(), serial.accelerations()));
+    }
+  }
+}
+
+TEST(VelocityVerlet, HandsTheReplacedAccelerationsBackToTheKernel) {
+  auto [system, box] = hot_system<double>(64);
+  SpringKernel<double> kernel;
+  const VelocityVerlet vv(0.005);
+  const Vec3d* primed_from = system.accelerations().data();
+  vv.prime(system, box, LjParams{}, kernel);
+  const Vec3d* stepped_from = system.accelerations().data();
+  vv.step(system, box, LjParams{}, kernel);
+  ASSERT_EQ(kernel.recycled.size(), 2u);
+  EXPECT_EQ(kernel.recycled[0], primed_from);
+  EXPECT_EQ(kernel.recycled[1], stepped_from);
+}
+
+TEST(VelocityVerlet, PhaseTimesAccumulateWithoutMovingABit) {
+  ThreadPool pool(2);
+  const std::size_t n = 2 * VelocityVerlet::kChunkAtoms + 5;
+  auto [timed, box] = hot_system<double>(n);
+  ParticleSystem untimed = timed;
+  SpringKernel<double> timed_kernel, untimed_kernel;
+  const VelocityVerlet vv(0.01, &pool);
+  StepPhaseSeconds phases;
+  vv.prime(timed, box, LjParams{}, timed_kernel, &phases);
+  vv.prime(untimed, box, LjParams{}, untimed_kernel);
+  const StepPhaseSeconds after_prime = phases;
+  for (int s = 0; s < 5; ++s) {
+    const StepEnergies a = vv.step(timed, box, LjParams{}, timed_kernel, &phases);
+    const StepEnergies b = vv.step(untimed, box, LjParams{}, untimed_kernel);
+    EXPECT_TRUE(bits_equal(a.kinetic, b.kinetic));
+    EXPECT_TRUE(bits_equal(a.potential, b.potential));
+  }
+  EXPECT_GT(after_prime.force, 0.0);
+  EXPECT_GT(phases.force, after_prime.force);
+  EXPECT_GT(phases.integrate, after_prime.integrate);
+  EXPECT_TRUE(bits_equal(timed.positions(), untimed.positions()));
+  EXPECT_TRUE(bits_equal(timed.velocities(), untimed.velocities()));
+}
 
 }  // namespace
 }  // namespace emdpa::md

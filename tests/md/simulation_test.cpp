@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/error.h"
+#include "core/thread_pool.h"
+#include "md/backend.h"
 #include "md/observables.h"
+#include "md/parallel_neighbor.h"
 #include "md/simulation.h"
+#include "md/soa_kernel.h"
 
 namespace emdpa::md {
 namespace {
@@ -164,6 +172,166 @@ TEST(Simulation, SettingOneThermostatClearsTheOther) {
   // freeze; under Langevin at 2.0 it stays hot.
   sim.run(100);
   EXPECT_GT(temperature_of(sim.system()), 1.0);
+}
+
+bool bits_equal(const std::vector<Vec3d>& a, const std::vector<Vec3d>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3d)) == 0;
+}
+
+bool bits_equal(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// The kinds of acceleration array a kernel may be handed back.
+enum class Spare { kStale, kLonger, kShorter, kEmpty };
+
+std::vector<Vec3d> spare_array(Spare kind, std::size_t n) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  switch (kind) {
+    case Spare::kStale: return std::vector<Vec3d>(n, Vec3d{nan, nan, nan});
+    case Spare::kLonger:
+      return std::vector<Vec3d>(n + 37, Vec3d{1e300, -1e300, 7.0});
+    case Spare::kShorter: return std::vector<Vec3d>(n / 2, Vec3d{-7, -7, -7});
+    case Spare::kEmpty: break;
+  }
+  return {};
+}
+
+/// Two kernels fed the same two configurations, one of them handed a spare
+/// array of `kind` before each evaluation: its forces (plus a bond chain's
+/// when `bonded`) must match the never-recycled kernel's bit for bit.
+template <typename Kernel>
+void expect_spare_arrays_change_no_force_bit() {
+  Simulation::Options options;
+  options.workload.n_atoms = 1331;
+  options.workload.temperature = 1.5;
+  options.kernel = SimKernel::kSoaN2;
+  Simulation sim(options);
+  sim.run(2);
+  const std::vector<Vec3d> first = sim.system().positions();
+  sim.run(4);
+  const std::vector<Vec3d> second = sim.system().positions();
+  const std::size_t n = first.size();
+  const BondTopology chain = BondTopology::linear_chain(n, 5.0, 1.1);
+
+  ThreadPool pool(3);
+  typename Kernel::Options kernel_options;
+  kernel_options.pool = &pool;
+  for (const bool bonded : {false, true}) {
+    for (const Spare kind :
+         {Spare::kStale, Spare::kLonger, Spare::kShorter, Spare::kEmpty}) {
+      SCOPED_TRACE("bonded=" + std::to_string(bonded) +
+                   " spare=" + std::to_string(static_cast<int>(kind)));
+      Kernel recycled(kernel_options);
+      Kernel fresh(kernel_options);
+      for (const std::vector<Vec3d>* positions : {&first, &second}) {
+        recycled.recycle(spare_array(kind, n));
+        ForceResult a = recycled.compute(*positions, sim.box(), options.lj, 1.0);
+        ForceResult b = fresh.compute(*positions, sim.box(), options.lj, 1.0);
+        if (bonded) {
+          a.potential_energy +=
+              chain.accumulate_forces(*positions, sim.box(), 1.0, a.accelerations);
+          b.potential_energy +=
+              chain.accumulate_forces(*positions, sim.box(), 1.0, b.accelerations);
+        }
+        EXPECT_TRUE(bits_equal(a.accelerations, b.accelerations));
+        EXPECT_TRUE(bits_equal(a.potential_energy, b.potential_energy));
+        EXPECT_TRUE(bits_equal(a.virial, b.virial));
+        EXPECT_EQ(a.stats.candidates, b.stats.candidates);
+        EXPECT_EQ(a.stats.interacting, b.stats.interacting);
+      }
+    }
+  }
+}
+
+TEST(KernelRecycle, SoaKernelIgnoresSpareContentsAndSize) {
+  expect_spare_arrays_change_no_force_bit<SoaKernel>();
+}
+
+TEST(KernelRecycle, NeighborListKernelIgnoresSpareContentsAndSize) {
+  expect_spare_arrays_change_no_force_bit<NeighborListKernel>();
+}
+
+/// LJ plus bonds composed by hand, dropping every array handed back: the
+/// allocate-per-evaluation path Simulation's recycling replaced.
+class NonRecyclingBondedKernel final : public ForceKernel {
+ public:
+  NonRecyclingBondedKernel(ForceKernel& lj, const BondTopology& bonds)
+      : lj_(lj), bonds_(bonds) {}
+  std::string name() const override { return "lj+bonds"; }
+  ForceResult compute(const std::vector<Vec3d>& positions,
+                      const PeriodicBox& box, const LjParams& lj,
+                      double mass) override {
+    ForceResult result = lj_.compute(positions, box, lj, mass);
+    result.potential_energy +=
+        bonds_.accumulate_forces(positions, box, mass, result.accelerations);
+    return result;
+  }
+
+ private:
+  ForceKernel& lj_;
+  const BondTopology& bonds_;
+};
+
+template <typename Kernel>
+void expect_bonded_run_matches_non_recycling_loop(SimKernel kind) {
+  ThreadPool pool(3);
+  Simulation::Options options;
+  options.workload.n_atoms = 1331;
+  options.kernel = kind;
+  options.pool = &pool;
+  const BondTopology chain = BondTopology::linear_chain(1331, 5.0, 1.1);
+  Simulation sim(options);
+  sim.set_bonds(chain);
+  sim.run(20);
+
+  // Simulation's composition by hand: prime on the LJ kernel, re-prime once
+  // the bonds attach, then step.
+  Workload w = make_lattice_workload(options.workload);
+  const PeriodicBox box(
+      box_edge_for(options.workload.n_atoms, options.workload.density));
+  typename Kernel::Options kernel_options;
+  kernel_options.pool = &pool;
+  Kernel lj_kernel(kernel_options);
+  NonRecyclingBondedKernel bonded(lj_kernel, chain);
+  const VelocityVerlet vv(options.dt, &pool);
+  vv.prime(w.system, box, options.lj, lj_kernel);
+  StepEnergies e = vv.prime(w.system, box, options.lj, bonded);
+  for (int s = 0; s < 20; ++s) e = vv.step(w.system, box, options.lj, bonded);
+
+  EXPECT_TRUE(bits_equal(sim.system().positions(), w.system.positions()));
+  EXPECT_TRUE(bits_equal(sim.system().velocities(), w.system.velocities()));
+  EXPECT_TRUE(
+      bits_equal(sim.system().accelerations(), w.system.accelerations()));
+  EXPECT_TRUE(bits_equal(sim.last_energies().kinetic, e.kinetic));
+  EXPECT_TRUE(bits_equal(sim.last_energies().potential, e.potential));
+}
+
+TEST(KernelRecycle, BondedSoaRunMatchesANonRecyclingLoop) {
+  expect_bonded_run_matches_non_recycling_loop<SoaKernel>(SimKernel::kSoaN2);
+}
+
+TEST(KernelRecycle, BondedListRunMatchesANonRecyclingLoop) {
+  expect_bonded_run_matches_non_recycling_loop<NeighborListKernel>(
+      SimKernel::kNeighborList);
+}
+
+TEST(Simulation, HostParallelReportsPhaseTimesWithinTheWallClock) {
+  for (const HostKernel kernel : {HostKernel::kN2, HostKernel::kList}) {
+    SCOPED_TRACE(to_string(kernel));
+    RunConfig config;
+    config.workload.n_atoms = 2048;
+    config.steps = 5;
+    config.host_kernel = kernel;
+    const RunResult r = HostParallelBackend().run(config);
+    const double force_ms = r.metadata.at("phase_force_ms");
+    const double integrate_ms = r.metadata.at("phase_integrate_ms");
+    EXPECT_GT(force_ms, 0.0);
+    EXPECT_GT(integrate_ms, 0.0);
+    EXPECT_LE(force_ms + integrate_ms,
+              r.breakdown.at("host_wall").to_seconds() * 1e3);
+  }
 }
 
 }  // namespace
