@@ -319,9 +319,9 @@ BENCHMARK(BM_SimulationNeighborList)
 
 void BM_SimulationStore(benchmark::State& state) {
   // The neighbour-list run with the time-travel store enabled: snapshot
-  // every range(2) steps into a delta-compressed ring.  Compare against
-  // BM_SimulationNeighborList at the same {atoms, steps} for the store
-  // overhead; 'store_bytes' is the on-disk cost of one recorded run.
+  // every range(2) steps into a ring of full v5 checkpoint frames.  Compare
+  // against BM_SimulationNeighborList at the same {atoms, steps} for the
+  // store overhead; 'store_bytes' is the on-disk cost of one recorded run.
   const auto n = static_cast<std::size_t>(state.range(0));
   const int steps = static_cast<int>(state.range(1));
   const long stride = static_cast<long>(state.range(2));

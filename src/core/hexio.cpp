@@ -1,25 +1,11 @@
 #include "core/hexio.h"
 
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "core/error.h"
 
 namespace emdpa::hexio {
-
-std::string format_double(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%a", value);
-  return buf;
-}
-
-std::string format_u64(std::uint64_t value) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-  return buf;
-}
 
 double parse_double(const std::string& token, const char* what) {
   std::size_t consumed = 0;

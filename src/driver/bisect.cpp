@@ -238,14 +238,12 @@ BisectReport run_bisect(const BisectOptions& options) {
   // process singleton, so the two specs must never be armed at once).
   md::TrajectoryStoreOptions store_options_a;
   store_options_a.directory = options.store_dir + "/" + options.a.label;
-  store_options_a.keyframe_interval = options.a.config.store_keyframe_every;
   store_options_a.max_bytes = options.a.config.store_max_bytes;
   md::TrajectoryStore store_a(store_options_a);
   report.summary_a = record_side(options.a, pool_a.get(), store_a);
 
   md::TrajectoryStoreOptions store_options_b;
   store_options_b.directory = options.store_dir + "/" + options.b.label;
-  store_options_b.keyframe_interval = options.b.config.store_keyframe_every;
   store_options_b.max_bytes = options.b.config.store_max_bytes;
   md::TrajectoryStore store_b(store_options_b);
   report.summary_b = record_side(options.b, pool_b.get(), store_b);

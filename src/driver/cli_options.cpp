@@ -103,16 +103,14 @@ std::string cli_usage() {
       "  slice) finishes, an emergency checkpoint is written, exit code 4.\n"
       "\n"
       "Time travel & bisection (host-parallel backend; `run` and `bisect`):\n"
-      "  --store-dir DIR        trajectory store: delta-compressed CRC-checked\n"
-      "                         snapshot ring any stored step restores from\n"
-      "                         bit-exactly; snapshots are pure observers, the\n"
+      "  --store-dir DIR        trajectory store: a ring of CRC-checked full\n"
+      "                         snapshots, each restoring its step bit-exactly\n"
+      "                         from one file; snapshots are pure observers, the\n"
       "                         run stays bitwise identical with the store on\n"
       "  --snapshot-every N     snapshot stride (step 0 and the final step are\n"
       "                         always stored; default endpoints only)\n"
-      "  --keyframe-every K     every K-th snapshot is a full keyframe, the\n"
-      "                         rest XOR deltas against the previous one (8)\n"
-      "  --store-max-bytes B    disk budget; oldest whole keyframe chains are\n"
-      "                         evicted beyond it (default unbounded)\n"
+      "  --store-max-bytes B    disk budget; the oldest snapshots are evicted\n"
+      "                         beyond it, never the newest (default unbounded)\n"
       "  --watch LIST           stream observables as 'watch step=N k=v' lines\n"
       "                         (energy, ke, pe, max_disp; comma-separated)\n"
       "  --watch-every N        watch emission stride (1)\n"
@@ -283,10 +281,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       const long n = parse_integer(flag, need_value(flag));
       if (n <= 0) throw RuntimeFailure("--snapshot-every must be positive");
       options.run_config.store_every = static_cast<int>(n);
-    } else if (flag == "--keyframe-every") {
-      const long n = parse_integer(flag, need_value(flag));
-      if (n <= 0) throw RuntimeFailure("--keyframe-every must be positive");
-      options.run_config.store_keyframe_every = static_cast<int>(n);
     } else if (flag == "--store-max-bytes") {
       const long n = parse_integer(flag, need_value(flag));
       if (n <= 0) throw RuntimeFailure("--store-max-bytes must be positive");

@@ -83,9 +83,9 @@ struct RunConfig {
   /// Snapshot every N completed steps (plus step 0 and the final step).
   /// 0 with a store_dir set still snapshots the endpoints.
   int store_every = 0;
-  /// Every K-th snapshot is a full keyframe; the rest are XOR deltas.
-  int store_keyframe_every = 8;
-  /// Disk budget across all frames (ring eviction of oldest whole chains);
+  /// ignored: every frame is a keyframe; remove with perfbench's next change (ROADMAP item 7)
+  int store_keyframe_every = 1;
+  /// Disk budget across all frames (ring eviction of the oldest frames);
   /// 0 = unbounded.
   std::uint64_t store_max_bytes = 0;
 

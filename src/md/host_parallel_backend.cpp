@@ -75,15 +75,23 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
 
   // Time-travel store: snapshots are pure observers (Simulation::snapshot
   // never touches the run), taken at the start state, every store_every
-  // steps, and at the final step.
+  // steps, and at the final step.  Every append (step 0's included) is
+  // timed into the store phase.
   std::optional<TrajectoryStore> store;
+  double store_seconds = 0.0;
+  auto store_append = [&] {
+    const auto start = std::chrono::steady_clock::now();
+    store->append(sim.snapshot());
+    store_seconds += std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+  };
   if (!config.store_dir.empty()) {
     TrajectoryStoreOptions store_options;
     store_options.directory = config.store_dir;
-    store_options.keyframe_interval = config.store_keyframe_every;
     store_options.max_bytes = config.store_max_bytes;
     store.emplace(std::move(store_options));
-    store->append(sim.snapshot());
+    store_append();
   }
   const long final_step = sim.current_step() + remaining;
 
@@ -102,7 +110,7 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
       result.energies.push_back(e);
       if (store && ((config.store_every > 0 && step % config.store_every == 0) ||
                     step == final_step)) {
-        if (!store->has_step(step)) store->append(sim.snapshot());
+        if (!store->has_step(step)) store_append();
       }
       if (watch && (watch->due(step) || step == final_step)) {
         watch->emit(*config.watch_stream, step, e, sim.system());
@@ -205,11 +213,10 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
   if (store) {
     const TrajectoryStoreStats& s = store->stats();
     result.metadata["store_snapshots"] = static_cast<double>(s.snapshots);
-    result.metadata["store_keyframes"] = static_cast<double>(s.keyframes);
-    result.metadata["store_deltas"] = static_cast<double>(s.deltas);
     result.metadata["store_bytes"] = static_cast<double>(s.bytes);
     result.metadata["store_evicted_frames"] =
         static_cast<double>(s.evicted_frames);
+    result.metadata["phase_store_ms"] = store_seconds * 1e3;
   }
   result.ops.add("host.threads", pool.size());
   result.ops.add("host.simd_width", sim.simd_width());

@@ -6,11 +6,15 @@
 #include <cstring>
 #include <limits>
 
+#include "../md/legacy_checkpoint_text.h"
 #include "core/error.h"
 #include "core/random.h"
 
 namespace emdpa::hexio {
 namespace {
+
+using md::testing::format_double;
+using md::testing::format_u64;
 
 double round_trip(double value) {
   return parse_double(format_double(value), "test value");

@@ -211,11 +211,10 @@ TEST(CliOptions, BatchDefaultsAndValidation) {
 TEST(CliOptions, StoreAndWatchFlagsPopulateRunConfig) {
   const CliOptions options = parse_cli(
       {"run", "--backend", "host-parallel", "--store-dir", "traj",
-       "--snapshot-every", "10", "--keyframe-every", "4", "--store-max-bytes",
-       "1000000", "--watch", "energy,max_disp", "--watch-every", "5"});
+       "--snapshot-every", "10", "--store-max-bytes", "1000000", "--watch",
+       "energy,max_disp", "--watch-every", "5"});
   EXPECT_EQ(options.run_config.store_dir, "traj");
   EXPECT_EQ(options.run_config.store_every, 10);
-  EXPECT_EQ(options.run_config.store_keyframe_every, 4);
   EXPECT_EQ(options.run_config.store_max_bytes, 1000000u);
   EXPECT_EQ(options.run_config.watch, "energy,max_disp");
   EXPECT_EQ(options.run_config.watch_every, 5);
@@ -228,9 +227,16 @@ TEST(CliOptions, StoreAndWatchFlagsRejectBadInput) {
   EXPECT_THROW(parse_cli({"run", "--backend", "x", "--store-dir", "d",
                           "--snapshot-every", "0"}),
                RuntimeFailure);
-  EXPECT_THROW(parse_cli({"run", "--backend", "x", "--store-dir", "d",
-                          "--keyframe-every", "-2"}),
-               RuntimeFailure);
+  // Every frame is a keyframe: the old interval flag is an unknown flag.
+  try {
+    parse_cli({"run", "--backend", "x", "--store-dir", "d",
+               "--keyframe-every", "4"});
+    FAIL() << "--keyframe-every must be rejected";
+  } catch (const RuntimeFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown flag '--keyframe-every'"),
+              std::string::npos)
+        << e.what();
+  }
   // Unknown observables fail at parse time, not steps into the run.
   EXPECT_THROW(parse_cli({"run", "--backend", "x", "--watch", "entropy"}),
                RuntimeFailure);
@@ -286,7 +292,7 @@ TEST(CliOptions, UsageDocumentsStoreWatchAndBisect) {
   EXPECT_NE(usage.find("emdpa bisect"), std::string::npos);
   EXPECT_NE(usage.find("--store-dir"), std::string::npos);
   EXPECT_NE(usage.find("--snapshot-every"), std::string::npos);
-  EXPECT_NE(usage.find("--keyframe-every"), std::string::npos);
+  EXPECT_EQ(usage.find("--keyframe-every"), std::string::npos);
   EXPECT_NE(usage.find("--store-max-bytes"), std::string::npos);
   EXPECT_NE(usage.find("--watch"), std::string::npos);
   EXPECT_NE(usage.find("md.step_perturb"), std::string::npos);

@@ -40,7 +40,6 @@ class BisectTest : public ::testing::Test {
       side->config.workload.n_atoms = 64;
       side->config.steps = 48;
       side->config.store_every = 8;
-      side->config.store_keyframe_every = 4;
     }
     options.a.label = "a";
     options.b.label = "b";
