@@ -144,6 +144,8 @@ BENCHMARK(BM_NeighborListSerial)->Arg(1024)->Arg(2048)->Arg(4096);
 void BM_NeighborListParallel(benchmark::State& state) {
   // The host fast path: pool-parallel list traversal.  Compare against
   // BM_SoaKernelParallel at the same size for the list-vs-N^2 crossover.
+  // sweep_ms is the kernel's own sweep timer (pack + row loop + fold) per
+  // evaluation.
   const auto n = static_cast<std::size_t>(state.range(0));
   md::Workload w = fluid(n);
   md::LjParams lj;
@@ -151,17 +153,20 @@ void BM_NeighborListParallel(benchmark::State& state) {
   options.pool = &ThreadPool::global();
   md::NeighborListKernel kernel(options);
   kernel.compute(w.system.positions(), w.box, lj, 1.0);  // prime the list
+  const double primed_s = kernel.sweep_seconds();
   for (auto _ : state) {
     auto result = kernel.compute(w.system.positions(), w.box, lj, 1.0);
     benchmark::DoNotOptimize(result.potential_energy);
   }
   state.counters["threads"] =
       static_cast<double>(ThreadPool::global().size());
+  state.counters["sweep_ms"] = (kernel.sweep_seconds() - primed_s) * 1e3 /
+                               static_cast<double>(state.iterations());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_NeighborListParallel)
-    ->Arg(1024)->Arg(2048)->Arg(4096)->Arg(16384);
+    ->Arg(1024)->Arg(2048)->Arg(4096)->Arg(16384)->Arg(100000);
 
 void BM_NeighborListBuild(benchmark::State& state) {
   // Price the rebuild itself (bin + filter + prefix + copy, pool-parallel):

@@ -21,12 +21,27 @@ struct Pack<float, SimdType::kAvx2> {
 
   static Pack load(const float* p) { return {_mm256_load_ps(p)}; }
   static Pack loadu(const float* p) { return {_mm256_loadu_ps(p)}; }
-  // Hardware vgatherdps: eight 32-bit indices, scale 4.  Same lane values
-  // as eight scalar loads, so downstream arithmetic is bitwise unchanged.
-  static Pack gather(const float* base, const std::uint32_t* idx) {
-    const __m256i vidx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return {_mm256_i32gather_ps(base, vidx, 4)};
+  // Eight 128-bit record loads, paired as qk = {record k | record k+4},
+  // then an in-lane 4x4 transpose: unpack the floats, then the float pairs.
+  static void load_xyz(const float* records, const std::uint32_t* idx,
+                       Pack& x, Pack& y, Pack& z) {
+    // Written out, not looped: a loop over a __m256 array can stay rolled
+    // and spill the array to the stack.
+    const auto rec = [&](int l) {
+      return _mm_loadu_ps(record_of(records, idx[l]));
+    };
+    const auto pair = [&](int k) {
+      return _mm256_insertf128_ps(_mm256_castps128_ps256(rec(k)), rec(k + 4),
+                                  1);
+    };
+    const __m256 q0 = pair(0), q1 = pair(1), q2 = pair(2), q3 = pair(3);
+    const __m256d xy01 = _mm256_castps_pd(_mm256_unpacklo_ps(q0, q1));
+    const __m256d zw01 = _mm256_castps_pd(_mm256_unpackhi_ps(q0, q1));
+    const __m256d xy23 = _mm256_castps_pd(_mm256_unpacklo_ps(q2, q3));
+    const __m256d zw23 = _mm256_castps_pd(_mm256_unpackhi_ps(q2, q3));
+    x = {_mm256_castpd_ps(_mm256_unpacklo_pd(xy01, xy23))};
+    y = {_mm256_castpd_ps(_mm256_unpackhi_pd(xy01, xy23))};
+    z = {_mm256_castpd_ps(_mm256_unpacklo_pd(zw01, zw23))};
   }
   static Pack broadcast(float s) { return {_mm256_set1_ps(s)}; }
   static Pack zero() { return {_mm256_setzero_ps()}; }
@@ -81,11 +96,21 @@ struct Pack<double, SimdType::kAvx2> {
 
   static Pack load(const double* p) { return {_mm256_load_pd(p)}; }
   static Pack loadu(const double* p) { return {_mm256_loadu_pd(p)}; }
-  // Hardware vgatherdpd: four 32-bit indices, scale 8.
-  static Pack gather(const double* base, const std::uint32_t* idx) {
-    const __m128i vidx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
-    return {_mm256_i32gather_pd(base, vidx, 8)};
+  // A 4x4 transpose from 128-bit halves: lok = {x, y} and hik = {z, pad}
+  // of records k | k+2, so one in-lane unpack per axis finishes it.
+  static void load_xyz(const double* records, const std::uint32_t* idx,
+                       Pack& x, Pack& y, Pack& z) {
+    const auto half = [&](int k, int field) {
+      return _mm256_insertf128_pd(
+          _mm256_castpd128_pd256(
+              _mm_loadu_pd(record_of(records, idx[k]) + field)),
+          _mm_loadu_pd(record_of(records, idx[k + 2]) + field), 1);
+    };
+    const __m256d lo0 = half(0, 0), lo1 = half(1, 0);
+    const __m256d hi0 = half(0, 2), hi1 = half(1, 2);
+    x = {_mm256_unpacklo_pd(lo0, lo1)};
+    y = {_mm256_unpackhi_pd(lo0, lo1)};
+    z = {_mm256_unpacklo_pd(hi0, hi1)};
   }
   static Pack broadcast(double s) { return {_mm256_set1_pd(s)}; }
   static Pack zero() { return {_mm256_setzero_pd()}; }

@@ -54,14 +54,29 @@ struct Pack<float, SimdType::kAvx512> {
 
   static Pack load(const float* p) { return {_mm512_load_ps(p)}; }
   static Pack loadu(const float* p) { return {_mm512_loadu_ps(p)}; }
-  // Hardware vgatherdps.  The full-mask masked form sidesteps the
-  // undefined pass-through register of the unmasked intrinsic (every lane
-  // is gathered, so the zero src never shows through).
-  static Pack gather(const float* base, const std::uint32_t* idx) {
-    const __m512i vidx = _mm512_loadu_si512(idx);
-    return {_mm512_mask_i32gather_ps(_mm512_setzero_ps(),
-                                     static_cast<__mmask16>(0xffff), vidx,
-                                     base, 4)};
+  // Sixteen 128-bit record loads, grouped as qk = {records k, k+4, k+8,
+  // k+12}, then the AVX2 pack's in-lane 4x4 transpose on all four lanes.
+  static void load_xyz(const float* records, const std::uint32_t* idx,
+                       Pack& x, Pack& y, Pack& z) {
+    // Written out, not looped: a loop over a __m512 array can stay rolled
+    // and spill the array to the stack.
+    const auto rec = [&](int l) {
+      return _mm_loadu_ps(record_of(records, idx[l]));
+    };
+    const auto quad = [&](int k) {
+      __m512 v = _mm512_castps128_ps512(rec(k));
+      v = _mm512_insertf32x4(v, rec(k + 4), 1);
+      v = _mm512_insertf32x4(v, rec(k + 8), 2);
+      return _mm512_insertf32x4(v, rec(k + 12), 3);
+    };
+    const __m512 q0 = quad(0), q1 = quad(1), q2 = quad(2), q3 = quad(3);
+    const __m512d xy01 = _mm512_castps_pd(_mm512_unpacklo_ps(q0, q1));
+    const __m512d zw01 = _mm512_castps_pd(_mm512_unpackhi_ps(q0, q1));
+    const __m512d xy23 = _mm512_castps_pd(_mm512_unpacklo_ps(q2, q3));
+    const __m512d zw23 = _mm512_castps_pd(_mm512_unpackhi_ps(q2, q3));
+    x = {_mm512_castpd_ps(_mm512_unpacklo_pd(xy01, xy23))};
+    y = {_mm512_castpd_ps(_mm512_unpackhi_pd(xy01, xy23))};
+    z = {_mm512_castpd_ps(_mm512_unpacklo_pd(zw01, zw23))};
   }
   static Pack broadcast(float s) { return {_mm512_set1_ps(s)}; }
   static Pack zero() { return {_mm512_setzero_ps()}; }
@@ -123,14 +138,29 @@ struct Pack<double, SimdType::kAvx512> {
 
   static Pack load(const double* p) { return {_mm512_load_pd(p)}; }
   static Pack loadu(const double* p) { return {_mm512_loadu_pd(p)}; }
-  // Hardware vgatherdpd: eight 32-bit indices widen into a 512-bit gather
-  // (full-mask masked form, as above).
-  static Pack gather(const double* base, const std::uint32_t* idx) {
-    const __m256i vidx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return {_mm512_mask_i32gather_pd(_mm512_setzero_pd(),
-                                     static_cast<__mmask8>(0xff), vidx, base,
-                                     8)};
+  // Eight 256-bit record loads, paired as rk = {record 2k | record 2k+1};
+  // unpacking r0/r1 and r2/r3 leaves x0 x2 z0 z2 x1 x3 z1 z3 (and the
+  // y/pad twin, and the same for records 4-7), which one two-source
+  // permute per axis puts in lane order.
+  static void load_xyz(const double* records, const std::uint32_t* idx,
+                       Pack& x, Pack& y, Pack& z) {
+    const auto rec = [&](int l) {
+      return _mm256_loadu_pd(record_of(records, idx[l]));
+    };
+    const auto pair = [&](int k) {
+      return _mm512_insertf64x4(_mm512_castpd256_pd512(rec(2 * k)),
+                                rec(2 * k + 1), 1);
+    };
+    const __m512d r0 = pair(0), r1 = pair(1), r2 = pair(2), r3 = pair(3);
+    const __m512d xz03 = _mm512_unpacklo_pd(r0, r1);
+    const __m512d yw03 = _mm512_unpackhi_pd(r0, r1);
+    const __m512d xz47 = _mm512_unpacklo_pd(r2, r3);
+    const __m512d yw47 = _mm512_unpackhi_pd(r2, r3);
+    const __m512i xy_lanes = _mm512_set_epi64(13, 9, 12, 8, 5, 1, 4, 0);
+    const __m512i z_lanes = _mm512_set_epi64(15, 11, 14, 10, 7, 3, 6, 2);
+    x = {_mm512_permutex2var_pd(xz03, xy_lanes, xz47)};
+    y = {_mm512_permutex2var_pd(yw03, xy_lanes, yw47)};
+    z = {_mm512_permutex2var_pd(xz03, z_lanes, xz47)};
   }
   static Pack broadcast(double s) { return {_mm512_set1_pd(s)}; }
   static Pack zero() { return {_mm512_setzero_pd()}; }

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace emdpa::simd {
 
@@ -27,5 +28,17 @@ constexpr const char* to_string(SimdType t) {
 
 template <typename Real, SimdType Type>
 struct Pack;
+
+/// Reals per position record: {x, y, z, 0}.  Pack::load_xyz reads kWidth
+/// records from an array of them and transposes their x/y/z into lanes,
+/// moving bits, never values: lane l of x holds exactly the bits of
+/// record_of(records, idx[l])[0].  Every load stays inside its own record,
+/// so the array needs no padding past its last record.
+inline constexpr std::size_t kRecordReals = 4;
+
+template <typename Real>
+constexpr const Real* record_of(const Real* records, std::uint32_t i) {
+  return records + kRecordReals * std::size_t{i};
+}
 
 }  // namespace emdpa::simd

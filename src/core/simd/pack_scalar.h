@@ -18,8 +18,12 @@ struct Pack<Real, SimdType::kScalar> {
 
   static Pack load(const Real* p) { return {*p}; }
   static Pack loadu(const Real* p) { return {*p}; }
-  static Pack gather(const Real* base, const std::uint32_t* idx) {
-    return {base[idx[0]]};
+  static void load_xyz(const Real* records, const std::uint32_t* idx, Pack& x,
+                       Pack& y, Pack& z) {
+    const Real* r = record_of(records, idx[0]);
+    x = {r[0]};
+    y = {r[1]};
+    z = {r[2]};
   }
   static Pack broadcast(Real s) { return {s}; }
   static Pack zero() { return {Real(0)}; }

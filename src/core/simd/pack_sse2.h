@@ -22,11 +22,16 @@ struct Pack<float, SimdType::kSse2> {
 
   static Pack load(const float* p) { return {_mm_load_ps(p)}; }
   static Pack loadu(const float* p) { return {_mm_loadu_ps(p)}; }
-  // SSE2 has no gather instruction; lane-insert via set — same values, and
-  // the compiler turns it into four scalar loads + shuffles.
-  static Pack gather(const float* base, const std::uint32_t* idx) {
-    return {_mm_set_ps(base[idx[3]], base[idx[2]], base[idx[1]],
-                       base[idx[0]])};
+  // Field loads: each lane set from its record's scalar field.
+  static void load_xyz(const float* records, const std::uint32_t* idx,
+                       Pack& x, Pack& y, Pack& z) {
+    const float* r0 = record_of(records, idx[0]);
+    const float* r1 = record_of(records, idx[1]);
+    const float* r2 = record_of(records, idx[2]);
+    const float* r3 = record_of(records, idx[3]);
+    x = {_mm_set_ps(r3[0], r2[0], r1[0], r0[0])};
+    y = {_mm_set_ps(r3[1], r2[1], r1[1], r0[1])};
+    z = {_mm_set_ps(r3[2], r2[2], r1[2], r0[2])};
   }
   static Pack broadcast(float s) { return {_mm_set1_ps(s)}; }
   static Pack zero() { return {_mm_setzero_ps()}; }
@@ -73,8 +78,13 @@ struct Pack<double, SimdType::kSse2> {
 
   static Pack load(const double* p) { return {_mm_load_pd(p)}; }
   static Pack loadu(const double* p) { return {_mm_loadu_pd(p)}; }
-  static Pack gather(const double* base, const std::uint32_t* idx) {
-    return {_mm_set_pd(base[idx[1]], base[idx[0]])};
+  static void load_xyz(const double* records, const std::uint32_t* idx,
+                       Pack& x, Pack& y, Pack& z) {
+    const double* r0 = record_of(records, idx[0]);
+    const double* r1 = record_of(records, idx[1]);
+    x = {_mm_set_pd(r1[0], r0[0])};
+    y = {_mm_set_pd(r1[1], r0[1])};
+    z = {_mm_set_pd(r1[2], r0[2])};
   }
   static Pack broadcast(double s) { return {_mm_set1_pd(s)}; }
   static Pack zero() { return {_mm_setzero_pd()}; }

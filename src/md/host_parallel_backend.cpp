@@ -188,6 +188,8 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
     // jobs can track the binning and fill passes separately.
     result.metadata["list_build_bin_ms"] = sim.list_build_bin_seconds() * 1e3;
     result.metadata["list_build_fill_ms"] = sim.list_build_fill_seconds() * 1e3;
+    // The force sweeps inside phase_force_ms, builds excluded.
+    result.metadata["phase_sweep_ms"] = sim.list_sweep_seconds() * 1e3;
     // Bytes the list holds at the end of the run (allocated capacity).
     const ListMemory memory = sim.list_memory();
     result.metadata["list_csr_bytes"] = static_cast<double>(memory.csr_bytes);

@@ -201,14 +201,14 @@ struct RowKernels {
   }
 
   /// Neighbour-list row range: walk each atom's padded CSR row one sub-pack
-  /// at a time, gathering the j columns straight from the fixed-stride CSR
-  /// entries with Pack::gather (hardware vgatherdpd/vgatherdps on AVX2+,
-  /// lane loads below) — no staging lane buffers.  A gathered lane holds
-  /// exactly the value a scalar load would, so the masked LJ step is bitwise
-  /// identical to the N^2 kernel's.  Row extents are multiples of kBlock;
-  /// padding entries are the atom itself, rejected by the r2 > 0 lane mask.
-  static void list_rows(const Real* xs, const Real* ys, const Real* zs,
-                        const std::uint32_t* row_begin,
+  /// at a time, loading the j columns straight from the fixed-stride CSR
+  /// entries with Pack::load_xyz — one record {x, y, z, 0} per neighbour
+  /// (simd::kRecordReals Reals per atom), transposed into x/y/z lanes.  A
+  /// loaded lane holds exactly the bits a scalar load of the field would, so
+  /// the masked LJ step is bitwise identical to the N^2 kernel's.  Row
+  /// extents are multiples of kBlock; padding entries are the atom itself,
+  /// rejected by the r2 > 0 lane mask.
+  static void list_rows(const Real* records, const std::uint32_t* row_begin,
                         const std::uint32_t* entries, Real edge,
                         Real cutoff_sq, const LjParamsT<Real>& lj,
                         Acc inv_mass, std::size_t i_begin, std::size_t i_end,
@@ -216,19 +216,20 @@ struct RowKernels {
                         Acc* row_virial, std::uint64_t* row_hits) {
     const LjLaneKernel<Real, S> lanes(edge, cutoff_sq, lj);
     for (std::size_t i = i_begin; i < i_end; ++i) {
-      const P xi = P::broadcast(xs[i]);
-      const P yi = P::broadcast(ys[i]);
-      const P zi = P::broadcast(zs[i]);
+      const Real* ri = records + simd::kRecordReals * i;
+      const P xi = P::broadcast(ri[0]);
+      const P yi = P::broadcast(ri[1]);
+      const P zi = P::broadcast(ri[2]);
       BlockAcc a;
       std::uint64_t hits = 0;
 
       for (std::uint32_t k = row_begin[i]; k < row_begin[i + 1]; k += kBlock) {
         for (std::size_t s = 0; s < kSub; ++s) {
-          const std::uint32_t* idx = entries + k + s * kWidth;
-          const unsigned bits = lanes.accumulate(
-              xi - P::gather(xs, idx), yi - P::gather(ys, idx),
-              zi - P::gather(zs, idx), a.fx[s], a.fy[s], a.fz[s], a.pe[s],
-              a.vir[s]);
+          P xj, yj, zj;
+          P::load_xyz(records, entries + k + s * kWidth, xj, yj, zj);
+          const unsigned bits =
+              lanes.accumulate(xi - xj, yi - yj, zi - zj, a.fx[s], a.fy[s],
+                               a.fz[s], a.pe[s], a.vir[s]);
           hits += static_cast<std::uint64_t>(std::popcount(bits));
         }
       }

@@ -52,11 +52,13 @@
 //    list_csr_bytes / list_scratch_bytes / list_hist_bytes.
 //
 //  * NeighborListKernelT — a ForceKernelT that walks each atom's neighbour
-//    lanes one block at a time (hardware vgatherdpd / vgatherdps straight
-//    from the fixed-stride CSR entries on AVX2+, lane loads below, then the
-//    same fused min-image + masked LJ accumulation as the N^2 SoA kernel,
-//    through the same runtime-dispatched per-ISA row loops — see
-//    soa_kernel.h for the dispatch and <Real, Acc> precision seams).  Atom
+//    lanes one block at a time.  Positions are packed as {x, y, z, 0}
+//    records, and Pack::load_xyz loads each neighbour's record (one 32-byte
+//    dp / 16-byte sp load, one cache line) straight from the
+//    fixed-stride CSR entries and transposes the records into x/y/z lanes;
+//    then comes the same fused min-image + masked LJ accumulation as the
+//    N^2 SoA kernel, through the same runtime-dispatched per-ISA row loops
+//    (see soa_kernel.h for the dispatch and <Real, Acc> precision seams).  Atom
 //    rows spread over the pool; per-row partials reduce in row order, so
 //    forces, PE and virial are bitwise identical run to run at ANY thread
 //    count, and bitwise identical across dispatched ISAs.
@@ -66,6 +68,7 @@
 // indexed for another configuration is never reused.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -124,6 +127,10 @@ class NeighborListControl {
   virtual void invalidate_list() = 0;
   virtual double list_bin_seconds() const = 0;
   virtual double list_fill_seconds() const = 0;
+  /// Cumulative wall-clock seconds of the force sweeps: packing the
+  /// positions, the row loop and the ordered fold of its partials; the
+  /// staleness check and any list build are not included.
+  virtual double sweep_seconds() const = 0;
   virtual ListMemory list_memory() const = 0;
 
   /// True when a built list is live (a build happened and nothing
@@ -419,6 +426,7 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
   double list_fill_seconds() const override {
     return list_.fill_seconds_total();
   }
+  double sweep_seconds() const override { return sweep_seconds_; }
   ListMemory list_memory() const override { return list_.memory(); }
   bool has_list() const override { return list_.valid(); }
   std::vector<emdpa::Vec3d> list_reference_positions() const override {
@@ -480,27 +488,26 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
 
     list_.ensure(*real_positions, rbox, ljr.cutoff);
     ++evaluations_;
+    const auto sweep_start = std::chrono::steady_clock::now();
 
-    if (!xs_ || xs_->size() < n) {
-      xs_.emplace(n);
-      ys_.emplace(n);
-      zs_.emplace(n);
+    if (!records_ || records_->size() < simd::kRecordReals * n) {
+      records_.emplace(simd::kRecordReals * n);
     }
     row_pe_.resize(n);
     row_virial_.resize(n);
     row_hits_.resize(n);
 
-    // Pack current positions into SoA lanes, wrapping once so the fused
-    // reflection in the lane kernel is exact.
-    Real* xs = xs_->data();
-    Real* ys = ys_->data();
-    Real* zs = zs_->data();
+    // Pack current positions into {x, y, z, 0} records, wrapping once so
+    // the fused reflection in the lane kernel is exact.  The pad stays the
+    // zero the buffer was built with.
+    Real* records = records_->data();
     auto pack = [&](std::size_t i_begin, std::size_t i_end) {
       for (std::size_t i = i_begin; i < i_end; ++i) {
         const emdpa::Vec3<Real> p = rbox.wrap((*real_positions)[i]);
-        xs[i] = p.x;
-        ys[i] = p.y;
-        zs[i] = p.z;
+        Real* r = records + simd::kRecordReals * i;
+        r[0] = p.x;
+        r[1] = p.y;
+        r[2] = p.z;
       }
     };
 
@@ -508,10 +515,10 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
     const std::uint32_t* row_begin = list_.row_begin().data();
     const std::uint32_t* entries = list_.entries().data();
 
-    // The dispatched per-ISA row loop (kernel_rows.h): gather each padded
-    // CSR sub-pack, masked LJ accumulate, lane-order reduce.
+    // The dispatched per-ISA row loop (kernel_rows.h): load each padded
+    // CSR sub-pack's records, masked LJ accumulate, lane-order reduce.
     auto rows = [&](std::size_t i_begin, std::size_t i_end) {
-      rows_fn_(xs, ys, zs, row_begin, entries, rbox.edge(),
+      rows_fn_(records, row_begin, entries, rbox.edge(),
                ljr.cutoff_squared(), ljr, inv_mass, i_begin, i_end,
                result.accelerations.data(), row_pe_.data(), row_virial_.data(),
                row_hits_.data());
@@ -538,6 +545,9 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
     result.virial = total_virial;
     result.stats.candidates = list_.directed_entries() / 2;  // unordered
     result.stats.interacting = hits / 2;
+    sweep_seconds_ += std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - sweep_start)
+                          .count();
     return result;
   }
 
@@ -553,8 +563,10 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
   std::size_t width_;
   simd_kernels::ListRowsFn<Real, Acc> rows_fn_;
   std::uint64_t evaluations_ = 0;
-  // Scratch reused across steps.
-  std::optional<AlignedBuffer<Real, 64>> xs_, ys_, zs_;
+  double sweep_seconds_ = 0;
+  // Scratch reused across steps.  records_ holds kRecordReals per atom; a
+  // pad slot is zeroed once, by the buffer, and never written.
+  std::optional<AlignedBuffer<Real, 64>> records_;
   std::vector<emdpa::Vec3<Real>> cast_positions_;  ///< Real != Acc only
   std::vector<emdpa::Vec3<Acc>> spare_accelerations_;  ///< from recycle()
   std::vector<Acc> row_pe_, row_virial_;

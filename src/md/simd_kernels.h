@@ -55,8 +55,10 @@ using SoaRowsFn = void (*)(const Real* xs, const Real* ys, const Real* zs,
                            emdpa::Vec3<Acc>* accelerations, Acc* row_pe,
                            Acc* row_virial, std::uint64_t* row_hits);
 
+/// The list sweep reads positions as records: `records` holds one
+/// {x, y, z, 0} record of simd::kRecordReals Reals per atom, in atom order.
 template <typename Real, typename Acc>
-using ListRowsFn = void (*)(const Real* xs, const Real* ys, const Real* zs,
+using ListRowsFn = void (*)(const Real* records,
                             const std::uint32_t* row_begin,
                             const std::uint32_t* entries, Real edge,
                             Real cutoff_sq, const LjParamsT<Real>& lj,

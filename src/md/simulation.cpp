@@ -278,6 +278,10 @@ double Simulation::list_build_fill_seconds() const {
   return list_control_ != nullptr ? list_control_->list_fill_seconds() : 0;
 }
 
+double Simulation::list_sweep_seconds() const {
+  return list_control_ != nullptr ? list_control_->sweep_seconds() : 0;
+}
+
 ListMemory Simulation::list_memory() const {
   return list_control_ != nullptr ? list_control_->list_memory() : ListMemory{};
 }

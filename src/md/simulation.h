@@ -159,6 +159,10 @@ class Simulation {
   /// list_build_fill_ms.
   double list_build_bin_seconds() const;
   double list_build_fill_seconds() const;
+  /// Cumulative wall-clock seconds of the neighbour-list force sweeps (pack,
+  /// row loop, ordered fold; list builds excluded); 0 for the stateless
+  /// kernels.  Reported as metadata key phase_sweep_ms.
+  double list_sweep_seconds() const;
   /// Bytes the neighbour list holds (CSR, fill scratch, bin histogram); all
   /// 0 for the stateless kernels.  Reported as metadata keys
   /// list_csr_bytes / list_scratch_bytes / list_hist_bytes.

@@ -109,6 +109,7 @@ class SingleNeighborListKernel final : public ForceKernel,
   double list_fill_seconds() const override {
     return inner_.list_fill_seconds();
   }
+  double sweep_seconds() const override { return inner_.sweep_seconds(); }
   ListMemory list_memory() const override { return inner_.list_memory(); }
   bool has_list() const override { return inner_.has_list(); }
   std::vector<emdpa::Vec3d> list_reference_positions() const override {

@@ -334,5 +334,31 @@ TEST(Simulation, HostParallelReportsPhaseTimesWithinTheWallClock) {
   }
 }
 
+TEST(Simulation, ListSweepAndBuildPhasesFitInsideTheForcePhase) {
+  // 32k atoms over 40 steps rebuilds the list several times; the sweeps,
+  // bins and fills are disjoint intervals of the force calls.
+  RunConfig config;
+  config.workload.n_atoms = 32768;
+  config.steps = 40;
+  config.host_kernel = HostKernel::kList;
+  const RunResult r = HostParallelBackend().run(config);
+  ASSERT_GE(r.metadata.at("list_rebuilds"), 2.0);
+  const double sweep_ms = r.metadata.at("phase_sweep_ms");
+  const double build_ms = r.metadata.at("list_build_bin_ms") +
+                          r.metadata.at("list_build_fill_ms");
+  EXPECT_GT(sweep_ms, 0.0);
+  EXPECT_GT(build_ms, 0.0);
+  EXPECT_LE(sweep_ms + build_ms, r.metadata.at("phase_force_ms"));
+}
+
+TEST(Simulation, N2RunsReportNoSweepPhase) {
+  RunConfig config;
+  config.workload.n_atoms = 256;
+  config.steps = 2;
+  config.host_kernel = HostKernel::kN2;
+  const RunResult r = HostParallelBackend().run(config);
+  EXPECT_EQ(r.metadata.count("phase_sweep_ms"), 0u);
+}
+
 }  // namespace
 }  // namespace emdpa::md
