@@ -61,6 +61,14 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
     resume_used_fallback = loaded.used_fallback;
     return Simulation::resume(std::move(loaded.checkpoint), options);
   }();
+  // Setup: lattice and velocities (or the checkpoint load) and the rest of
+  // construction.  The prime's force call and kinetic sum stay charged to
+  // the force and integrate phases, so no phase counts them twice.
+  const double setup_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wall_start)
+          .count() -
+      sim.phase_seconds().force - sim.phase_seconds().integrate;
 
   // With --resume, config.steps is the total target; a checkpoint already at
   // or past it leaves nothing to run (the report still shows the state).
@@ -168,8 +176,9 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
   // of the selected ISA and precision, not the compile-time native width.
   result.metadata["simd_width"] = static_cast<double>(sim.simd_width());
   result.metadata["kernel_list"] = use_list ? 1.0 : 0.0;
-  // Cumulative phase wall times (primes included): the force call, and the
-  // integrator's kicks, drift and kinetic energy around it.
+  // Phase wall times: setup, then, cumulative with the primes included,
+  // the force call and the integrator's kicks, drift and kinetic energy.
+  result.metadata["phase_setup_ms"] = setup_seconds * 1e3;
   result.metadata["phase_force_ms"] = sim.phase_seconds().force * 1e3;
   result.metadata["phase_integrate_ms"] = sim.phase_seconds().integrate * 1e3;
   result.labels["simd_isa"] =
@@ -183,19 +192,28 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
         static_cast<double>(sim.n2_block_pairs());
   }
   if (use_list) {
-    result.metadata["list_rebuilds"] = static_cast<double>(sim.list_rebuilds());
+    const ListStats list = sim.list_stats();
+    result.metadata["list_rebuilds"] = static_cast<double>(list.rebuilds);
+    // Builds that ran out of block and filtered a second time.
+    result.metadata["list_refills"] = static_cast<double>(list.refills);
     // Cumulative build-phase wall time over the whole run, so the CI bench
     // jobs can track the binning and fill passes separately.
-    result.metadata["list_build_bin_ms"] = sim.list_build_bin_seconds() * 1e3;
-    result.metadata["list_build_fill_ms"] = sim.list_build_fill_seconds() * 1e3;
-    // The force sweeps inside phase_force_ms, builds excluded.
-    result.metadata["phase_sweep_ms"] = sim.list_sweep_seconds() * 1e3;
+    result.metadata["list_build_bin_ms"] = list.bin_seconds * 1e3;
+    result.metadata["list_build_fill_ms"] = list.fill_seconds * 1e3;
+    // The force sweeps and the staleness checks (with the reference copy)
+    // inside phase_force_ms, builds excluded.
+    result.metadata["phase_sweep_ms"] = list.sweep_seconds * 1e3;
+    result.metadata["phase_list_check_ms"] = list.check_seconds * 1e3;
+    // The last build's size: tests per kept entry is their ratio.
+    result.metadata["list_entries"] =
+        static_cast<double>(list.directed_entries);
+    result.metadata["list_distance_tests"] =
+        static_cast<double>(list.distance_tests);
     // Bytes the list holds at the end of the run (allocated capacity).
-    const ListMemory memory = sim.list_memory();
-    result.metadata["list_csr_bytes"] = static_cast<double>(memory.csr_bytes);
-    result.metadata["list_scratch_bytes"] =
-        static_cast<double>(memory.scratch_bytes);
-    result.metadata["list_hist_bytes"] = static_cast<double>(memory.hist_bytes);
+    result.metadata["list_csr_bytes"] =
+        static_cast<double>(list.memory.csr_bytes);
+    result.metadata["list_hist_bytes"] =
+        static_cast<double>(list.memory.hist_bytes);
   }
   // Resilience facts, only when the corresponding knob was armed so the
   // default report keeps its exact historical shape.

@@ -200,22 +200,27 @@ struct RowKernels {
     }
   }
 
-  /// Neighbour-list row range: walk each atom's padded CSR row one sub-pack
-  /// at a time, loading the j columns straight from the fixed-stride CSR
-  /// entries with Pack::load_xyz — one record {x, y, z, 0} per neighbour
-  /// (simd::kRecordReals Reals per atom), transposed into x/y/z lanes.  A
-  /// loaded lane holds exactly the bits a scalar load of the field would, so
-  /// the masked LJ step is bitwise identical to the N^2 kernel's.  Row
-  /// extents are multiples of kBlock; padding entries are the atom itself,
-  /// rejected by the r2 > 0 lane mask.
-  static void list_rows(const Real* records, const std::uint32_t* row_begin,
+  /// Neighbour-list rows of atoms order[s], s in [s_begin, s_end): walk
+  /// each atom's padded row entries[row_begin[i], row_end[i]) one sub-pack
+  /// at a time, loading the j columns with Pack::load_xyz — one record
+  /// {x, y, z, 0} per neighbour (simd::kRecordReals Reals per atom),
+  /// transposed into x/y/z lanes.  A loaded lane holds exactly the bits a
+  /// scalar load of the field would, so the masked LJ step is bitwise
+  /// identical to the N^2 kernel's.  Row extents are multiples of kBlock;
+  /// padding entries are the atom itself, rejected by the r2 > 0 lane mask.
+  /// Each row's results land at its own index i, so the visiting order
+  /// (the list's write order, which streams the entries) moves no bit.
+  static void list_rows(const Real* records, const std::uint32_t* order,
+                        const std::uint32_t* row_begin,
+                        const std::uint32_t* row_end,
                         const std::uint32_t* entries, Real edge,
                         Real cutoff_sq, const LjParamsT<Real>& lj,
-                        Acc inv_mass, std::size_t i_begin, std::size_t i_end,
+                        Acc inv_mass, std::size_t s_begin, std::size_t s_end,
                         emdpa::Vec3<Acc>* accelerations, Acc* row_pe,
                         Acc* row_virial, std::uint64_t* row_hits) {
     const LjLaneKernel<Real, S> lanes(edge, cutoff_sq, lj);
-    for (std::size_t i = i_begin; i < i_end; ++i) {
+    for (std::size_t s = s_begin; s < s_end; ++s) {
+      const std::uint32_t i = order[s];
       const Real* ri = records + simd::kRecordReals * i;
       const P xi = P::broadcast(ri[0]);
       const P yi = P::broadcast(ri[1]);
@@ -223,7 +228,7 @@ struct RowKernels {
       BlockAcc a;
       std::uint64_t hits = 0;
 
-      for (std::uint32_t k = row_begin[i]; k < row_begin[i + 1]; k += kBlock) {
+      for (std::uint32_t k = row_begin[i]; k < row_end[i]; k += kBlock) {
         for (std::size_t s = 0; s < kSub; ++s) {
           P xj, yj, zj;
           P::load_xyz(records, entries + k + s * kWidth, xj, yj, zj);
@@ -241,10 +246,10 @@ struct RowKernels {
 };
 
 /// The distance filter of the neighbour-list build (ParallelNeighborListT's
-/// fill phase), one grid cell's rows per call.  The list has gathered the
-/// wrapped coordinates into cell-sorted arrays (xs/ys/zs[s] is atom ids[s],
-/// the stable counting-sort order), so the cell's whole stencil is a short
-/// list of contiguous [begin, end) spans of those arrays, already in stencil
+/// fill phase), one row per call.  The list has gathered the wrapped
+/// coordinates into cell-sorted arrays (xs/ys/zs[s] is atom ids[s], the
+/// stable counting-sort order), so the row's cell stencil is a short list
+/// of contiguous [begin, end) spans of those arrays, already in stencil
 /// order — each is streamed kWidth lanes at a time with unaligned loads.
 /// The arrays must hold kWidth readable (ignored) elements past their last
 /// span: the tail pack over-reads and masks the extra lanes off.
@@ -256,54 +261,43 @@ struct RowKernels {
 /// exactly coincident atoms stay in the list.  Kept lanes are written in
 /// lane order (original atom indices, ascending within a cell), so a row is
 /// byte-identical on every ISA: vpcompressd on AVX-512, a mask-bit scan on
-/// the narrower packs.  One write mode serves the whole build: the list
-/// points `out` at compact scratch (then copies each row into the CSR once
-/// the prefix over the counts is known) or, when the prefix is already
-/// known, one row at a time straight at the row's CSR slots.
+/// the narrower packs.
 template <typename Real, simd::SimdType S>
 struct ListFill {
   using P = simd::Pack<Real, S>;
   static constexpr std::size_t kWidth = P::kWidth;
 
-  /// Rows of the atoms at sorted positions [a_begin, a_end), each against
-  /// the n_spans spans (begin, end pairs) of their cell's stencil, written
-  /// back to back from `out` in sorted order (no padding); row_count[i]
-  /// receives row i's kept count.  Writes exactly the kept entries — at
-  /// most the stencil population minus one per row — and returns the end
-  /// of the last row.
-  static std::uint32_t* cell_rows(const Real* xs, const Real* ys,
-                                  const Real* zs, const std::uint32_t* ids,
-                                  const std::uint32_t* spans,
-                                  std::size_t n_spans, std::uint32_t a_begin,
-                                  std::uint32_t a_end, Real edge,
-                                  Real cutoff_sq, std::uint32_t* row_count,
-                                  std::uint32_t* out) {
+  /// The row of the atom at sorted position s against the n_spans spans
+  /// (begin, end pairs) of its cell's stencil, written from `out` without
+  /// padding.  Writes exactly the kept entries — at most the stencil
+  /// population minus one — and returns the end of the row.
+  static std::uint32_t* row(const Real* xs, const Real* ys, const Real* zs,
+                            const std::uint32_t* ids,
+                            const std::uint32_t* spans, std::size_t n_spans,
+                            std::uint32_t s, Real edge, Real cutoff_sq,
+                            std::uint32_t* out) {
     const P v_edge = P::broadcast(edge);
     const P v_half = P::broadcast(edge / Real(2));
     const P v_cut = P::broadcast(cutoff_sq);
     const P v_zero = P::zero();
-    for (std::uint32_t s = a_begin; s < a_end; ++s) {
-      const P xi = P::broadcast(xs[s]);
-      const P yi = P::broadcast(ys[s]);
-      const P zi = P::broadcast(zs[s]);
-      std::uint32_t* const row = out;
-      for (std::size_t k = 0; k < n_spans; ++k) {
-        const std::uint32_t end = spans[2 * k + 1];
-        for (std::uint32_t j = spans[2 * k]; j < end; j += kWidth) {
-          const P dx = reflect_min_image(xi - P::loadu(xs + j), v_edge,
-                                         v_half, v_zero);
-          const P dy = reflect_min_image(yi - P::loadu(ys + j), v_edge,
-                                         v_half, v_zero);
-          const P dz = reflect_min_image(zi - P::loadu(zs + j), v_edge,
-                                         v_half, v_zero);
-          unsigned bits = P::mask_bits(cmp_lt(dx * dx + dy * dy + dz * dz,
-                                              v_cut));
-          if (end - j < kWidth) bits &= (1u << (end - j)) - 1u;  // tail
-          if (s - j < kWidth) bits &= ~(1u << (s - j));          // j == i
-          out = store_kept(out, ids + j, bits);
-        }
+    const P xi = P::broadcast(xs[s]);
+    const P yi = P::broadcast(ys[s]);
+    const P zi = P::broadcast(zs[s]);
+    for (std::size_t k = 0; k < n_spans; ++k) {
+      const std::uint32_t end = spans[2 * k + 1];
+      for (std::uint32_t j = spans[2 * k]; j < end; j += kWidth) {
+        const P dx =
+            reflect_min_image(xi - P::loadu(xs + j), v_edge, v_half, v_zero);
+        const P dy =
+            reflect_min_image(yi - P::loadu(ys + j), v_edge, v_half, v_zero);
+        const P dz =
+            reflect_min_image(zi - P::loadu(zs + j), v_edge, v_half, v_zero);
+        unsigned bits =
+            P::mask_bits(cmp_lt(dx * dx + dy * dy + dz * dz, v_cut));
+        if (end - j < kWidth) bits &= (1u << (end - j)) - 1u;  // tail
+        if (s - j < kWidth) bits &= ~(1u << (s - j));          // j == i
+        out = store_kept(out, ids + j, bits);
       }
-      row_count[ids[s]] = static_cast<std::uint32_t>(out - row);
     }
     return out;
   }

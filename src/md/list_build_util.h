@@ -1,7 +1,7 @@
 // Internal helpers of the neighbour-list build (ParallelNeighborListT).
 // Everything here is part of the determinism contract: the padding unit, the
 // chunk decomposition of the counting sort and the all-pairs fallback fix
-// the CSR bytes, which must not depend on thread count or ISA.
+// the rows' bytes, which must not depend on thread count or ISA.
 #pragma once
 
 #include <algorithm>
@@ -57,44 +57,55 @@ class RawArray {
   std::size_t capacity_ = 0;
 };
 
-/// Largest padded entry count a CSR can hold: row_begin and entries index
+/// Largest entry offset a list can address: row_begin and row_end index
 /// with uint32.
 inline constexpr std::uint64_t kMaxCsrEntries = UINT32_MAX;
 
+/// The offset guard: throws RuntimeFailure, carrying the atom count and the
+/// entry total in its ErrorContext, when `entries` exceeds `limit`, instead
+/// of letting the uint32 offsets wrap into out-of-bounds loads.  The limit
+/// is a parameter only so a test can trip the guard at a small size.
+inline void check_entry_limit(std::size_t atoms, std::uint64_t entries,
+                              std::uint64_t limit) {
+  if (entries <= limit) return;
+  ErrorContext context;
+  context.atoms = static_cast<long long>(atoms);
+  context.detail = "padded entries " + std::to_string(entries) + " > limit " +
+                   std::to_string(limit);
+  throw RuntimeFailure(
+      "neighbour list: padded CSR exceeds its 32-bit offsets (" +
+          std::to_string(entries) + " entries for " + std::to_string(atoms) +
+          " atoms); lower the cutoff or the atom count",
+      std::move(context));
+}
+
+/// Row i's kept count rounded up to a whole number of 64-byte accumulation
+/// blocks — the ISA-independent padding unit (see parallel_neighbor.h).
+template <typename Real>
+constexpr std::size_t padded_row(std::size_t count) {
+  constexpr std::size_t w = simd::block_lanes<Real>();
+  return (count + w - 1) / w * w;
+}
+
 /// The padded CSR offsets of per-row kept counts: row i spans
-/// [row_begin[i], row_begin[i + 1]), its count rounded up to a whole number
-/// of 64-byte accumulation blocks — the ISA-independent padding unit (see
-/// parallel_neighbor.h).  Returns the unpadded total (directed entries).
-/// Sums in uint64 and throws RuntimeFailure, carrying the atom count and the
-/// padded total in its ErrorContext, when the total exceeds `limit`, instead
-/// of wrapping the uint32 offsets into out-of-bounds gathers.  The limit is
-/// a parameter only so a test can trip the guard at a small size.
+/// [row_begin[i], row_begin[i + 1]), its padded_row() length.  Returns the
+/// unpadded total (directed entries).  Sums in uint64 and applies the offset
+/// guard (check_entry_limit) to the padded total.
 template <typename Real>
 std::uint64_t padded_row_offsets(const std::vector<std::uint32_t>& row_count,
                                  std::vector<std::uint32_t>& row_begin,
                                  std::uint64_t limit = kMaxCsrEntries) {
-  constexpr std::uint64_t w = simd::block_lanes<Real>();
   const std::size_t n = row_count.size();
   row_begin.resize(n + 1);
   row_begin[0] = 0;
   std::uint64_t padded = 0;
   std::uint64_t directed = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    padded += (row_count[i] + w - 1) / w * w;
+    padded += padded_row<Real>(row_count[i]);
     directed += row_count[i];
     row_begin[i + 1] = static_cast<std::uint32_t>(padded);
   }
-  if (padded > limit) {
-    ErrorContext context;
-    context.atoms = static_cast<long long>(n);
-    context.detail = "padded entries " + std::to_string(padded) +
-                     " > limit " + std::to_string(limit);
-    throw RuntimeFailure(
-        "neighbour list: padded CSR exceeds its 32-bit offsets (" +
-            std::to_string(padded) + " entries for " + std::to_string(n) +
-            " atoms); lower the cutoff or the atom count",
-        std::move(context));
-  }
+  check_entry_limit(n, padded, limit);
   return directed;
 }
 
@@ -122,10 +133,11 @@ inline double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// Degenerate-box fallback (fewer than 3 cells per axis): O(N^2) build,
-/// count-then-fill into the same padded CSR layout and the same never
-/// value-initialised storage, still row-parallel.  `run_rows` splits
-/// [0, n) over whatever pool the caller owns; `limit` is the offset guard's
-/// (see padded_row_offsets).  Returns the padded entry count.
+/// count-then-fill into back-to-back padded rows of the same never
+/// value-initialised storage, still row-parallel.  Row i is
+/// entries[row_begin[i], row_end[i]).  `run_rows` splits [0, n) over
+/// whatever pool the caller owns; `limit` is the offset guard's (see
+/// check_entry_limit).  Returns the padded entry count.
 template <typename Real>
 std::size_t build_all_pairs_csr(
     const std::vector<emdpa::Vec3<Real>>& wrapped,
@@ -134,11 +146,11 @@ std::size_t build_all_pairs_csr(
                              const std::function<void(std::size_t,
                                                       std::size_t)>&)>&
         run_rows,
-    std::vector<std::uint32_t>& row_begin, RawArray<std::uint32_t>& entries,
-    std::vector<std::uint32_t>& row_count, std::uint64_t& directed_entries,
+    std::vector<std::uint32_t>& row_begin, std::vector<std::uint32_t>& row_end,
+    RawArray<std::uint32_t>& entries, std::uint64_t& directed_entries,
     std::uint64_t& build_distance_tests, std::uint64_t limit) {
   const std::size_t n = wrapped.size();
-  row_count.assign(n, 0);
+  std::vector<std::uint32_t> row_count(n);
   run_rows(n, [&](std::size_t i_begin, std::size_t i_end) {
     for (std::size_t i = i_begin; i < i_end; ++i) {
       std::uint32_t count = 0;
@@ -153,8 +165,11 @@ std::size_t build_all_pairs_csr(
 
   directed_entries = padded_row_offsets<Real>(row_count, row_begin, limit);
   build_distance_tests = n == 0 ? 0 : static_cast<std::uint64_t>(n) * (n - 1);
+  row_end.assign(row_begin.begin() + 1, row_begin.end());
+  row_begin.pop_back();
+  const std::size_t total = n == 0 ? 0 : row_end[n - 1];
 
-  entries.reserve_discard(row_begin[n]);
+  entries.reserve_discard(total);
   std::uint32_t* const out = entries.data();
   run_rows(n, [&](std::size_t i_begin, std::size_t i_end) {
     for (std::size_t i = i_begin; i < i_end; ++i) {
@@ -166,12 +181,12 @@ std::size_t build_all_pairs_csr(
           out[slot++] = static_cast<std::uint32_t>(j);
         }
       }
-      for (; slot < row_begin[i + 1]; ++slot) {
+      for (; slot < row_end[i]; ++slot) {
         out[slot] = static_cast<std::uint32_t>(i);  // self pad, r2 == 0
       }
     }
   });
-  return row_begin[n];
+  return total;
 }
 
 /// How the builds split an index range over their pool: (n, grain, body).

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <numbers>
+#include <numeric>
 #include <string>
 
 #include "core/error.h"
@@ -85,7 +87,10 @@ template <typename Real>
 bool ParallelNeighborListT<Real>::ensure(
     const std::vector<emdpa::Vec3<Real>>& positions,
     const PeriodicBoxT<Real>& box, Real cutoff) {
-  if (!needs_rebuild(positions, box, cutoff)) return false;
+  const auto t_check = std::chrono::steady_clock::now();
+  const bool stale = needs_rebuild(positions, box, cutoff);
+  check_seconds_total_ += seconds_since(t_check);
+  if (!stale) return false;
   build(positions, box, cutoff);
   return true;
 }
@@ -97,25 +102,11 @@ void ParallelNeighborListT<Real>::set_isa(simd::SimdType isa) {
 }
 
 template <typename Real>
-void ParallelNeighborListT<Real>::build_all_pairs(
-    const std::vector<emdpa::Vec3<Real>>& wrapped,
-    const PeriodicBoxT<Real>& box) {
-  entry_count_ = listutil::build_all_pairs_csr<Real>(
-      wrapped, box, list_cutoff_sq_,
-      [this](std::size_t n,
-             const std::function<void(std::size_t, std::size_t)>& body) {
-        run_rows(n, body);
-      },
-      row_begin_, entries_, row_count_, directed_entries_,
-      build_distance_tests_, csr_limit_);
-}
-
-template <typename Real>
 ListMemory ParallelNeighborListT<Real>::memory() const {
   ListMemory memory;
   memory.csr_bytes =
-      row_begin_.capacity() * sizeof(std::uint32_t) + entries_.bytes();
-  memory.scratch_bytes = scratch_.bytes();
+      (row_begin_.capacity() + row_end_.capacity()) * sizeof(std::uint32_t) +
+      entries_.bytes();
   memory.hist_bytes = bin_hist_.capacity() * sizeof(std::uint32_t);
   return memory;
 }
@@ -164,173 +155,125 @@ void ParallelNeighborListT<Real>::populate_stencil(std::size_t cells,
 }
 
 template <typename Real>
-template <typename Visit>
-std::uint64_t ParallelNeighborListT<Real>::filter_chunk(
-    std::size_t k, std::size_t cells, std::size_t range, Real edge,
-    std::vector<std::uint32_t>& spans, Visit&& visit) {
-  // A cell's stencil is the same for all its atoms, so its spans are
-  // gathered once per cell: for each stencil (x, y) line the z-window is
-  // consecutive cell ids — hence one contiguous range of the sorted arrays
-  // — except where it wraps past the box edge, which splits it in two.
-  // Spans are appended in stencil order (x, then y, then z with the wrapped
-  // part last, exactly the cells' table order) and any span that starts
-  // where the previous one ended is merged into it, so the filter streams a
-  // few long runs instead of width^3 cells of ~2 atoms each.
+typename ParallelNeighborListT<Real>::FillTotals
+ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
+                                       Real edge) {
+  // Chunk k holds the rows of cells [k, k + 1) * kFillCellGrain in
+  // cell-sorted order.  A cell's stencil is the same for all its atoms, so
+  // its spans are gathered once per cell: for each stencil (x, y) line the
+  // z-window is consecutive cell ids — hence one contiguous range of the
+  // sorted arrays — except where it wraps past the box edge, which splits
+  // it in two.  Spans are appended in stencil order (x, then y, then z with
+  // the wrapped part last, exactly the cells' table order) and any span
+  // that starts where the previous one ended is merged into it, so the
+  // filter streams a few long runs instead of width^3 cells of ~2 atoms.
+  //
+  // Rows go straight into pages taken in turn from one shared counter, so
+  // the pages in use are always a prefix of the block.  Each row is padded
+  // in place and the next starts where it ended; when the room left is
+  // below a row's stencil bound the task takes a fresh page, or enough
+  // consecutive ones.  Past the block's end a task keeps filtering into a
+  // throwaway page of its own, so every count stays exact and the counter
+  // ends at about the pages the rows need.  Rows are disjoint, so the
+  // order in which tasks claim chunks changes only where a row lands,
+  // never its bytes.
   const std::size_t width = 2 * range + 1;
   const std::size_t n_lines = cells * cells;
   const std::size_t n_cells = n_lines * cells;
+  const std::size_t n_chunks = (n_cells + kFillCellGrain - 1) / kFillCellGrain;
+  const std::size_t n_pages = usable_pages();
   const std::uint32_t* cell_start = cell_start_.data();
+  std::uint32_t* const block = entries_.data();
   const auto axis = [&](std::size_t a, std::size_t j) {
     return (a + j + cells - range) % cells;
   };
-  const auto add_span = [&](std::uint32_t b, std::uint32_t e) {
-    if (b == e) return;
-    if (!spans.empty() && spans.back() == b) {
-      spans.back() = e;
-    } else {
-      spans.push_back(b);
-      spans.push_back(e);
-    }
-  };
-  std::uint64_t chunk_tests = 0;
-  const std::size_t c_end = std::min(n_cells, (k + 1) * kFillCellGrain);
-  for (std::size_t c = k * kFillCellGrain; c < c_end; ++c) {
-    const std::uint32_t pop = cell_start[c + 1] - cell_start[c];
-    if (pop == 0) continue;
-    const std::size_t cx = c / n_lines;
-    const std::size_t cy = (c / cells) % cells;
-    const std::size_t z0 = axis(c % cells, 0);
-    const std::size_t z_end = std::min(z0 + width, cells);
-    const std::size_t z_wrapped = z0 + width - z_end;  // cells from z = 0
-    spans.clear();
-    for (std::size_t kx = 0; kx < width; ++kx) {
-      const std::size_t px = axis(cx, kx);
-      for (std::size_t ky = 0; ky < width; ++ky) {
-        const std::size_t line = (px * cells + axis(cy, ky)) * cells;
-        add_span(cell_start[line + z0], cell_start[line + z_end]);
-        add_span(cell_start[line], cell_start[line + z_wrapped]);
-      }
-    }
-    // Each of the cell's rows keeps at most its stencil minus itself.
-    const std::uint64_t tests =
-        static_cast<std::uint64_t>(pop) * (stencil_pop_[c] - 1);
-    chunk_tests += tests;
-    visit(c, tests,
-          [&](std::uint32_t s_begin, std::uint32_t s_end, std::uint32_t* out) {
-            return static_cast<std::size_t>(
-                fill_(sorted_x_.data(), sorted_y_.data(), sorted_z_.data(),
-                      cell_atoms_.data(), spans.data(), spans.size() / 2,
-                      s_begin, s_end, edge, list_cutoff_sq_,
-                      row_count_.data(), out) -
-                out);
-          });
-  }
-  return chunk_tests;
-}
-
-template <typename Real>
-bool ParallelNeighborListT<Real>::store_chunks(std::size_t cells,
-                                               std::size_t range, Real edge) {
-  // Each cell's rows are appended to the chunk's pages, taken in turn from
-  // one shared counter — so the pages in use are always a prefix of
-  // scratch_, and a chunk wastes at most part of its last page.  Once the
-  // pages run out a chunk stops storing but keeps counting.  Rows are
-  // disjoint, so chunk order across threads is irrelevant to the result.
-  const std::size_t n_pages = scratch_.capacity() / kPageEntries;
+  std::atomic<std::size_t> next_chunk{0};
   std::atomic<std::size_t> next_page{0};
-  std::atomic<bool> complete{true};
-  run_span(chunks_.size(), 1, [&](std::size_t k_begin, std::size_t k_end) {
-    std::vector<std::uint32_t> spans;
-    listutil::RawArray<std::uint32_t> staging;  // one cell's rows
-    for (std::size_t k = k_begin; k < k_end; ++k) {
-      FillChunk& chunk = chunks_[k];
-      chunk.pages.clear();
-      chunk.count = 0;
-      bool stored = true;
-      chunk.tests = filter_chunk(
-          k, cells, range, edge, spans,
-          [&](std::size_t c, std::uint64_t tests, const auto& filter) {
-            staging.reserve_discard(tests);
-            const std::size_t kept =
-                filter(cell_start_[c], cell_start_[c + 1], staging.data());
-            for (std::size_t done = 0; stored && done < kept;) {
-              const std::size_t at = (chunk.count + done) % kPageEntries;
-              if (at == 0) {  // current page full, or none yet
-                const std::size_t page = next_page.fetch_add(1);
-                if (page >= n_pages) {
-                  stored = false;
-                  break;
-                }
-                chunk.pages.push_back(static_cast<std::uint32_t>(page));
-              }
-              const std::size_t take =
-                  std::min(kept - done, kPageEntries - at);
-              std::copy_n(staging.data() + done, take,
-                          scratch_.data() + chunk.pages.back() * kPageEntries +
-                              at);
-              done += take;
+  std::vector<FillTotals> totals(pool_ != nullptr ? pool_->size() : 1);
+  run_span(totals.size(), 1, [&](std::size_t t_begin, std::size_t t_end) {
+    for (std::size_t t = t_begin; t < t_end; ++t) {
+      FillTotals& sum = totals[t];
+      std::vector<std::uint32_t> spans;
+      listutil::RawArray<std::uint32_t> throwaway;
+      std::uint32_t* page = nullptr;  // pages taken: [page, page + room)
+      std::size_t offset = 0;         // block offset of *page
+      std::size_t room = 0;
+      const auto add_span = [&](std::uint32_t b, std::uint32_t e) {
+        if (b == e) return;
+        if (!spans.empty() && spans.back() == b) {
+          spans.back() = e;
+        } else {
+          spans.push_back(b);
+          spans.push_back(e);
+        }
+      };
+      for (std::size_t k = next_chunk.fetch_add(1); k < n_chunks;
+           k = next_chunk.fetch_add(1)) {
+        const std::size_t c_end = std::min(n_cells, (k + 1) * kFillCellGrain);
+        for (std::size_t c = k * kFillCellGrain; c < c_end; ++c) {
+          const std::uint32_t pop = cell_start[c + 1] - cell_start[c];
+          if (pop == 0) continue;
+          const std::size_t cx = c / n_lines;
+          const std::size_t cy = (c / cells) % cells;
+          const std::size_t z0 = axis(c % cells, 0);
+          const std::size_t z_end = std::min(z0 + width, cells);
+          const std::size_t z_wrapped = z0 + width - z_end;  // from z = 0
+          spans.clear();
+          for (std::size_t kx = 0; kx < width; ++kx) {
+            const std::size_t px = axis(cx, kx);
+            for (std::size_t ky = 0; ky < width; ++ky) {
+              const std::size_t line = (px * cells + axis(cy, ky)) * cells;
+              add_span(cell_start[line + z0], cell_start[line + z_end]);
+              add_span(cell_start[line], cell_start[line + z_wrapped]);
             }
-            chunk.count += kept;
-          });
-      if (!stored) complete.store(false, std::memory_order_relaxed);
-    }
-  });
-  return complete.load(std::memory_order_relaxed);
-}
-
-template <typename Real>
-void ParallelNeighborListT<Real>::place_chunks(std::size_t cells,
-                                               std::size_t range, Real edge) {
-  // Row by row: with row_begin_ known, each row is filtered straight into
-  // its CSR slots, then self-padded.
-  const std::uint32_t* row_begin = row_begin_.data();
-  std::uint32_t* const entries = entries_.data();
-  run_span(chunks_.size(), 1, [&](std::size_t k_begin, std::size_t k_end) {
-    std::vector<std::uint32_t> spans;
-    for (std::size_t k = k_begin; k < k_end; ++k) {
-      filter_chunk(k, cells, range, edge, spans,
-                   [&](std::size_t c, std::uint64_t, const auto& filter) {
-        for (std::uint32_t s = cell_start_[c]; s < cell_start_[c + 1]; ++s) {
-          const std::uint32_t i = cell_atoms_[s];
-          std::uint32_t* const row = entries + row_begin[i];
-          std::fill(row + filter(s, s + 1, row), entries + row_begin[i + 1],
-                    i);  // self pad, r2 == 0
-        }
-      });
-    }
-  });
-}
-
-template <typename Real>
-void ParallelNeighborListT<Real>::copy_rows(std::size_t n_cells) {
-  // Chunk k's pages hold the rows of sorted atoms
-  // [cell_start[first cell], cell_start[last cell + 1]) back to back.
-  const std::uint32_t* row_begin = row_begin_.data();
-  std::uint32_t* const entries = entries_.data();
-  const std::uint32_t* const scratch = scratch_.data();
-  run_span(chunks_.size(), 1, [&](std::size_t k_begin, std::size_t k_end) {
-    for (std::size_t k = k_begin; k < k_end; ++k) {
-      const std::uint32_t* page = chunks_[k].pages.data();
-      std::size_t at = 0;  // read position in *page
-      const std::uint32_t s_end =
-          cell_start_[std::min(n_cells, (k + 1) * kFillCellGrain)];
-      for (std::uint32_t s = cell_start_[k * kFillCellGrain]; s < s_end; ++s) {
-        const std::uint32_t i = cell_atoms_[s];
-        std::uint32_t* row = entries + row_begin[i];
-        for (std::size_t left = row_count_[i]; left > 0;) {
-          if (at == kPageEntries) {
-            ++page;
-            at = 0;
           }
-          const std::size_t take = std::min(left, kPageEntries - at);
-          row = std::copy_n(scratch + *page * kPageEntries + at, take, row);
-          at += take;
-          left -= take;
+          // Each of the cell's rows tests, and so keeps at most, its
+          // stencil minus itself.
+          const std::size_t tests = stencil_pop_[c] - 1;
+          const std::size_t bound = listutil::padded_row<Real>(tests);
+          sum.tests += static_cast<std::uint64_t>(pop) * tests;
+          for (std::uint32_t s = cell_start[c]; s < cell_start[c + 1]; ++s) {
+            if (room < bound) {
+              const std::size_t pages =
+                  (bound + kPageEntries - 1) / kPageEntries;
+              const std::size_t first = next_page.fetch_add(pages);
+              room = pages * kPageEntries;
+              if (first + pages <= n_pages) {
+                offset = first * kPageEntries;
+                page = block + offset;
+              } else {
+                throwaway.reserve_discard(room);
+                page = throwaway.data();
+              }
+            }
+            const std::uint32_t i = cell_atoms_[s];
+            std::uint32_t* const kept_end =
+                fill_(sorted_x_.data(), sorted_y_.data(), sorted_z_.data(),
+                      cell_atoms_.data(), spans.data(), spans.size() / 2, s,
+                      edge, list_cutoff_sq_, page);
+            const auto kept = static_cast<std::size_t>(kept_end - page);
+            const std::size_t padded = listutil::padded_row<Real>(kept);
+            std::fill(kept_end, page + padded, i);  // self pad, r2 == 0
+            row_begin_[i] = static_cast<std::uint32_t>(offset);
+            row_end_[i] = static_cast<std::uint32_t>(offset + padded);
+            page += padded;
+            offset += padded;
+            room -= padded;
+            sum.kept += kept;
+            sum.padded += padded;
+          }
         }
-        std::fill(row, entries + row_begin[i + 1], i);  // self pad, r2 == 0
       }
     }
   });
+  FillTotals all;
+  all.pages = next_page.load();
+  for (const FillTotals& sum : totals) {
+    all.kept += sum.kept;
+    all.padded += sum.padded;
+    all.tests += sum.tests;
+  }
+  return all;
 }
 
 template <typename Real>
@@ -339,22 +282,24 @@ void ParallelNeighborListT<Real>::build(
     const PeriodicBoxT<Real>& box, Real cutoff) {
   if (fault::injected("md.list_build")) {
     // Leave the list invalidated so a degraded-then-retried evaluation (or a
-    // later healthy step) starts from a clean rebuild, not a half-built CSR.
+    // later healthy step) starts from a clean rebuild, not a half-built list.
     invalidate();
     throw RuntimeFailure("neighbour list: injected rebuild failure");
   }
-  // Same contract for a build that throws part-way (the CSR offset guard):
-  // the list only becomes valid once the whole CSR is in place.
+  // Same contract for a build that throws part-way (the offset guard): the
+  // list only becomes valid once every row is in place.
   invalidate();
   ++rebuilds_;
-  build_csr(positions, box, cutoff);
+  build_rows(positions, box, cutoff);
+  const auto t_copy = std::chrono::steady_clock::now();
   build_positions_ = positions;
+  check_seconds_total_ += seconds_since(t_copy);
   build_cutoff_ = cutoff;
   build_edge_ = box.edge();
 }
 
 template <typename Real>
-void ParallelNeighborListT<Real>::build_csr(
+void ParallelNeighborListT<Real>::build_rows(
     const std::vector<emdpa::Vec3<Real>>& positions,
     const PeriodicBoxT<Real>& box, Real cutoff) {
   if (!isa_) set_isa(simd_kernels::resolve_isa());
@@ -374,12 +319,6 @@ void ParallelNeighborListT<Real>::build_csr(
     }
   });
 
-  if (n == 0) {
-    row_begin_.assign(1, 0);
-    entry_count_ = 0;
-    return;
-  }
-
   // Cell edge targets HALF the list radius: cutoff-sized cells sweep the
   // classic 27-cell stencil, ~16x the volume of the list sphere, while a
   // radius-2 stencil over half-sized cells sweeps ~6x — far fewer wasted
@@ -393,14 +332,23 @@ void ParallelNeighborListT<Real>::build_csr(
   const double cell_edge = edge / static_cast<double>(cells);
   const auto range = static_cast<std::size_t>(
       std::ceil(static_cast<double>(list_cutoff) / cell_edge));
-  if (2 * range + 1 > cells) {
+  if (n == 0 || 2 * range + 1 > cells) {
     // Box too small for a proper stencil (wrap-around would visit a cell
     // twice and duplicate entries): O(N^2) build instead.  All of it counts
     // as fill — there is no binning phase to speak of.
     last_bin_seconds_ = seconds_since(t_start);
     bin_seconds_total_ += last_bin_seconds_;
     const auto t_fill = std::chrono::steady_clock::now();
-    build_all_pairs(wrapped_, box);
+    cell_atoms_.resize(n);
+    std::iota(cell_atoms_.begin(), cell_atoms_.end(), 0u);
+    entry_count_ = listutil::build_all_pairs_csr<Real>(
+        wrapped_, box, list_cutoff_sq_,
+        [this](std::size_t count,
+               const std::function<void(std::size_t, std::size_t)>& body) {
+          run_rows(count, body);
+        },
+        row_begin_, row_end_, entries_, directed_entries_,
+        build_distance_tests_, csr_limit_);
     last_fill_seconds_ = seconds_since(t_fill);
     fill_seconds_total_ += last_fill_seconds_;
     return;
@@ -424,36 +372,52 @@ void ParallelNeighborListT<Real>::build_csr(
   bin_seconds_total_ += last_bin_seconds_;
   const auto t_fill = std::chrono::steady_clock::now();
 
-  // One filter pass into per-chunk scratch, then the checked prefix turns
-  // the row counts into padded offsets, then the copy pass places each row.
-  // The filter visits a row's candidates in one fixed order — stencil cells
-  // in table order, atoms within a cell in index order — so the list is a
-  // pure function of the inputs, whatever the thread count or ISA.
-  row_count_.resize(n);
-  chunks_.resize((n_cells + kFillCellGrain - 1) / kFillCellGrain);
-  scratch_.reserve_discard(scratch_need_);  // none before a first build
-  const bool stored = store_chunks(cells, range, box.edge());
-  if (!stored) {
-    // The scratch ran out — the first build, or a list that outgrew the
-    // scratch's 1/8 headroom.  The counts are exact anyway: they size the
-    // scratch the next build takes, and this once the filter runs again
-    // straight into the CSR.  Every other build tests each candidate once.
-    scratch_need_ = 0;
-    for (const FillChunk& chunk : chunks_) {
-      scratch_need_ += (chunk.count + kPageEntries - 1) / kPageEntries;
-    }
-    scratch_need_ *= kPageEntries;
+  // The block: a continuing list takes the pages its last build used, a
+  // fresh one the uniform-density estimate n rho (4/3) pi r^3 — 1.5x, with
+  // a block of padding per row on top.  Either way a page per fill task
+  // covers the partly filled last pages, which move with the order tasks
+  // claim chunks in, and reserve_discard adds another 1/8.  Pages no task
+  // takes are never touched, so generous headroom costs address space, not
+  // RSS.
+  const std::size_t tasks = pool_ != nullptr ? pool_->size() : 1;
+  const auto reserve_pages = [&](std::size_t pages) {
+    entries_.reserve_discard(std::min(pages + tasks, kMaxPages) *
+                             kPageEntries);
+  };
+  if (pages_used_ == 0) {
+    const double r = static_cast<double>(list_cutoff);
+    const double per_row = static_cast<double>(n) / (edge * edge * edge) *
+                               (4.0 / 3.0) * std::numbers::pi * r * r * r +
+                           static_cast<double>(padded_multiple());
+    pages_used_ = static_cast<std::size_t>(
+                      1.5 * per_row * static_cast<double>(n) / kPageEntries) +
+                  1;
   }
-  for (const FillChunk& chunk : chunks_) build_distance_tests_ += chunk.tests;
-  directed_entries_ =
-      listutil::padded_row_offsets<Real>(row_count_, row_begin_, csr_limit_);
-  entries_.reserve_discard(row_begin_[n]);
-  entry_count_ = row_begin_[n];
-  if (stored) {
-    copy_rows(n_cells);
-  } else {
-    place_chunks(cells, range, box.edge());
+  reserve_pages(pages_used_);
+  row_begin_.resize(n);
+  row_end_.resize(n);
+
+  // One filter pass writes every row in place.  The filter visits a row's
+  // candidates in one fixed order — stencil cells in table order, atoms
+  // within a cell in index order — so every row is a pure function of the
+  // inputs, whatever the thread count or ISA.  A pass that ran out of block
+  // still counted every row exactly: the block grows to the pages it asked
+  // for, with the same headroom, and the rows are filtered again.
+  FillTotals fill = fill_rows(cells, range, box.edge());
+  listutil::check_entry_limit(n, fill.padded, csr_limit_);
+  if (fill.pages > usable_pages()) ++refills_;
+  while (fill.pages > usable_pages()) {
+    // The pages must stay addressable by the uint32 offsets too.
+    listutil::check_entry_limit(
+        n, static_cast<std::uint64_t>(fill.pages) * kPageEntries,
+        listutil::kMaxCsrEntries);
+    reserve_pages(fill.pages);
+    fill = fill_rows(cells, range, box.edge());
   }
+  directed_entries_ = fill.kept;
+  build_distance_tests_ = fill.tests;
+  pages_used_ = fill.pages;
+  entry_count_ = fill.pages * kPageEntries;
 
   last_fill_seconds_ = seconds_since(t_fill);
   fill_seconds_total_ += last_fill_seconds_;

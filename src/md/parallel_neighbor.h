@@ -6,7 +6,7 @@
 //
 // Two cooperating pieces:
 //
-//  * ParallelNeighborListT — a SIMD-padded CSR neighbour list built with a
+//  * ParallelNeighborListT — a SIMD-padded neighbour list built with a
 //    cell-grid bin-and-filter.  Binning is a pool-parallel stable counting
 //    sort: fixed atom chunks (at most listutil::kMaxBinChunks of them) build
 //    per-chunk cell histograms, a block-parallel prefix-merge pass turns the
@@ -22,52 +22,62 @@
 //    27-cell grid — and per stencil (x, y) line the z-window is consecutive
 //    cell ids, so a cell's whole stencil is a few merged spans of the sorted
 //    arrays (two per line at most, where the window wraps).  The fill runs
-//    every distance test once: the runtime-dispatched per-ISA distance
+//    every distance test once and writes every row once, straight into the
+//    storage the force sweep reads: the runtime-dispatched per-ISA distance
 //    filter (kernel_rows.h ListFill — the force sweep's copysign reflection
 //    across SIMD lanes, kept indices written with vpcompressd or a mask-bit
-//    scan) writes each fixed chunk of cells' rows compactly into scratch
-//    pages the chunk takes from one shared block, and records the row
-//    counts; a checked prefix sum turns the counts into padded offsets; a
-//    parallel copy pass places and self-pads every row in the final CSR.
-//    Only a build whose scratch runs out — the first, or one whose list
-//    outgrew the scratch's 1/8 headroom — filters twice: its first pass
-//    still counts exactly and sizes the scratch for the next build, and a
-//    second pass filters each row straight into its CSR slots.
-//    Row slot ranges and contents are a pure function of the inputs,
-//    independent of thread count and ISA.  Each row is padded to the
-//    64-byte ACCUMULATION BLOCK (simd::block_lanes<Real>() — 8 doubles / 16
-//    floats), not the hardware pack width, so the padded layout is
-//    identical on every runtime-dispatched ISA; padding slots hold the
-//    atom's own index, whose r2 == 0 the shared lane mask (lj_simd.h)
-//    already rejects.  The CSR entries and the scratch are never
-//    value-initialised and keep their capacity across builds; a growing
-//    block is released before its replacement is taken and nothing is
-//    copied, so first touch happens in the parallel passes.  The scratch in
-//    use is a prefix of its block, about the directed entries plus part of
-//    a page per chunk.  The build reports two phase timings —
-//    "bin" (wrap + counting sort + stencil tables + sorted SoA gather) and
-//    "fill" (filter + prefix + copy) — which the host-parallel backend
-//    surfaces as RunResult::metadata keys list_build_bin_ms /
-//    list_build_fill_ms, and its memory (CSR, fill scratch, histogram) as
-//    list_csr_bytes / list_scratch_bytes / list_hist_bytes.
+//    scan) writes each row into pages taken from one shared block — one
+//    fill task per pool thread claims chunks of cells in turn and keeps its
+//    page across them — and the row is self-padded in place.  A row never
+//    straddles a page: a task takes a fresh page, or enough consecutive
+//    ones, whenever the room left is below the row's stencil bound, so the
+//    pages in use exceed the rows by ~2% plus a page per task (a sparser
+//    page set would cost RSS anyway: which page tails stay untouched moves
+//    from build to build with the claim order).  The list records row
+//    i as entries[row_begin[i], row_end[i]).  A row's entries, their order
+//    and its padding are a pure function of the inputs, independent of
+//    thread count and ISA; WHERE a row sits in the block is not — it
+//    depends on which thread took which page, so offsets are no contract.
+//    Each row is padded to the 64-byte ACCUMULATION BLOCK
+//    (simd::block_lanes<Real>() — 8 doubles / 16 floats), not the hardware
+//    pack width, so the padded rows are identical on every
+//    runtime-dispatched ISA; padding slots hold the atom's own index, whose
+//    r2 == 0 the shared lane mask (lj_simd.h) already rejects.  The block
+//    is never value-initialised and keeps its capacity across builds: a
+//    continuing list sizes it from the pages its last build took, a fresh
+//    one from the uniform-density estimate n rho (4/3) pi r^3 plus padding
+//    and generous headroom (pages nobody takes are never touched, so they
+//    cost no RSS).  Only a build that still runs out grows the block and
+//    filters again — a "refill"; its first pass counted every row exactly.
+//    A growing block is released before its replacement is taken and
+//    nothing is copied, so first touch happens in the parallel fill.  The
+//    build reports two phase timings — "bin" (wrap + counting sort +
+//    stencil tables + sorted SoA gather) and "fill" (filter + in-place
+//    padding) — which the host-parallel backend surfaces as
+//    RunResult::metadata keys list_build_bin_ms / list_build_fill_ms, and
+//    its memory (block plus row offsets, histogram) as list_csr_bytes /
+//    list_hist_bytes.
 //
 //  * NeighborListKernelT — a ForceKernelT that walks each atom's neighbour
 //    lanes one block at a time.  Positions are packed as {x, y, z, 0}
 //    records, and Pack::load_xyz loads each neighbour's record (one 32-byte
-//    dp / 16-byte sp load, one cache line) straight from the
-//    fixed-stride CSR entries and transposes the records into x/y/z lanes;
+//    dp / 16-byte sp load, one cache line) straight from the row's
+//    entries and transposes the records into x/y/z lanes;
 //    then comes the same fused min-image + masked LJ accumulation as the
 //    N^2 SoA kernel, through the same runtime-dispatched per-ISA row loops
 //    (see soa_kernel.h for the dispatch and <Real, Acc> precision seams).  Atom
-//    rows spread over the pool; per-row partials reduce in row order, so
-//    forces, PE and virial are bitwise identical run to run at ANY thread
-//    count, and bitwise identical across dispatched ISAs.
+//    rows spread over the pool in the order the build wrote them, so the
+//    sweep streams through the block; each row's partials land at its own
+//    atom index and reduce in index order, so forces, PE and virial are
+//    bitwise identical run to run at ANY thread count, and bitwise
+//    identical across dispatched ISAs.
 //
 // The list is rebuilt when an atom has moved more than half the skin since
 // the build, and on any change of cutoff, box edge or atom count: a list
 // indexed for another configuration is never reused.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -106,16 +116,36 @@ enum class SkinPolicy {
 
 const char* to_string(SkinPolicy policy);
 
-/// Bytes a neighbour list holds between builds: the CSR (row offsets plus
-/// allocated entries), the fill's row scratch, and the binning histogram.
+/// Bytes a neighbour list holds between builds (allocated, not merely
+/// touched): the row block plus the row_begin / row_end offsets, and the
+/// binning histogram.
 struct ListMemory {
   std::uint64_t csr_bytes = 0;
-  std::uint64_t scratch_bytes = 0;
   std::uint64_t hist_bytes = 0;
 };
 
+/// A list kernel's counters for the run report: builds and their phases,
+/// the most recent build's size, and the memory it holds.
+struct ListStats {
+  std::uint64_t rebuilds = 0;
+  /// Builds that ran out of block, grew it and filtered again.
+  std::uint64_t refills = 0;
+  /// Directed entries and distance tests of the most recent build.
+  std::uint64_t directed_entries = 0;
+  std::uint64_t distance_tests = 0;
+  /// Cumulative wall-clock seconds: build binning and fill, the staleness
+  /// checks plus the reference-position copies, and the force sweeps
+  /// (packing the positions, the row loop and the ordered fold of its
+  /// partials; the staleness check and any list build not included).
+  double bin_seconds = 0;
+  double fill_seconds = 0;
+  double check_seconds = 0;
+  double sweep_seconds = 0;
+  ListMemory memory;
+};
+
 /// What the simulation seam needs from any neighbour-list kernel regardless
-/// of its numeric types: rebuild statistics for the run report, the
+/// of its numeric types: statistics for the run report, the
 /// checkpoint-time invalidation that keeps a continuing run and a future
 /// resume bitwise identical, and the reference-position capture/reseed pair
 /// the trajectory store's pure-observer snapshots rest on.  Every
@@ -123,15 +153,8 @@ struct ListMemory {
 class NeighborListControl {
  public:
   virtual ~NeighborListControl() = default;
-  virtual std::uint64_t list_rebuilds() const = 0;
+  virtual ListStats list_stats() const = 0;
   virtual void invalidate_list() = 0;
-  virtual double list_bin_seconds() const = 0;
-  virtual double list_fill_seconds() const = 0;
-  /// Cumulative wall-clock seconds of the force sweeps: packing the
-  /// positions, the row loop and the ordered fold of its partials; the
-  /// staleness check and any list build are not included.
-  virtual double sweep_seconds() const = 0;
-  virtual ListMemory list_memory() const = 0;
 
   /// True when a built list is live (a build happened and nothing
   /// invalidated it since).
@@ -145,14 +168,14 @@ class NeighborListControl {
   /// Rebuild the list from `reference` (narrowed back to the kernel's Real —
   /// the exact inverse of list_reference_positions' widening).  The build is
   /// a pure function of (positions, box, cutoff), so seeding with a captured
-  /// reference reproduces the captured list bit-for-bit — what lets a
+  /// reference reproduces the captured list's rows bit-for-bit — what lets a
   /// trajectory-store restore continue a run whose snapshot did NOT
   /// invalidate the list.
   virtual void seed_list(const std::vector<emdpa::Vec3d>& reference,
                          double box_edge, double cutoff) = 0;
 };
 
-/// SIMD-padded CSR neighbour list with a deterministic pool-parallel build.
+/// SIMD-padded neighbour list with a deterministic pool-parallel build.
 template <typename Real>
 class ParallelNeighborListT {
  public:
@@ -165,6 +188,8 @@ class ParallelNeighborListT {
   Real skin() const { return skin_; }
   SkinPolicy policy() const { return policy_; }
   std::uint64_t rebuilds() const { return rebuilds_; }
+  /// Builds that ran out of block, grew it and filtered again.
+  std::uint64_t refills() const { return refills_; }
 
   /// True when the list no longer covers `positions` at `cutoff`: atom count
   /// / cutoff / box edge changed, or some atom moved more than skin/2 since
@@ -175,7 +200,7 @@ class ParallelNeighborListT {
   /// Pin the instruction set of the build's distance filter.  Kernels pass
   /// the ISA they resolved for the force sweep, so --simd / EMDPA_SIMD pin
   /// both; a list left unpinned resolves it on its first build the way the
-  /// kernels do (EMDPA_SIMD, else the fastest available).  The CSR is the
+  /// kernels do (EMDPA_SIMD, else the fastest available).  The rows are the
   /// same on every ISA.
   void set_isa(simd::SimdType isa);
 
@@ -183,8 +208,8 @@ class ParallelNeighborListT {
   std::optional<simd::SimdType> isa() const { return isa_; }
 
   /// Rebuild the list for `positions` at `cutoff` (list radius cutoff+skin).
-  /// Throws RuntimeFailure, leaving the list invalid, when the padded CSR
-  /// would overflow its 32-bit offsets.
+  /// Throws RuntimeFailure, leaving the list invalid, when the padded rows
+  /// would overflow the 32-bit offsets.
   void build(const std::vector<emdpa::Vec3<Real>>& positions,
              const PeriodicBoxT<Real>& box, Real cutoff);
 
@@ -222,12 +247,19 @@ class ParallelNeighborListT {
     return simd::block_lanes<Real>();
   }
 
-  /// Row i's padded entry range in entries(): a multiple of
-  /// padded_multiple(); padding slots hold i itself.
+  /// Row i is entries()[row_begin()[i], row_end()[i]): its kept neighbours
+  /// in stencil order, then copies of i up to a multiple of
+  /// padded_multiple().  The rows' contents are the contract; their
+  /// offsets are not (they depend on which thread took which page).
   const std::vector<std::uint32_t>& row_begin() const { return row_begin_; }
-  /// The padded neighbour indices, row_begin().back() of them.  Every slot
-  /// is written by each build (the storage behind them is reused and never
-  /// value-initialised).
+  const std::vector<std::uint32_t>& row_end() const { return row_end_; }
+  /// Every atom once, in the order the build wrote the rows (cell-sorted;
+  /// index order after the all-pairs fallback): a sweep visiting rows in
+  /// this order streams through the block.
+  const std::vector<std::uint32_t>& row_order() const { return cell_atoms_; }
+  /// The pages of the block the most recent build took.  Slots between
+  /// rows (a page's unused tail) are never written; every row slot is
+  /// written by each build.
   std::span<const std::uint32_t> entries() const {
     return {entries_.data(), entry_count_};
   }
@@ -239,27 +271,27 @@ class ParallelNeighborListT {
   /// Directed candidate pairs of the most recent build: the sum over atoms
   /// of their cell's stencil population minus the atom itself — what the
   /// device cost models price, one test per candidate.  The host fill runs
-  /// each test once too (twice only in a build whose scratch ran out).
+  /// each test once too (twice only in a build that refilled).
   std::uint64_t build_distance_tests() const { return build_distance_tests_; }
 
-  /// Bytes held between builds (allocated, not merely used): CSR offsets
-  /// and entries, the fill's row scratch, the bin histogram.
+  /// Bytes held between builds (allocated, not merely used): the row block
+  /// and offsets, the bin histogram.
   ListMemory memory() const;
 
   /// Wall-clock seconds the most recent build spent in the binning phase
   /// (wrap + parallel counting sort + stencil tables + cell-sorted SoA
-  /// gather) and in the fill phase (filter into chunk scratch + padded
-  /// prefix + copy into the CSR).  The *_seconds_total accessors accumulate
-  /// across every build since construction — what the backend metadata and
-  /// benchmarks report.
+  /// gather) and in the fill phase (filter + in-place padding, twice in a
+  /// refill).  The *_seconds_total accessors accumulate across every build
+  /// since construction — what the backend metadata and benchmarks report;
+  /// check_seconds_total() covers the staleness checks of ensure() and the
+  /// reference-position copies of build().
   double last_bin_seconds() const { return last_bin_seconds_; }
   double last_fill_seconds() const { return last_fill_seconds_; }
   double bin_seconds_total() const { return bin_seconds_total_; }
   double fill_seconds_total() const { return fill_seconds_total_; }
+  double check_seconds_total() const { return check_seconds_total_; }
 
  private:
-  void build_all_pairs(const std::vector<emdpa::Vec3<Real>>& wrapped,
-                       const PeriodicBoxT<Real>& box);
   void run_rows(std::size_t n,
                 const std::function<void(std::size_t, std::size_t)>& body) const;
   void run_span(std::size_t n, std::size_t grain,
@@ -267,44 +299,40 @@ class ParallelNeighborListT {
   void bin_atoms(std::size_t n, std::size_t cells, std::size_t n_cells,
                  double inv_cell);
   void populate_stencil(std::size_t cells, std::size_t range);
-  void build_csr(const std::vector<emdpa::Vec3<Real>>& positions,
-                 const PeriodicBoxT<Real>& box, Real cutoff);
-  /// Walk fill chunk k's non-empty cells, gathering each one's stencil
-  /// spans, and call visit(c, tests, filter): `tests` is the cell's
-  /// distance-test count (the bound on its kept entries), and
-  /// filter(s_begin, s_end, out) runs the distance filter for the rows of
-  /// sorted atoms [s_begin, s_end) of the cell, writing them back to back
-  /// from `out`, recording their counts, and returning the entries
-  /// written.  Returns the chunk's distance tests.
-  template <typename Visit>
-  std::uint64_t filter_chunk(std::size_t k, std::size_t cells,
-                             std::size_t range, Real edge,
-                             std::vector<std::uint32_t>& spans, Visit&& visit);
-  /// Filter every chunk into its scratch pages.  False when the pages ran
-  /// out (every chunk's count is still exact).
-  bool store_chunks(std::size_t cells, std::size_t range, Real edge);
-  /// Filter every chunk again, placing and self-padding each row straight
-  /// in entries_ (row_begin_ known): the path of a build without scratch.
-  void place_chunks(std::size_t cells, std::size_t range, Real edge);
-  /// Place and self-pad every row of the chunk pages in entries_.
-  void copy_rows(std::size_t n_cells);
+  void build_rows(const std::vector<emdpa::Vec3<Real>>& positions,
+                  const PeriodicBoxT<Real>& box, Real cutoff);
+  /// What one fill pass wrote: pages taken (more than usable_pages() means
+  /// the block ran out, and the rows past its end went to throwaway pages),
+  /// directed and padded entries, and distance tests.
+  struct FillTotals {
+    std::size_t pages = 0;
+    std::uint64_t kept = 0;
+    std::uint64_t padded = 0;
+    std::uint64_t tests = 0;
+  };
+  /// Filter every row into the block: one task per pool thread claims fill
+  /// chunks of kFillCellGrain cells in turn and writes their rows into the
+  /// pages it takes.  How many pages that is depends a little on the claim
+  /// order (each task's last page is partly filled).
+  FillTotals fill_rows(std::size_t cells, std::size_t range, Real edge);
+  /// Pages of the block the fill may write: its capacity, capped at what
+  /// the uint32 offsets address.
+  std::size_t usable_pages() const {
+    return std::min(entries_.capacity() / kPageEntries, kMaxPages);
+  }
 
   /// Atoms per chunk of the pool-parallel staleness check.
   static constexpr std::size_t kStaleGrain = 4096;
-  /// Cells per fill chunk (~2 atoms each at MD densities).  Fixed, so the
-  /// chunk a row's scratch lives in depends only on the grid.
-  static constexpr std::size_t kFillCellGrain = 32;
-
-  /// Entries per page of the fill scratch.
-  static constexpr std::size_t kPageEntries = 512;
-
-  /// One fill chunk's rows, compact and in cell-sorted atom order, spread
-  /// over the scratch pages it took (in order).
-  struct FillChunk {
-    std::vector<std::uint32_t> pages;
-    std::size_t count = 0;    ///< entries kept by the last pass
-    std::uint64_t tests = 0;  ///< distance tests of the chunk's rows
-  };
+  /// Cells per fill chunk (~2 atoms each at MD densities).
+  static constexpr std::size_t kFillCellGrain = 64;
+  /// Entries per page of the row block.  A fill task keeps its page across
+  /// the chunks it claims and starts a fresh one when the room left is
+  /// below a row's stencil bound (a few hundred entries at MD densities),
+  /// so the pages in use exceed the rows by ~2% plus a page per task.
+  static constexpr std::size_t kPageEntries = 16384;
+  /// Pages the uint32 row offsets can address.
+  static constexpr std::size_t kMaxPages =
+      listutil::kMaxCsrEntries / kPageEntries;
 
   Real skin_;
   ThreadPool* pool_;
@@ -315,19 +343,21 @@ class ParallelNeighborListT {
   Real build_edge_ = Real(-1);     ///< box edge the list was built for
   Real list_cutoff_sq_ = Real(0);
   std::vector<emdpa::Vec3<Real>> build_positions_;
-  std::vector<std::uint32_t> row_begin_;   ///< n+1 padded CSR offsets
-  listutil::RawArray<std::uint32_t> entries_;  ///< padded neighbour indices
-  std::size_t entry_count_ = 0;            ///< slots of entries_ in use
-  std::vector<std::uint32_t> row_count_;   ///< true (unpadded) counts
+  std::vector<std::uint32_t> row_begin_, row_end_;  ///< row i's slots
+  listutil::RawArray<std::uint32_t> entries_;  ///< the row block
+  std::size_t entry_count_ = 0;  ///< slots of entries_ in use
+  std::size_t pages_used_ = 0;   ///< pages the last grid build took
   std::uint64_t csr_limit_ = listutil::kMaxCsrEntries;
   std::uint64_t directed_entries_ = 0;
   std::uint64_t build_distance_tests_ = 0;
   std::uint64_t rebuilds_ = 0;
+  std::uint64_t refills_ = 0;
 
   double last_bin_seconds_ = 0;
   double last_fill_seconds_ = 0;
   double bin_seconds_total_ = 0;
   double fill_seconds_total_ = 0;
+  double check_seconds_total_ = 0;
 
   // Cell-grid scratch reused across builds.
   std::vector<emdpa::Vec3<Real>> wrapped_;
@@ -337,9 +367,6 @@ class ParallelNeighborListT {
   std::vector<std::uint32_t> bin_hist_;      ///< per-chunk cell histograms
   std::vector<std::uint32_t> stencil_pop_;   ///< atoms per cell stencil
   std::vector<std::uint32_t> stencil_tmp_;   ///< separable-pass intermediate
-  std::vector<FillChunk> chunks_;            ///< fill chunks of kFillCellGrain
-  listutil::RawArray<std::uint32_t> scratch_;  ///< fill pages
-  std::size_t scratch_need_ = 0;  ///< entries the last full count asked for
   /// wrapped_ in cell_atoms_ order, padded for the filter's tail pack.
   std::vector<Real> sorted_x_, sorted_y_, sorted_z_;
 
@@ -348,8 +375,8 @@ class ParallelNeighborListT {
 };
 
 /// Neighbour-list force kernel: the host fast path at large N.  Walks the
-/// CSR with the dispatched per-ISA row loop and implements the complete
-/// NeighborListControl seam.
+/// list's rows with the dispatched per-ISA row loop and implements the
+/// complete NeighborListControl seam.
 ///
 /// Same physics, ISA dispatch, determinism guarantees and coincident-atom
 /// caveat as SoaKernelT (see soa_kernel.h); PairStats count unordered pairs,
@@ -418,16 +445,20 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
   }
 
   // NeighborListControl — the type-erased seam md::Simulation drives.
-  std::uint64_t list_rebuilds() const override { return list_.rebuilds(); }
+  ListStats list_stats() const override {
+    ListStats stats;
+    stats.rebuilds = list_.rebuilds();
+    stats.refills = list_.refills();
+    stats.directed_entries = list_.directed_entries();
+    stats.distance_tests = list_.build_distance_tests();
+    stats.bin_seconds = list_.bin_seconds_total();
+    stats.fill_seconds = list_.fill_seconds_total();
+    stats.check_seconds = list_.check_seconds_total();
+    stats.sweep_seconds = sweep_seconds_;
+    stats.memory = list_.memory();
+    return stats;
+  }
   void invalidate_list() override { list_.invalidate(); }
-  double list_bin_seconds() const override {
-    return list_.bin_seconds_total();
-  }
-  double list_fill_seconds() const override {
-    return list_.fill_seconds_total();
-  }
-  double sweep_seconds() const override { return sweep_seconds_; }
-  ListMemory list_memory() const override { return list_.memory(); }
   bool has_list() const override { return list_.valid(); }
   std::vector<emdpa::Vec3d> list_reference_positions() const override {
     std::vector<emdpa::Vec3d> out;
@@ -512,14 +543,18 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
     };
 
     const Acc inv_mass = Acc(1) / mass;
+    const std::uint32_t* order = list_.row_order().data();
     const std::uint32_t* row_begin = list_.row_begin().data();
+    const std::uint32_t* row_end = list_.row_end().data();
     const std::uint32_t* entries = list_.entries().data();
 
     // The dispatched per-ISA row loop (kernel_rows.h): load each padded
-    // CSR sub-pack's records, masked LJ accumulate, lane-order reduce.
-    auto rows = [&](std::size_t i_begin, std::size_t i_end) {
-      rows_fn_(records, row_begin, entries, rbox.edge(),
-               ljr.cutoff_squared(), ljr, inv_mass, i_begin, i_end,
+    // row sub-pack's records, masked LJ accumulate, lane-order reduce.
+    // Rows are visited in the list's write order; each lands at its own
+    // atom index, so the fold below sees the same partials either way.
+    auto rows = [&](std::size_t s_begin, std::size_t s_end) {
+      rows_fn_(records, order, row_begin, row_end, entries, rbox.edge(),
+               ljr.cutoff_squared(), ljr, inv_mass, s_begin, s_end,
                result.accelerations.data(), row_pe_.data(), row_virial_.data(),
                row_hits_.data());
     };

@@ -59,24 +59,24 @@ using SoaRowsFn = void (*)(const Real* xs, const Real* ys, const Real* zs,
 /// {x, y, z, 0} record of simd::kRecordReals Reals per atom, in atom order.
 template <typename Real, typename Acc>
 using ListRowsFn = void (*)(const Real* records,
+                            const std::uint32_t* order,
                             const std::uint32_t* row_begin,
+                            const std::uint32_t* row_end,
                             const std::uint32_t* entries, Real edge,
                             Real cutoff_sq, const LjParamsT<Real>& lj,
-                            Acc inv_mass, std::size_t i_begin,
-                            std::size_t i_end,
+                            Acc inv_mass, std::size_t s_begin,
+                            std::size_t s_end,
                             emdpa::Vec3<Acc>* accelerations, Acc* row_pe,
                             Acc* row_virial, std::uint64_t* row_hits);
 
-/// List-build distance filter over one cell's rows; see
-/// rows::ListFill::cell_rows for the parameter contract.
+/// List-build distance filter of one row; see rows::ListFill::row for the
+/// parameter contract.
 template <typename Real>
 using ListFillFn = std::uint32_t* (*)(const Real* xs, const Real* ys,
                                       const Real* zs, const std::uint32_t* ids,
                                       const std::uint32_t* spans,
-                                      std::size_t n_spans,
-                                      std::uint32_t a_begin,
-                                      std::uint32_t a_end, Real edge,
-                                      Real cutoff_sq, std::uint32_t* row_count,
+                                      std::size_t n_spans, std::uint32_t s,
+                                      Real edge, Real cutoff_sq,
                                       std::uint32_t* out);
 
 /// One ISA's worth of compiled row kernels: both hot loops in all three

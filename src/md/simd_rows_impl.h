@@ -24,8 +24,8 @@ KernelRows make_rows() {
       &rows::RowKernels<double, double, S>::list_rows,
       &rows::RowKernels<float, float, S>::list_rows,
       &rows::RowKernels<float, double, S>::list_rows,
-      &rows::ListFill<double, S>::cell_rows,
-      &rows::ListFill<float, S>::cell_rows,
+      &rows::ListFill<double, S>::row,
+      &rows::ListFill<float, S>::row,
   };
 }
 

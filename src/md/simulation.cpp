@@ -259,7 +259,7 @@ ForceKernel& Simulation::active_kernel() {
 std::string Simulation::kernel_name() const { return lj_kernel_->name(); }
 
 std::uint64_t Simulation::list_rebuilds() const {
-  return list_control_ != nullptr ? list_control_->list_rebuilds() : 0;
+  return list_stats().rebuilds;
 }
 
 std::uint64_t Simulation::n2_live_block_pairs() const {
@@ -270,20 +270,8 @@ std::uint64_t Simulation::n2_block_pairs() const {
   return cull_stats_ != nullptr ? cull_stats_->block_pairs() : 0;
 }
 
-double Simulation::list_build_bin_seconds() const {
-  return list_control_ != nullptr ? list_control_->list_bin_seconds() : 0;
-}
-
-double Simulation::list_build_fill_seconds() const {
-  return list_control_ != nullptr ? list_control_->list_fill_seconds() : 0;
-}
-
-double Simulation::list_sweep_seconds() const {
-  return list_control_ != nullptr ? list_control_->sweep_seconds() : 0;
-}
-
-ListMemory Simulation::list_memory() const {
-  return list_control_ != nullptr ? list_control_->list_memory() : ListMemory{};
+ListStats Simulation::list_stats() const {
+  return list_control_ != nullptr ? list_control_->list_stats() : ListStats{};
 }
 
 void Simulation::prime() {

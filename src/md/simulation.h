@@ -152,21 +152,12 @@ class Simulation {
   /// ratio as metadata key n2_live_block_frac.
   std::uint64_t n2_live_block_pairs() const;
   std::uint64_t n2_block_pairs() const;
-  /// Cumulative wall-clock seconds the neighbour-list builds spent binning
-  /// (counting sort + stencil tables + sorted gather) and filling (filter +
-  /// prefix + copy); 0 for the stateless kernels.  The host-parallel
-  /// backend reports these as metadata keys list_build_bin_ms /
-  /// list_build_fill_ms.
-  double list_build_bin_seconds() const;
-  double list_build_fill_seconds() const;
-  /// Cumulative wall-clock seconds of the neighbour-list force sweeps (pack,
-  /// row loop, ordered fold; list builds excluded); 0 for the stateless
-  /// kernels.  Reported as metadata key phase_sweep_ms.
-  double list_sweep_seconds() const;
-  /// Bytes the neighbour list holds (CSR, fill scratch, bin histogram); all
-  /// 0 for the stateless kernels.  Reported as metadata keys
-  /// list_csr_bytes / list_scratch_bytes / list_hist_bytes.
-  ListMemory list_memory() const;
+  /// The neighbour-list kernel's counters (ListStats: builds, refills, the
+  /// last build's entries and distance tests, cumulative bin / fill /
+  /// staleness-check / sweep seconds, the bytes it holds); all zero for the
+  /// stateless kernels.  The host-parallel backend reports them as the
+  /// list_* and phase_sweep_ms / phase_list_check_ms metadata keys.
+  ListStats list_stats() const;
   /// Integrator-driven LJ force evaluations so far (primes + steps; the
   /// minimizer's internal probes are not counted).
   std::uint64_t force_evaluations() const { return force_evaluations_; }

@@ -99,18 +99,8 @@ class SingleNeighborListKernel final : public ForceKernel,
   simd::SimdType isa() const { return inner_.isa(); }
   std::size_t simd_width() const { return inner_.simd_width(); }
 
-  std::uint64_t list_rebuilds() const override {
-    return inner_.list_rebuilds();
-  }
+  ListStats list_stats() const override { return inner_.list_stats(); }
   void invalidate_list() override { inner_.invalidate_list(); }
-  double list_bin_seconds() const override {
-    return inner_.list_bin_seconds();
-  }
-  double list_fill_seconds() const override {
-    return inner_.list_fill_seconds();
-  }
-  double sweep_seconds() const override { return inner_.sweep_seconds(); }
-  ListMemory list_memory() const override { return inner_.list_memory(); }
   bool has_list() const override { return inner_.has_list(); }
   std::vector<emdpa::Vec3d> list_reference_positions() const override {
     return inner_.list_reference_positions();

@@ -1,27 +1,31 @@
-// CSR identity of the neighbour-list fill on every ISA and precision.
+// Row identity of the neighbour-list fill on every ISA and precision.
 //
 // The list build streams cell-sorted coordinate spans through a per-ISA
-// SIMD distance filter (kernel_rows.h ListFill).  Its contract is that the
-// CSR bytes do not depend on how the filter runs: for every instruction set
-// available on this host, in dp and sp, at 1 and 8 threads, row_begin() and
-// entries() must equal a brute-force reference that tests each candidate
-// with the scalar rounding box.min_image — the same rows in stencil order
-// (cells in table order, atoms within a cell in index order), the same
-// self-padding to the 64-byte block.  Configurations: the 50 seeded
-// property-harness workloads, a box with exactly `width` cells per axis
-// (every z-window wraps), coincident atoms (r2 == 0 but j != i: kept), a
-// pair exactly half the edge apart, and mostly-empty cell grids.
+// SIMD distance filter (kernel_rows.h ListFill) and writes each row once,
+// straight into pages of the list's block.  Its contract is that the rows
+// do not depend on how the filter runs: for every instruction set available
+// on this host, in dp and sp, at 1 and 8 threads, every row
+// [row_begin()[i], row_end()[i]) must equal, entry for entry, a brute-force
+// reference that tests each candidate with the scalar rounding
+// box.min_image — the same rows in stencil order (cells in table order,
+// atoms within a cell in index order), the same self-padding to the 64-byte
+// block.  Where a row sits in the block is not part of the contract.
+// Configurations: the 50 seeded property-harness workloads, a box with
+// exactly `width` cells per axis (every z-window wraps), coincident atoms
+// (r2 == 0 but j != i: kept), a pair exactly half the edge apart, and
+// mostly-empty cell grids.
 //
-// The storage behind the CSR and the fill's per-chunk scratch is reused
-// across builds and never value-initialised, so a sequence of builds on ONE
-// list object — growing past its capacity, shrinking, regrowing, through
-// the all-pairs fallback — must give the bytes a fresh list gives, and every
-// slot of a shrunken CSR must be rewritten (no stale index survives).
+// The block is reused across builds and never value-initialised, so a
+// sequence of builds on ONE list object — growing past its capacity (the
+// grow-and-filter-again refill), shrinking, regrowing, through the
+// all-pairs fallback — must give the rows a fresh list gives, and every
+// slot of a shrunken list's rows must be rewritten (no stale index
+// survives).
 //
-// Also here: the pool-parallel staleness check, the checked 32-bit CSR
-// offset prefix (a build that trips it leaves the list invalid), the
-// bounded bin-histogram chunking, and the list memory counters the
-// host-parallel backend reports.
+// Also here: the pool-parallel staleness check, the checked 32-bit offset
+// guard (a build that trips it leaves the list invalid), the bounded
+// bin-histogram chunking, and the list counters the host-parallel backend
+// reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,15 +46,11 @@
 #include "md/parallel_neighbor.h"
 #include "md/simd_kernels.h"
 #include "md/workload.h"
+#include "list_rows.h"
 #include "property_configs.h"
 
 namespace emdpa::md {
 namespace {
-
-struct Csr {
-  std::vector<std::uint32_t> row_begin;
-  std::vector<std::uint32_t> entries;
-};
 
 template <typename Real>
 std::vector<Vec3<Real>> narrow(const std::vector<Vec3d>& positions) {
@@ -84,11 +84,12 @@ Grid grid_for(Real edge, Real list_cutoff) {
   return g;
 }
 
-/// Brute-force reference CSR: every candidate tested with the scalar
+/// Brute-force reference rows: every candidate tested with the scalar
 /// rounding minimum image, in the list's candidate order — stencil order
-/// over the cell grid, or index order when the box is too small for one.
+/// over the cell grid, or index order when the box is too small for one —
+/// then self-padded to the 64-byte block.
 template <typename Real>
-Csr reference_csr(const std::vector<Vec3<Real>>& positions, Real edge,
+ListRows reference_rows(const std::vector<Vec3<Real>>& positions, Real edge,
                   Real cutoff, Real skin) {
   const PeriodicBoxT<Real> box(edge);
   const Real list_cutoff = cutoff + skin;
@@ -127,10 +128,9 @@ Csr reference_csr(const std::vector<Vec3<Real>>& positions, Real edge,
     return (a + k + g.cells - g.range) % g.cells;
   };
 
-  Csr csr;
-  csr.row_begin.push_back(0);
+  ListRows rows(n);
   for (std::size_t i = 0; i < n; ++i) {
-    std::vector<std::uint32_t> row;
+    std::vector<std::uint32_t>& row = rows[i];
     if (g.degenerate()) {
       for (std::size_t j = 0; j < n; ++j) {
         if (keep(i, j)) row.push_back(static_cast<std::uint32_t>(j));
@@ -155,22 +155,26 @@ Csr reference_csr(const std::vector<Vec3<Real>>& positions, Real edge,
     while (row.size() % simd::block_lanes<Real>() != 0) {
       row.push_back(static_cast<std::uint32_t>(i));  // self pad
     }
-    csr.entries.insert(csr.entries.end(), row.begin(), row.end());
-    csr.row_begin.push_back(static_cast<std::uint32_t>(csr.entries.size()));
   }
-  return csr;
+  return rows;
 }
 
-/// The list's CSR equals the reference on every available ISA at 1 and 8
-/// threads.  Returns the reference for scenario-specific checks.
+std::size_t entry_count(const ListRows& rows) {
+  std::size_t count = 0;
+  for (const auto& row : rows) count += row.size();
+  return count;
+}
+
+/// Every row of the list equals the reference's on every available ISA at 1
+/// and 8 threads.  Returns the reference for scenario-specific checks.
 template <typename Real>
-Csr expect_identity(const std::vector<Vec3d>& positions_d, double edge_d,
+ListRows expect_identity(const std::vector<Vec3d>& positions_d, double edge_d,
                     double cutoff_d, double skin_d) {
   const auto positions = narrow<Real>(positions_d);
   const auto edge = static_cast<Real>(edge_d);
   const auto cutoff = static_cast<Real>(cutoff_d);
   const auto skin = static_cast<Real>(skin_d);
-  const Csr expected = reference_csr(positions, edge, cutoff, skin);
+  const ListRows expected = reference_rows(positions, edge, cutoff, skin);
   for (const simd::SimdType isa : simd_kernels::available_isas()) {
     for (const std::size_t threads : {1u, 8u}) {
       SCOPED_TRACE(::testing::Message()
@@ -180,8 +184,7 @@ Csr expect_identity(const std::vector<Vec3d>& positions_d, double edge_d,
       ParallelNeighborListT<Real> list(skin, &pool);
       list.set_isa(isa);
       list.build(positions, PeriodicBoxT<Real>(edge), cutoff);
-      EXPECT_EQ(list.row_begin(), expected.row_begin);
-      EXPECT_TRUE(std::ranges::equal(list.entries(), expected.entries));
+      EXPECT_EQ(rows_of(list), expected);
     }
   }
   return expected;
@@ -210,11 +213,8 @@ std::vector<Vec3d> random_positions(std::size_t n, double edge,
   return out;
 }
 
-bool row_contains(const Csr& csr, std::size_t i, std::uint32_t j) {
-  for (std::uint32_t k = csr.row_begin[i]; k < csr.row_begin[i + 1]; ++k) {
-    if (csr.entries[k] == j) return true;
-  }
-  return false;
+bool row_contains(const ListRows& rows, std::size_t i, std::uint32_t j) {
+  return std::ranges::find(rows[i], j) != rows[i].end();
 }
 
 class ListFillIdentityTest : public ::testing::TestWithParam<std::size_t> {};
@@ -248,13 +248,13 @@ TEST(ListFillIdentity, CoincidentAtomsAreKept) {
   positions[7] = positions[200];     // exactly coincident pair
   positions[41] = {0.0, 0.0, 0.0};   // and a pair coincident at the origin,
   positions[42] = {12.0, 0.0, 0.0};  // one of them only after wrapping
-  const Csr dp = expect_identity<double>(positions, edge, cutoff, skin);
-  const Csr sp = expect_identity<float>(positions, edge, cutoff, skin);
-  for (const Csr* csr : {&dp, &sp}) {
-    EXPECT_TRUE(row_contains(*csr, 7, 200));
-    EXPECT_TRUE(row_contains(*csr, 200, 7));
-    EXPECT_TRUE(row_contains(*csr, 41, 42));
-    EXPECT_TRUE(row_contains(*csr, 42, 41));
+  const ListRows dp = expect_identity<double>(positions, edge, cutoff, skin);
+  const ListRows sp = expect_identity<float>(positions, edge, cutoff, skin);
+  for (const ListRows* rows : {&dp, &sp}) {
+    EXPECT_TRUE(row_contains(*rows, 7, 200));
+    EXPECT_TRUE(row_contains(*rows, 200, 7));
+    EXPECT_TRUE(row_contains(*rows, 41, 42));
+    EXPECT_TRUE(row_contains(*rows, 42, 41));
   }
 }
 
@@ -270,12 +270,13 @@ TEST(ListFillIdentity, PairExactlyHalfTheEdgeApart) {
   positions[3] = {1.0, 2.0, 4.0};
   positions[4] = {9.5, 2.25, 4.0 + edge / 2};
   positions[5] = {9.5, 2.25, 4.0};
-  const Csr grid = expect_identity<double>(positions, edge, 2.5, 0.3);
+  const ListRows grid = expect_identity<double>(positions, edge, 2.5, 0.3);
   EXPECT_FALSE(row_contains(grid, 0, 1));
   expect_identity<float>(positions, edge, 2.5, 0.3);
 
   ASSERT_TRUE(grid_for(edge, 8.5 + 0.3).degenerate());
-  const Csr all_pairs = expect_identity<double>(positions, edge, 8.5, 0.3);
+  const ListRows all_pairs =
+      expect_identity<double>(positions, edge, 8.5, 0.3);
   EXPECT_TRUE(row_contains(all_pairs, 0, 1));
   EXPECT_TRUE(row_contains(all_pairs, 3, 2));
   EXPECT_TRUE(row_contains(all_pairs, 5, 4));
@@ -356,10 +357,11 @@ TEST(ListCsrOffsets, OverflowThrowsWithContextInsteadOfWrapping) {
 // Storage reuse.
 
 /// One list object per (ISA, threads) rebuilt through a sequence that grows
-/// the CSR past its capacity, shrinks it, detours through the all-pairs
-/// fallback (a box too small for the stencil) and regrows it past the
-/// largest capacity so far.  Every build must equal a freshly constructed
-/// list's and the brute-force reference.
+/// the list past its block (a refill: the build runs out, grows the block
+/// and filters again), shrinks it, detours through the all-pairs fallback
+/// (a box too small for the stencil) and regrows it past the largest
+/// capacity so far.  Every build's rows must equal a freshly
+/// constructed list's and the brute-force reference's.
 template <typename Real>
 void expect_reuse_sequence() {
   struct Step {
@@ -367,28 +369,28 @@ void expect_reuse_sequence() {
     double edge;
     std::uint64_t seed;
   };
-  const Step steps[] = {{300, 14.0, 21},   // sparse: small CSR
+  const Step steps[] = {{300, 14.0, 21},   // sparse: small block
                         {2000, 14.0, 22},  // ~7x the entries: grows
                         {500, 14.0, 23},   // shrinks, storage kept
                         {150, 5.0, 24},    // all-pairs fallback
-                        {3000, 14.0, 25}}; // past every capacity so far
+                        {6000, 14.0, 25}}; // past every capacity so far
   const auto cutoff = static_cast<Real>(2.5);
   const auto skin = static_cast<Real>(0.3);
   ASSERT_FALSE(grid_for(static_cast<Real>(14.0), cutoff + skin).degenerate());
   ASSERT_TRUE(grid_for(static_cast<Real>(5.0), cutoff + skin).degenerate());
 
   std::vector<std::vector<Vec3<Real>>> positions;
-  std::vector<Csr> expected;
+  std::vector<ListRows> expected;
   for (const Step& step : steps) {
     positions.push_back(
         narrow<Real>(random_positions(step.n, step.edge, step.seed)));
-    expected.push_back(reference_csr(positions.back(),
-                                     static_cast<Real>(step.edge), cutoff,
-                                     skin));
+    expected.push_back(reference_rows(positions.back(),
+                                      static_cast<Real>(step.edge), cutoff,
+                                      skin));
   }
-  ASSERT_GT(expected[1].entries.size(), 2 * expected[0].entries.size());
-  ASSERT_LT(expected[2].entries.size(), expected[1].entries.size());
-  ASSERT_GT(expected[4].entries.size(), 2 * expected[1].entries.size());
+  ASSERT_GT(entry_count(expected[1]), 2 * entry_count(expected[0]));
+  ASSERT_LT(entry_count(expected[2]), entry_count(expected[1]));
+  ASSERT_GT(entry_count(expected[4]), 4 * entry_count(expected[1]));
 
   for (const simd::SimdType isa : simd_kernels::available_isas()) {
     for (const std::size_t threads : {1u, 8u}) {
@@ -407,20 +409,23 @@ void expect_reuse_sequence() {
         fresh.set_isa(isa);
         fresh.build(positions[k], box, cutoff);
 
-        EXPECT_EQ(reused.row_begin(), expected[k].row_begin);
-        EXPECT_TRUE(std::ranges::equal(reused.entries(), expected[k].entries));
-        EXPECT_EQ(reused.row_begin(), fresh.row_begin());
-        EXPECT_TRUE(std::ranges::equal(reused.entries(), fresh.entries()));
+        const ListRows rows = rows_of(reused);
+        EXPECT_EQ(rows, expected[k]);
+        EXPECT_EQ(rows, rows_of(fresh));
         EXPECT_EQ(reused.directed_entries(), fresh.directed_entries());
         EXPECT_EQ(reused.build_distance_tests(), fresh.build_distance_tests());
         csr_bytes.push_back(reused.memory().csr_bytes);
       }
-      // The sequence really exercised growth and reuse: the CSR storage
-      // grew at steps 1 and 4 and was kept (never shrunk) in between.
+      // The sequence really exercised growth and reuse: the list's storage
+      // grew at steps 1 and 4 and was kept (never shrunk) in between.  Step
+      // 4 keeps over 4x step 1's entries, more than any block so far holds
+      // with its headroom, so the continuing list, which sized its block
+      // from the build before, ran out and refilled (step 1 may too).
       EXPECT_GT(csr_bytes[1], csr_bytes[0]);
       EXPECT_GE(csr_bytes[2], csr_bytes[1]);
       EXPECT_GE(csr_bytes[3], csr_bytes[2]);
       EXPECT_GT(csr_bytes[4], csr_bytes[3]);
+      EXPECT_GE(reused.refills(), 1u);
     }
   }
 }
@@ -438,17 +443,17 @@ TEST(ListStorage, GrowShrinkRegrowMatchesAFreshListAndTheReference) {
 
 template <typename Real>
 void expect_every_slot_written() {
-  // Both sizes in the same box, so the second CSR is about a quarter of
-  // the first and lives inside its storage, whose slots past every new
-  // row still hold indices >= 2048 from the first build.
+  // Both sizes in the same box, so the second list is about a quarter of
+  // the first and lives inside its block, whose pages still hold indices
+  // >= 2048 from the first build.
   const double edge = box_edge_for(4096, 0.8442);
   const auto cutoff = static_cast<Real>(2.5);
   const auto skin = static_cast<Real>(0.3);
   const PeriodicBoxT<Real> box(static_cast<Real>(edge));
   const auto big = narrow<Real>(random_positions(4096, edge, 31));
   const auto small = narrow<Real>(random_positions(2048, edge, 32));
-  const Csr expected = reference_csr(small, static_cast<Real>(edge), cutoff,
-                                     skin);
+  const ListRows expected =
+      reference_rows(small, static_cast<Real>(edge), cutoff, skin);
   for (const simd::SimdType isa : simd_kernels::available_isas()) {
     for (const std::size_t threads : {1u, 8u}) {
       SCOPED_TRACE(::testing::Message()
@@ -461,11 +466,15 @@ void expect_every_slot_written() {
       const std::uint64_t bytes = list.memory().csr_bytes;
       list.build(small, box, cutoff);
       EXPECT_EQ(list.memory().csr_bytes, bytes);  // reused, not reallocated
-      ASSERT_EQ(list.entries().size(), list.row_begin().back());
+      EXPECT_EQ(list.refills(), 0u);
+      const ListRows rows = rows_of(list);
+      ASSERT_EQ(rows.size(), 2048u);
       std::size_t stale = 0;
-      for (const std::uint32_t e : list.entries()) stale += e >= 2048;
+      for (const auto& row : rows) {
+        for (const std::uint32_t e : row) stale += e >= 2048;
+      }
       EXPECT_EQ(stale, 0u);
-      EXPECT_TRUE(std::ranges::equal(list.entries(), expected.entries));
+      EXPECT_EQ(rows, expected);
     }
   }
 }
@@ -481,6 +490,72 @@ TEST(ListStorage, EverySlotIsRewrittenWhenAShrunkenListReusesItsStorage) {
   }
 }
 
+template <typename Real>
+void expect_refill_matches_reference() {
+  // A fresh list sizes its block from the uniform-density estimate of the
+  // box: 1500 atoms packed into a 4-wide corner of a 20-wide box keep
+  // hundreds of neighbours each where the estimate expects about a dozen.
+  // The first build runs out, grows the block and filters again; a regrow
+  // to 3000 atoms in the same corner runs out of that block too.  Both
+  // refills must give the reference rows.
+  const double edge = 20.0;
+  const auto cutoff = static_cast<Real>(2.5);
+  const auto skin = static_cast<Real>(0.3);
+  const PeriodicBoxT<Real> box(static_cast<Real>(edge));
+  std::vector<std::vector<Vec3<Real>>> clusters;
+  std::vector<ListRows> expected;
+  for (const std::size_t n : {1500u, 3000u}) {
+    std::vector<Vec3d> cluster = random_positions(n, 4.0, 60 + n);
+    for (auto& p : cluster) p = p - Vec3d{2.0, 2.0, 2.0};  // over the corner
+    clusters.push_back(narrow<Real>(cluster));
+    expected.push_back(reference_rows(clusters.back(),
+                                      static_cast<Real>(edge), cutoff, skin));
+  }
+  for (const simd::SimdType isa : simd_kernels::available_isas()) {
+    for (const std::size_t threads : {1u, 8u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << simd::to_string(isa) << ", " << threads << " threads, "
+                   << (sizeof(Real) == 8 ? "dp" : "sp"));
+      ThreadPool pool(threads);
+      ParallelNeighborListT<Real> list(skin, &pool);
+      list.set_isa(isa);
+      list.build(clusters[0], box, cutoff);
+      EXPECT_EQ(list.refills(), 1u);
+      EXPECT_EQ(rows_of(list), expected[0]);
+      list.build(clusters[0], box, cutoff);  // sized from the last build
+      EXPECT_EQ(list.refills(), 1u);
+      EXPECT_EQ(rows_of(list), expected[0]);
+      list.build(clusters[1], box, cutoff);
+      EXPECT_EQ(list.refills(), 2u);
+      EXPECT_EQ(rows_of(list), expected[1]);
+      EXPECT_EQ(list.rebuilds(), 3u);
+    }
+  }
+}
+
+TEST(ListStorage, DenseClusterRefillsAndMatchesTheReference) {
+  {
+    SCOPED_TRACE("dp");
+    expect_refill_matches_reference<double>();
+  }
+  {
+    SCOPED_TRACE("sp");
+    expect_refill_matches_reference<float>();
+  }
+}
+
+TEST(ListStorage, FreshFluidListNeverRefills) {
+  // The density estimate covers a melting lattice with room to spare: one
+  // pass per build for the whole run, so list_refills stays 0.
+  RunConfig cfg;
+  cfg.workload.n_atoms = 32768;
+  cfg.steps = 40;
+  cfg.host_kernel = HostKernel::kList;
+  const RunResult result = HostParallelBackend().run(cfg);
+  ASSERT_GE(result.metadata.at("list_rebuilds"), 2.0);
+  EXPECT_EQ(result.metadata.at("list_refills"), 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Failed builds.
 
@@ -492,23 +567,30 @@ TEST(ListCsrOffsets, FailedBuildLeavesTheListInvalidAndTheNextBuildIsCorrect) {
     const PeriodicBox box(edge);
     const auto first = random_positions(300, edge, 41);
     const auto second = random_positions(400, edge, 42);
-    const Csr expected = reference_csr(second, edge, cutoff, skin);
+    const ListRows expected = reference_rows(second, edge, cutoff, skin);
     for (const std::size_t threads : {1u, 8u}) {
       ThreadPool pool(threads);
       ParallelNeighborListT<double> list(skin, &pool);
       list.build(first, box, cutoff);
       ASSERT_TRUE(list.valid());
 
-      list.set_csr_limit(expected.entries.size() - 1);
-      EXPECT_THROW(list.build(second, box, cutoff), RuntimeFailure);
+      list.set_csr_limit(entry_count(expected) - 1);
+      try {
+        list.build(second, box, cutoff);
+        FAIL() << "expected the offset guard to throw";
+      } catch (const RuntimeFailure& e) {
+        const ErrorContext* context = error_context(e);
+        ASSERT_NE(context, nullptr);
+        EXPECT_EQ(context->atoms, 400);
+        EXPECT_NE(std::string(e.what()).find("32-bit"), std::string::npos);
+      }
       EXPECT_FALSE(list.valid());
       EXPECT_TRUE(list.needs_rebuild(second, box, cutoff));
 
       list.set_csr_limit(listutil::kMaxCsrEntries);
       EXPECT_TRUE(list.ensure(second, box, cutoff));
       EXPECT_TRUE(list.valid());
-      EXPECT_EQ(list.row_begin(), expected.row_begin);
-      EXPECT_TRUE(std::ranges::equal(list.entries(), expected.entries));
+      EXPECT_EQ(rows_of(list), expected);
     }
   }
 }
@@ -596,20 +678,28 @@ TEST(ListBinChunks, CountingSortDoesNotDependOnTheThreadCount) {
 // ---------------------------------------------------------------------------
 // Memory counters.
 
-TEST(ListMemoryCounters, BackendReportsCsrScratchAndHistogramBytes) {
-  // Enough steps for rebuilds after the first: the first build counts and
-  // fills the CSR directly, the later ones run through the fill scratch.
+TEST(ListMemoryCounters, BackendReportsBlockEntriesTestsAndHistogram) {
+  // Enough steps for rebuilds after the first, which sized its block from
+  // the density estimate; the later ones size it from the build before.
   RunConfig cfg;
   cfg.workload.n_atoms = 4096;
   cfg.steps = 40;
   cfg.host_kernel = HostKernel::kList;
   const RunResult list = HostParallelBackend().run(cfg);
   ASSERT_GE(list.metadata.at("list_rebuilds"), 2.0);
-  for (const char* key :
-       {"list_csr_bytes", "list_scratch_bytes", "list_hist_bytes"}) {
+  for (const char* key : {"list_csr_bytes", "list_hist_bytes", "list_entries",
+                          "list_distance_tests"}) {
     ASSERT_EQ(list.metadata.count(key), 1u) << key;
     EXPECT_GT(list.metadata.at(key), 0.0) << key;
   }
+  EXPECT_EQ(list.metadata.at("list_refills"), 0.0);
+  EXPECT_EQ(list.metadata.count("list_scratch_bytes"), 0u);  // no scratch
+  // The block holds at least every padded entry, 4 bytes each; each kept
+  // entry costs at least one distance test.
+  EXPECT_GE(list.metadata.at("list_csr_bytes"),
+            4.0 * list.metadata.at("list_entries"));
+  EXPECT_GE(list.metadata.at("list_distance_tests"),
+            list.metadata.at("list_entries"));
   // The histogram holds at most kMaxBinChunks rows of one counter per cell
   // (the list radius is the LJ cutoff plus the default 0.3 skin).
   const Grid g = grid_for(box_edge_for(4096, cfg.workload.density),
@@ -620,9 +710,40 @@ TEST(ListMemoryCounters, BackendReportsCsrScratchAndHistogramBytes) {
 
   cfg.host_kernel = HostKernel::kN2;
   const RunResult n2 = HostParallelBackend().run(cfg);
-  EXPECT_EQ(n2.metadata.count("list_csr_bytes"), 0u);
-  EXPECT_EQ(n2.metadata.count("list_scratch_bytes"), 0u);
-  EXPECT_EQ(n2.metadata.count("list_hist_bytes"), 0u);
+  for (const char* key : {"list_csr_bytes", "list_hist_bytes", "list_entries",
+                          "list_distance_tests", "list_refills"}) {
+    EXPECT_EQ(n2.metadata.count(key), 0u) << key;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Phase timers.
+
+TEST(ListPhases, PhasesSumToTheWallClock) {
+  // A 32k list run: setup + force + integrate + store account for the whole
+  // wall clock (within 5%), and inside the force phase the sweeps, builds
+  // and staleness checks never exceed it.
+  RunConfig cfg;
+  cfg.workload.n_atoms = 32768;
+  cfg.steps = 20;
+  cfg.host_kernel = HostKernel::kList;
+  const RunResult r = HostParallelBackend().run(cfg);
+  const auto ms = [&](const char* key) {
+    EXPECT_EQ(r.metadata.count(key), 1u) << key;
+    return r.metadata.count(key) ? r.metadata.at(key) : 0.0;
+  };
+  const double wall = r.breakdown.at("host_wall").to_milliseconds();
+  const double phases = ms("phase_setup_ms") + ms("phase_force_ms") +
+                        ms("phase_integrate_ms") +
+                        (r.metadata.count("phase_store_ms")
+                             ? r.metadata.at("phase_store_ms")
+                             : 0.0);
+  EXPECT_GT(ms("phase_setup_ms"), 0.0);
+  EXPECT_NEAR(phases, wall, 0.05 * wall);
+  EXPECT_LE(ms("phase_sweep_ms") + ms("list_build_bin_ms") +
+                ms("list_build_fill_ms") + ms("phase_list_check_ms"),
+            ms("phase_force_ms"));
+  EXPECT_GT(ms("phase_list_check_ms"), 0.0);
 }
 
 }  // namespace

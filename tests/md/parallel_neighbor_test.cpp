@@ -202,16 +202,19 @@ TEST(ParallelNeighborList, PaddedRowsHoldSelfIndex) {
   ParallelNeighborListT<double> list(0.3);
   list.build(w.system.positions(), w.box, lj.cutoff);
   const auto& begin = list.row_begin();
-  const auto& entries = list.entries();
-  ASSERT_EQ(begin.size(), 65u);
+  const auto& end = list.row_end();
+  const auto entries = list.entries();
+  ASSERT_EQ(begin.size(), 64u);
+  ASSERT_EQ(end.size(), 64u);
   // Rows are padded to the ISA-independent accumulation block, not the
   // dispatched pack width, so one list layout serves every runtime ISA.
   const std::size_t width = NeighborListKernel::block_width();
   std::uint64_t directed = 0;
   for (std::size_t i = 0; i < 64; ++i) {
-    const std::size_t extent = begin[i + 1] - begin[i];
+    const std::size_t extent = end[i] - begin[i];
     EXPECT_EQ(extent % width, 0u) << "row " << i;
-    for (std::size_t k = begin[i]; k < begin[i + 1]; ++k) {
+    ASSERT_LE(end[i], entries.size()) << "row " << i;
+    for (std::size_t k = begin[i]; k < end[i]; ++k) {
       if (entries[k] == i) continue;  // padding (or a coincident self slot)
       ++directed;
     }
