@@ -10,12 +10,10 @@
 
 #include "core/random.h"
 #include "core/thread_pool.h"
-#include "md/cell_list_kernel.h"
 #include "md/integrator.h"
 #include "md/parallel_neighbor.h"
 #include "md/reference_kernel.h"
 #include "md/simulation.h"
-#include "md/single_precision.h"
 #include "md/soa_kernel.h"
 #include "md/trajectory_store.h"
 #include "md/workload.h"
@@ -366,15 +364,13 @@ BENCHMARK(BM_SimulationStore)
 
 void BM_SoaKernelSingle(benchmark::State& state) {
   // Single-precision SoA kernel: double the lane width of the double path.
+  // Runs on the double positions — the per-call narrowing is priced too.
   const auto n = static_cast<std::size_t>(state.range(0));
   md::Workload w = fluid(n);
-  std::vector<Vec3f> pos;
-  for (const auto& p : w.system.positions()) pos.push_back(vec_cast<float>(p));
-  const md::PeriodicBoxF box(static_cast<float>(w.box.edge()));
-  const auto lj = md::LjParams{}.cast<float>();
+  md::LjParams lj;
   md::SoaKernelF kernel;
   for (auto _ : state) {
-    auto result = kernel.compute(pos, box, lj, 1.0f);
+    auto result = kernel.compute(w.system.positions(), w.box, lj, 1.0);
     benchmark::DoNotOptimize(result.potential_energy);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -402,13 +398,13 @@ void BM_SoaKernelMixed(benchmark::State& state) {
 BENCHMARK(BM_SoaKernelMixed)->Arg(256)->Arg(1024)->Arg(2048);
 
 void BM_NeighborListSingle(benchmark::State& state) {
-  // The --precision sp list path (SingleNeighborListKernel: narrow, float
+  // The --precision sp list path (NeighborListKernelF: narrow, float
   // traversal, widen).  Compare against BM_NeighborListSerial at the same
   // size — the acceptance bar for the precision seam is >= 1.5x here.
   const auto n = static_cast<std::size_t>(state.range(0));
   md::Workload w = fluid(n);
   md::LjParams lj;
-  md::SingleNeighborListKernel kernel;
+  md::NeighborListKernelF kernel;
   kernel.compute(w.system.positions(), w.box, lj, 1.0);  // prime the list
   for (auto _ : state) {
     auto result = kernel.compute(w.system.positions(), w.box, lj, 1.0);
@@ -434,20 +430,6 @@ void BM_NeighborListMixed(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_NeighborListMixed)->Arg(1024)->Arg(2048)->Arg(4096);
-
-void BM_CellListKernel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  md::Workload w = fluid(n);
-  md::LjParams lj;
-  md::CellListKernel kernel;
-  for (auto _ : state) {
-    auto result = kernel.compute(w.system.positions(), w.box, lj, 1.0);
-    benchmark::DoNotOptimize(result.potential_energy);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_CellListKernel)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_VerletStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

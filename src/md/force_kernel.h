@@ -22,9 +22,9 @@ namespace emdpa::md {
 /// accumulation the paper SIMDises last, because so few tested pairs
 /// actually interact).
 ///
-/// Counts are UNORDERED pairs: every md:: host kernel (reference, SoA,
-/// cell-list, Verlet/neighbour list) reports {i,j} once however many times
-/// its traversal visits it, so stats compare 1:1 across kernels.
+/// Counts are UNORDERED pairs: every md:: host kernel (reference, SoA N^2,
+/// neighbour list) reports {i,j} once however many times its traversal
+/// visits it, so stats compare 1:1 across kernels.
 ///
 /// PERMANENT divergence — do not "fix": the cellsim SPE/PPE kernels report
 /// DIRECTED per-visit counts instead (candidates = N*(N-1), exactly 2x the

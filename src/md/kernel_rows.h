@@ -82,11 +82,14 @@ struct RowKernels {
     return total;
   }
 
+  /// The acceleration is formed in Acc and widened to double as it is
+  /// stored (a no-op unless Acc is float): every kernel speaks double.
   static void finish_row(const BlockAcc& a, Acc inv_mass,
-                         emdpa::Vec3<Acc>& accel, Acc& pe, Acc& vir) {
-    accel = emdpa::Vec3<Acc>{reduce_block(a.fx), reduce_block(a.fy),
-                             reduce_block(a.fz)} *
-            inv_mass;
+                         emdpa::Vec3<double>& accel, Acc& pe, Acc& vir) {
+    accel = vec_cast<double>(emdpa::Vec3<Acc>{reduce_block(a.fx),
+                                              reduce_block(a.fy),
+                                              reduce_block(a.fz)} *
+                             inv_mass);
     pe = Acc(0.5) * reduce_block(a.pe);      // pair seen from both ends
     vir = Acc(0.5) * reduce_block(a.vir);
   }
@@ -150,7 +153,7 @@ struct RowKernels {
                        const simd_kernels::SoaBlocks<Real>& blocks, Real edge,
                        Real cutoff_sq, const LjParamsT<Real>& lj,
                        Acc inv_mass, std::size_t i_begin, std::size_t i_end,
-                       emdpa::Vec3<Acc>* accelerations, Acc* row_pe,
+                       emdpa::Vec3<double>* accelerations, Acc* row_pe,
                        Acc* row_virial, std::uint64_t* row_hits) {
     const LjLaneKernel<Real, S> lanes(edge, cutoff_sq, lj);
     // Per-worker span scratch: O(blocks), reused across calls and steps.
@@ -216,7 +219,7 @@ struct RowKernels {
                         const std::uint32_t* entries, Real edge,
                         Real cutoff_sq, const LjParamsT<Real>& lj,
                         Acc inv_mass, std::size_t s_begin, std::size_t s_end,
-                        emdpa::Vec3<Acc>* accelerations, Acc* row_pe,
+                        emdpa::Vec3<double>* accelerations, Acc* row_pe,
                         Acc* row_virial, std::uint64_t* row_hits) {
     const LjLaneKernel<Real, S> lanes(edge, cutoff_sq, lj);
     for (std::size_t s = s_begin; s < s_end; ++s) {

@@ -65,7 +65,8 @@
 //    entries and transposes the records into x/y/z lanes;
 //    then comes the same fused min-image + masked LJ accumulation as the
 //    N^2 SoA kernel, through the same runtime-dispatched per-ISA row loops
-//    (see soa_kernel.h for the dispatch and <Real, Acc> precision seams).  Atom
+//    (see soa_kernel.h for the dispatch and the <Real, Acc> precision seam:
+//    like SoaKernelT, every instantiation is a double-facing ForceKernel).  Atom
 //    rows spread over the pool in the order the build wrote them, so the
 //    sweep streams through the block; each row's partials land at its own
 //    atom index and reduce in index order, so forces, PE and virial are
@@ -381,11 +382,11 @@ class ParallelNeighborListT {
 /// Same physics, ISA dispatch, determinism guarantees and coincident-atom
 /// caveat as SoaKernelT (see soa_kernel.h); PairStats count unordered pairs,
 /// with candidates bounded by the list size rather than N^2.  For
-/// Real != Acc the interface positions are narrowed once per evaluation and
-/// BOTH the list build and the lane math run on the same narrowed
-/// coordinates, so sp and mixed traverse identical lists.
+/// Real == float the positions are narrowed once per evaluation and BOTH
+/// the list build and the lane math run on the same narrowed coordinates,
+/// so sp and mixed traverse identical lists.
 template <typename Real, typename Acc = Real>
-class NeighborListKernelT final : public ForceKernelT<Acc>,
+class NeighborListKernelT final : public ForceKernel,
                                   public NeighborListControl {
  public:
   struct Options {
@@ -488,23 +489,24 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
                 static_cast<Real>(cutoff));
   }
 
-  ForceResultT<Acc> compute(const std::vector<emdpa::Vec3<Acc>>& positions,
-                            const PeriodicBoxT<Acc>& box,
-                            const LjParamsT<Acc>& lj, Acc mass) override {
+  ForceResult compute(const std::vector<emdpa::Vec3d>& positions,
+                      const PeriodicBox& box, const LjParams& lj,
+                      double mass) override {
     const std::size_t n = positions.size();
-    ForceResultT<Acc> result;
+    ForceResult result;
     // The row loop writes every row, so a recycled array needs no zero-fill.
     result.accelerations = std::exchange(spare_accelerations_, {});
     result.accelerations.resize(n);
     if (n == 0) return result;
 
     // The list build and the lane math both run in Real: narrow the box, LJ
-    // parameters and (when Real != Acc) the positions once, so sp and mixed
-    // traverse exactly the list their lane coordinates were tested against.
+    // parameters and (when Real is float) the positions once, so sp and
+    // mixed traverse exactly the list their lane coordinates were tested
+    // against.
     const PeriodicBoxT<Real> rbox(static_cast<Real>(box.edge()));
-    const LjParamsT<Real> ljr = lj.template cast<Real>();
+    const LjParamsT<Real> ljr = lj.cast<Real>();
     const std::vector<emdpa::Vec3<Real>>* real_positions;
-    if constexpr (std::is_same_v<Real, Acc>) {
+    if constexpr (std::is_same_v<Real, double>) {
       real_positions = &positions;
     } else {
       cast_positions_.resize(n);
@@ -542,7 +544,7 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
       }
     };
 
-    const Acc inv_mass = Acc(1) / mass;
+    const Acc inv_mass = Acc(1) / static_cast<Acc>(mass);
     const std::uint32_t* order = list_.row_order().data();
     const std::uint32_t* row_begin = list_.row_begin().data();
     const std::uint32_t* row_end = list_.row_end().data();
@@ -586,7 +588,7 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
     return result;
   }
 
-  void recycle(std::vector<emdpa::Vec3<Acc>>&& spare) override {
+  void recycle(std::vector<emdpa::Vec3d>&& spare) override {
     spare_accelerations_ = std::move(spare);
   }
 
@@ -602,8 +604,8 @@ class NeighborListKernelT final : public ForceKernelT<Acc>,
   // Scratch reused across steps.  records_ holds kRecordReals per atom; a
   // pad slot is zeroed once, by the buffer, and never written.
   std::optional<AlignedBuffer<Real, 64>> records_;
-  std::vector<emdpa::Vec3<Real>> cast_positions_;  ///< Real != Acc only
-  std::vector<emdpa::Vec3<Acc>> spare_accelerations_;  ///< from recycle()
+  std::vector<emdpa::Vec3<Real>> cast_positions_;  ///< Real == float only
+  std::vector<emdpa::Vec3d> spare_accelerations_;  ///< from recycle()
   std::vector<Acc> row_pe_, row_virial_;
   std::vector<std::uint64_t> row_hits_;
 };

@@ -2,18 +2,18 @@
 //
 // The SoA N^2 and neighbour-list kernels are templated on TWO real types:
 // `Real`, the type coordinates are packed in and lane math runs in, and
-// `Acc`, the type per-row lane totals are reduced into and the kernel's
-// public interface speaks:
+// `Acc`, the type per-row lane totals are reduced into.  Every
+// instantiation is a double-facing ForceKernel: it narrows its inputs to
+// Real / Acc once per evaluation and widens its results back to double.
 //
 //   dp     <double, double>  the default; bit-compatible with the seed.
-//   sp     <float,  float>   the paper's device precision, end to end; runs
-//                            behind the double-facing ForceKernel interface
-//                            through the narrowing adapters below.
+//   sp     <float,  float>   the paper's device precision: the lane math,
+//                            the row sums and the cross-row reduction all
+//                            run in FP32.
 //   mixed  <float,  double>  FP32 lane math (full SIMD width on the hot
 //                            loop) with each row's lanes widened to FP64
 //                            before the cross-row reduction, so the global
-//                            sums do not accumulate float rounding.  The
-//                            kernel is natively double-facing: no adapter.
+//                            sums do not accumulate float rounding.
 #pragma once
 
 #include <string>

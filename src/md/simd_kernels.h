@@ -52,7 +52,7 @@ using SoaRowsFn = void (*)(const Real* xs, const Real* ys, const Real* zs,
                            Real cutoff_sq, const LjParamsT<Real>& lj,
                            Acc inv_mass, std::size_t i_begin,
                            std::size_t i_end,
-                           emdpa::Vec3<Acc>* accelerations, Acc* row_pe,
+                           emdpa::Vec3<double>* accelerations, Acc* row_pe,
                            Acc* row_virial, std::uint64_t* row_hits);
 
 /// The list sweep reads positions as records: `records` holds one
@@ -66,7 +66,7 @@ using ListRowsFn = void (*)(const Real* records,
                             Real cutoff_sq, const LjParamsT<Real>& lj,
                             Acc inv_mass, std::size_t s_begin,
                             std::size_t s_end,
-                            emdpa::Vec3<Acc>* accelerations, Acc* row_pe,
+                            emdpa::Vec3<double>* accelerations, Acc* row_pe,
                             Acc* row_virial, std::uint64_t* row_hits);
 
 /// List-build distance filter of one row; see rows::ListFill::row for the

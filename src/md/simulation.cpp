@@ -9,11 +9,9 @@
 #include "core/error.h"
 #include "core/fault_injection.h"
 #include "md/backend.h"
-#include "md/cell_list_kernel.h"
 #include "md/checkpoint.h"
 #include "md/observables.h"
 #include "md/reference_kernel.h"
-#include "md/single_precision.h"
 #include "md/soa_kernel.h"
 
 namespace emdpa::md {
@@ -63,21 +61,24 @@ KernelBuild build_simd_kernel(const Simulation::Options& options) {
   return b;
 }
 
-/// The dp, sp or mixed instantiation of one SIMD kernel, per precision.
-template <typename Dp, typename Sp, typename Mixed>
+/// The <Real, Acc> instantiation of one SIMD kernel template the precision
+/// names (md/precision.h): dp <double, double>, sp <float, float>, mixed
+/// <float, double>.
+template <template <typename, typename> class Kernel>
 KernelBuild make_simd_kernel(const Simulation::Options& options) {
   switch (options.precision) {
-    case PrecisionMode::kSingle: return build_simd_kernel<Sp>(options);
-    case PrecisionMode::kMixed: return build_simd_kernel<Mixed>(options);
+    case PrecisionMode::kSingle:
+      return build_simd_kernel<Kernel<float, float>>(options);
+    case PrecisionMode::kMixed:
+      return build_simd_kernel<Kernel<float, double>>(options);
     case PrecisionMode::kDouble: break;
   }
-  return build_simd_kernel<Dp>(options);
+  return build_simd_kernel<Kernel<double, double>>(options);
 }
 
 KernelBuild make_lj_kernel(SimKernel kind, const Simulation::Options& options) {
   switch (kind) {
-    case SimKernel::kReference:
-    case SimKernel::kCellList: {
+    case SimKernel::kReference: {
       if (options.precision != PrecisionMode::kDouble) {
         throw RuntimeFailure(
             std::string("precision '") + to_string(options.precision) +
@@ -85,19 +86,13 @@ KernelBuild make_lj_kernel(SimKernel kind, const Simulation::Options& options) {
             to_string(kind) + "' runs double only");
       }
       KernelBuild b;
-      if (kind == SimKernel::kReference) {
-        b.kernel = std::make_unique<ReferenceKernel>();
-      } else {
-        b.kernel = std::make_unique<CellListKernel>();
-      }
+      b.kernel = std::make_unique<ReferenceKernel>();
       return b;
     }
     case SimKernel::kSoaN2:
-      return make_simd_kernel<SoaKernel, SingleSoaKernel, SoaKernelMixed>(
-          options);
+      return make_simd_kernel<SoaKernelT>(options);
     case SimKernel::kNeighborList:
-      return make_simd_kernel<NeighborListKernel, SingleNeighborListKernel,
-                              NeighborListKernelMixed>(options);
+      return make_simd_kernel<NeighborListKernelT>(options);
     case SimKernel::kAuto:
       break;  // resolved before we get here
   }
@@ -157,7 +152,6 @@ const char* to_string(SimKernel kernel) {
   switch (kernel) {
     case SimKernel::kAuto: return "auto";
     case SimKernel::kReference: return "reference";
-    case SimKernel::kCellList: return "cell-list";
     case SimKernel::kSoaN2: return "soa-n2";
     case SimKernel::kNeighborList: return "neighbor-list";
   }

@@ -8,10 +8,10 @@
 // examples and the host-parallel backend use.
 //
 // The force evaluation under the integrator is pluggable (SimKernel): the
-// scalar reference kernel, the O(N) cell-list kernel, the SoA/SIMD N^2
-// batch kernel, or the pool-parallel neighbour-list path whose skin logic
-// pays off precisely across the timesteps this loop drives.  kAuto picks
-// the host execution layer's fast path for the workload size.
+// scalar reference kernel (ground truth), the SoA/SIMD N^2 batch kernel, or
+// the pool-parallel neighbour-list path whose skin logic pays off precisely
+// across the timesteps this loop drives.  kAuto picks the host execution
+// layer's fast path for the workload size.
 #pragma once
 
 #include <functional>
@@ -39,13 +39,14 @@ namespace emdpa::md {
 /// Which LJ force kernel drives the simulation loop.  kAuto resolves at
 /// construction: the SoA N^2 batch kernel below the host layer's measured
 /// list crossover (HostParallelBackend::kListCrossoverAtoms) and the
-/// parallel neighbour-list path at or above it.
+/// parallel neighbour-list path at or above it.  The values are the ones
+/// from before the serial cell-list kernel (2) was removed: test suites
+/// print them in their registered names.
 enum class SimKernel {
-  kAuto,
-  kReference,
-  kCellList,
-  kSoaN2,
-  kNeighborList,
+  kAuto = 0,
+  kReference = 1,
+  kSoaN2 = 3,
+  kNeighborList = 4,
 };
 
 const char* to_string(SimKernel kernel);
@@ -65,7 +66,7 @@ class Simulation {
     double dt = 0.005;
     /// Force-kernel strategy for every evaluation (prime, step, minimize).
     SimKernel kernel = SimKernel::kAuto;
-    /// Neighbour-list skin radius (the list kernels only).
+    /// Neighbour-list skin radius (kNeighborList only).
     double skin = 0.3;
     /// Neighbour-list staleness policy; tests inject kNeverRebuild to prove
     /// the displacement check matters.  (kNeighborList only.)
@@ -75,11 +76,11 @@ class Simulation {
     /// any thread count either way.
     ThreadPool* pool = nullptr;
     /// Numeric precision of the LJ fast path (md/precision.h): dp runs
-    /// double end to end, sp runs the float kernels behind a narrowing
-    /// adapter, mixed narrows the lane math but accumulates in double.
-    /// Only the SIMD kernels (kSoaN2 / kNeighborList, or kAuto which
-    /// resolves to one of them) support non-dp; combining sp/mixed with
-    /// kReference or kCellList throws at construction.
+    /// double end to end, sp runs the lane math and its sums in float,
+    /// mixed narrows the lane math but accumulates in double.  Only the
+    /// SIMD kernels (kSoaN2 / kNeighborList, or kAuto which resolves to one
+    /// of them) support non-dp; combining sp/mixed with kReference throws
+    /// at construction.
     PrecisionMode precision = PrecisionMode::kDouble;
     /// Force the SIMD instruction set of the fast-path kernels (throws at
     /// construction when it cannot run here); empty resolves the EMDPA_SIMD
@@ -137,12 +138,12 @@ class Simulation {
   /// Precision mode the run was configured with (Options::precision).
   PrecisionMode precision() const { return precision_; }
   /// Instruction set the fast-path kernel dispatched to at construction;
-  /// empty for the scalar kernels (reference, cell-list) and after a
-  /// degrade-to-reference fallback.
+  /// empty for the scalar reference kernel and after a degrade-to-reference
+  /// fallback.
   std::optional<simd::SimdType> simd_isa() const { return simd_isa_; }
   /// SIMD lane count the dispatched kernel executes per pack — a runtime
   /// property of the selected ISA, NOT the compile-time native width.
-  /// 1 for the scalar kernels.
+  /// 1 for the scalar reference kernel.
   std::size_t simd_width() const { return simd_width_; }
   /// Neighbour-list rebuilds so far; 0 for the stateless kernels.
   std::uint64_t list_rebuilds() const;

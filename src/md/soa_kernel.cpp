@@ -19,8 +19,7 @@ template <typename Real, typename Acc>
 std::string SoaKernelT<Real, Acc>::name() const {
   std::string name = std::string("soa-simd[") + simd_name() + ",w" +
                      std::to_string(simd_width()) + "," +
-                     precision_tag<Real, Acc>() + "][" +
-                     to_string(options_.strategy) + "]";
+                     precision_tag<Real, Acc>() + "]";
   if (options_.pool != nullptr) {
     name += "[threads=" + std::to_string(options_.pool->size()) + "]";
   }
@@ -45,11 +44,11 @@ void SoaKernelT<Real, Acc>::ensure_capacity(std::size_t padded,
 }
 
 template <typename Real, typename Acc>
-ForceResultT<Acc> SoaKernelT<Real, Acc>::compute(
-    const std::vector<emdpa::Vec3<Acc>>& positions,
-    const PeriodicBoxT<Acc>& box, const LjParamsT<Acc>& lj, Acc mass) {
+ForceResult SoaKernelT<Real, Acc>::compute(
+    const std::vector<emdpa::Vec3d>& positions, const PeriodicBox& box,
+    const LjParams& lj, double mass) {
   const std::size_t n = positions.size();
-  ForceResultT<Acc> result;
+  ForceResult result;
   // The row loop writes every row, so a recycled array needs no zero-fill.
   result.accelerations = std::exchange(spare_accelerations_, {});
   result.accelerations.resize(n);
@@ -65,7 +64,7 @@ ForceResultT<Acc> SoaKernelT<Real, Acc>::compute(
   // The lane math runs in Real: narrow the box and LJ parameters once (a
   // no-op in dp) so sp and mixed share one code path bit for bit.
   const PeriodicBoxT<Real> rbox(static_cast<Real>(box.edge()));
-  const LjParamsT<Real> ljr = lj.template cast<Real>();
+  const LjParamsT<Real> ljr = lj.cast<Real>();
 
   // Pack into SoA lanes, narrowing then wrapping once so the fused
   // reflection in the inner loop is exact (the hoisted part of every
@@ -124,7 +123,7 @@ ForceResultT<Acc> SoaKernelT<Real, Acc>::compute(
     blocks.hi[k] = hi;
   }
 
-  const Acc inv_mass = Acc(1) / mass;
+  const Acc inv_mass = Acc(1) / static_cast<Acc>(mass);
   auto rows = [&](std::size_t row_begin, std::size_t row_end) {
     rows_fn_(xs, ys, zs, blocks, edge, ljr.cutoff_squared(), ljr,
              inv_mass, row_begin, row_end, result.accelerations.data(),

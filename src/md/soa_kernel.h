@@ -22,14 +22,15 @@
 //    supports.  Because rows accumulate in fixed blocks reduced in lane
 //    order, every ISA produces BITWISE IDENTICAL results (kernel_rows.h).
 //  * Precision seam: `Real` is the packed coordinate / lane-math type and
-//    `Acc` the interface/reduction type (md/precision.h) — <double,double>
-//    is the dp default, <float,float> the sp kernel behind the narrowing
-//    adapter, <float,double> the natively double-facing mixed kernel.
+//    `Acc` the reduction type (md/precision.h) — <double,double> is dp,
+//    <float,float> sp, <float,double> mixed.  Every instantiation is a
+//    double-facing ForceKernel: positions, box, LJ parameters and mass are
+//    narrowed to Real / Acc once per evaluation, and each row's Acc results
+//    are widened back to double where they are stored.
 //  * Min-image hoisted and fused: positions are wrapped into the box once at
 //    pack time, after which all four MinImageStrategy variants agree exactly
-//    (the property the reference-kernel tests assert), so every strategy
-//    runs the same branch-free single-reflection inner loop.  The strategy
-//    is kept for naming/API parity with ReferenceKernelT.
+//    (the property the reference-kernel tests assert), so one branch-free
+//    single-reflection inner loop serves them all.
 //  * Self-pair exclusion by distance, not index: the lane mask requires
 //    r2 > 0, which drops the i==j pair but ALSO any distinct pair of atoms
 //    at exactly coincident positions.  ReferenceKernelT only skips j==i and
@@ -50,7 +51,6 @@
 #include "core/thread_pool.h"
 #include "md/force_kernel.h"
 #include "md/precision.h"
-#include "md/reference_kernel.h"
 #include "md/simd_kernels.h"
 
 namespace emdpa::md {
@@ -68,10 +68,9 @@ class BlockCullStats {
 };
 
 template <typename Real, typename Acc = Real>
-class SoaKernelT final : public ForceKernelT<Acc>, public BlockCullStats {
+class SoaKernelT final : public ForceKernel, public BlockCullStats {
  public:
   struct Options {
-    MinImageStrategy strategy = MinImageStrategy::kRound;
     /// Pool to split atom rows over; nullptr runs serial on the caller.
     ThreadPool* pool = nullptr;
     /// Atom rows per parallel chunk.
@@ -82,12 +81,8 @@ class SoaKernelT final : public ForceKernelT<Acc>, public BlockCullStats {
   };
 
   explicit SoaKernelT(Options options = {});
-  explicit SoaKernelT(MinImageStrategy strategy)
-      : SoaKernelT(Options{strategy, nullptr, 16, {}}) {}
 
   std::string name() const override;
-
-  MinImageStrategy strategy() const { return options_.strategy; }
 
   /// The instruction set the dispatcher selected for this instance.
   simd::SimdType isa() const { return isa_; }
@@ -102,10 +97,10 @@ class SoaKernelT final : public ForceKernelT<Acc>, public BlockCullStats {
     return simd::block_lanes<Real>();
   }
 
-  ForceResultT<Acc> compute(const std::vector<emdpa::Vec3<Acc>>& positions,
-                            const PeriodicBoxT<Acc>& box,
-                            const LjParamsT<Acc>& lj, Acc mass) override;
-  void recycle(std::vector<emdpa::Vec3<Acc>>&& spare) override {
+  ForceResult compute(const std::vector<emdpa::Vec3d>& positions,
+                      const PeriodicBox& box, const LjParams& lj,
+                      double mass) override;
+  void recycle(std::vector<emdpa::Vec3d>&& spare) override {
     spare_accelerations_ = std::move(spare);
   }
 
@@ -126,7 +121,7 @@ class SoaKernelT final : public ForceKernelT<Acc>, public BlockCullStats {
   simd_kernels::SoaRowsFn<Real, Acc> rows_fn_;
   // Scratch reused across steps (one kernel instance drives a whole run).
   std::optional<AlignedBuffer<Real, 64>> xs_, ys_, zs_;
-  std::vector<emdpa::Vec3<Acc>> spare_accelerations_;  ///< from recycle()
+  std::vector<emdpa::Vec3d> spare_accelerations_;  ///< from recycle()
   std::vector<Acc> row_pe_, row_virial_;
   std::vector<std::uint64_t> row_hits_;
   // Block boxes: lo x, hi x, lo y, hi y, lo z, hi z, box_stride() apart.

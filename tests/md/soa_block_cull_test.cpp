@@ -341,9 +341,10 @@ const Melt& melted_lattice() {
 }
 
 /// FNV-1a over the bits of every force component, the PE, the virial and
-/// both PairStats counters.
+/// both PairStats counters, each value narrowed back to the kernel's Acc
+/// (exact, and checked so: the kernel widened it from Acc).
 template <typename Acc>
-std::uint64_t fingerprint(const ForceResultT<Acc>& r) {
+std::uint64_t fingerprint(const ForceResult& r) {
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](const void* p, std::size_t n) {
     const auto* bytes = static_cast<const unsigned char*>(p);
@@ -352,13 +353,18 @@ std::uint64_t fingerprint(const ForceResultT<Acc>& r) {
       h *= 1099511628211ull;
     }
   };
+  const auto mix_acc = [&mix](double v) {
+    const Acc narrowed = static_cast<Acc>(v);
+    EXPECT_EQ(static_cast<double>(narrowed), v);
+    mix(&narrowed, sizeof narrowed);
+  };
   for (const auto& a : r.accelerations) {
-    mix(&a.x, sizeof(Acc));
-    mix(&a.y, sizeof(Acc));
-    mix(&a.z, sizeof(Acc));
+    mix_acc(a.x);
+    mix_acc(a.y);
+    mix_acc(a.z);
   }
-  mix(&r.potential_energy, sizeof(Acc));
-  mix(&r.virial, sizeof(Acc));
+  mix_acc(r.potential_energy);
+  mix_acc(r.virial);
   mix(&r.stats.candidates, sizeof(r.stats.candidates));
   mix(&r.stats.interacting, sizeof(r.stats.interacting));
   return h;
@@ -374,13 +380,8 @@ constexpr std::uint64_t kUnculledMixed = 0xd0a96db9f34ddb37ull;
 template <typename Real, typename Acc>
 void check_culled_sweep(std::uint64_t unculled, double max_live_frac) {
   const Melt& melt = melted_lattice();
-  std::vector<Vec3<Acc>> positions;
-  for (const Vec3d& p : melt.positions) {
-    positions.push_back(Vec3<Acc>{static_cast<Acc>(p.x), static_cast<Acc>(p.y),
-                                  static_cast<Acc>(p.z)});
-  }
-  const PeriodicBoxT<Acc> box(static_cast<Acc>(melt.edge));
-  const LjParamsT<Acc> lj = LjParams{}.cast<Acc>();
+  const PeriodicBox box(melt.edge);
+  const LjParams lj;
 
   ThreadPool pool1(1), pool2(2), pool4(4);
   struct Config {
@@ -398,12 +399,12 @@ void check_culled_sweep(std::uint64_t unculled, double max_live_frac) {
       options.pool = c.pool;
       options.grain = c.grain;
       SoaKernelT<Real, Acc> kernel(options);
-      const ForceResultT<Acc> r = kernel.compute(positions, box, lj, Acc(1));
+      const ForceResult r = kernel.compute(melt.positions, box, lj, 1.0);
       const std::string where =
           std::string(simd::to_string(isa)) + " threads " +
           std::to_string(c.pool ? c.pool->size() : 0) + " grain " +
           std::to_string(c.grain);
-      EXPECT_EQ(fingerprint(r), unculled) << where;
+      EXPECT_EQ(fingerprint<Acc>(r), unculled) << where;
       EXPECT_EQ(r.stats.candidates, 4096ull * 4095ull / 2) << where;
       const std::uint64_t blocks =
           (4096 + simd::block_lanes<Real>() - 1) / simd::block_lanes<Real>();

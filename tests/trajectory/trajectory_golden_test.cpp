@@ -61,8 +61,7 @@ constexpr double kEnergyRelTol = 1e-9;
 constexpr double kPositionAbsTol = 1e-9;
 
 constexpr SimKernel kAllKernels[] = {SimKernel::kReference, SimKernel::kSoaN2,
-                                     SimKernel::kNeighborList,
-                                     SimKernel::kCellList};
+                                     SimKernel::kNeighborList};
 
 double rel_diff(double a, double b) {
   return std::abs(a - b) / std::max(std::abs(b), 1.0);
@@ -159,8 +158,7 @@ TEST(GoldenTrajectory, KernelsAgreeStepByStep) {
     MeltSpec spec;
     spec.n_atoms = n;
     const Trajectory ref = run_melt(spec);
-    for (const SimKernel kernel :
-         {SimKernel::kSoaN2, SimKernel::kNeighborList, SimKernel::kCellList}) {
+    for (const SimKernel kernel : {SimKernel::kSoaN2, SimKernel::kNeighborList}) {
       spec.kernel = kernel;
       const Trajectory t = run_melt(spec);
       ASSERT_EQ(t.energies.size(), ref.energies.size());

@@ -17,7 +17,7 @@
 
 #include "md/reference_kernel.h"
 #include "md/simd_kernels.h"
-#include "md/single_precision.h"
+#include "md/parallel_neighbor.h"
 #include "md/workload.h"
 #include "trajectory_fixture.h"
 
@@ -227,7 +227,7 @@ TEST(PrecisionTrajectory, ForceErrorOnMovedConfigurationStaysInMeasuredBound) {
   const double true_pe =
       reference.compute(moved.positions, w.box, lj, 1.0).potential_energy;
 
-  SingleNeighborListKernel sp;
+  NeighborListKernelF sp;
   const double sp_pe =
       sp.compute(moved.positions, w.box, lj, 1.0).potential_energy;
   NeighborListKernelMixed mixed;
