@@ -257,9 +257,9 @@ struct RowKernels {
 /// The arrays must hold kWidth readable (ignored) elements past their last
 /// span: the tail pack over-reads and masks the extra lanes off.
 ///
-/// Per lane the test is exactly the scalar build's: the force sweep's
-/// reflection (reflect_min_image — bitwise the rounding min_image on wrapped
-/// inputs), r2 = dx*dx + dy*dy + dz*dz in that order, kept when
+/// Per lane the test is exactly a scalar box.min_image test's: the force
+/// sweep's reflection (reflect_min_image — bitwise the rounding min_image on
+/// wrapped inputs), r2 = dx*dx + dy*dy + dz*dz in that order, kept when
 /// r2 < cutoff_sq.  The self pair is excluded by index, not by r2 > 0, so
 /// exactly coincident atoms stay in the list.  Kept lanes are written in
 /// lane order (original atom indices, ascending within a cell), so a row is

@@ -1,7 +1,7 @@
 // Internal helpers of the neighbour-list build (ParallelNeighborListT).
 // Everything here is part of the determinism contract: the padding unit, the
-// chunk decomposition of the counting sort and the all-pairs fallback fix
-// the rows' bytes, which must not depend on thread count or ISA.
+// chunk decomposition of the counting sort and the stencil's candidate order
+// fix the rows' bytes, which must not depend on thread count or ISA.
 #pragma once
 
 #include <algorithm>
@@ -17,8 +17,8 @@
 
 #include "core/error.h"
 #include "core/simd.h"
+#include "core/thread_pool.h"
 #include "core/vec3.h"
-#include "md/box.h"
 
 namespace emdpa::md::listutil {
 
@@ -87,28 +87,6 @@ constexpr std::size_t padded_row(std::size_t count) {
   return (count + w - 1) / w * w;
 }
 
-/// The padded CSR offsets of per-row kept counts: row i spans
-/// [row_begin[i], row_begin[i + 1]), its padded_row() length.  Returns the
-/// unpadded total (directed entries).  Sums in uint64 and applies the offset
-/// guard (check_entry_limit) to the padded total.
-template <typename Real>
-std::uint64_t padded_row_offsets(const std::vector<std::uint32_t>& row_count,
-                                 std::vector<std::uint32_t>& row_begin,
-                                 std::uint64_t limit = kMaxCsrEntries) {
-  const std::size_t n = row_count.size();
-  row_begin.resize(n + 1);
-  row_begin[0] = 0;
-  std::uint64_t padded = 0;
-  std::uint64_t directed = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    padded += padded_row<Real>(row_count[i]);
-    directed += row_count[i];
-    row_begin[i + 1] = static_cast<std::uint32_t>(padded);
-  }
-  check_entry_limit(n, padded, limit);
-  return directed;
-}
-
 /// Atoms per histogram chunk in the parallel counting sort.  The chunk
 /// decomposition is a function of N ONLY — never the thread count — because
 /// the scatter pass routes each chunk's atoms through per-chunk cursors and
@@ -132,67 +110,17 @@ inline double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Degenerate-box fallback (fewer than 3 cells per axis): O(N^2) build,
-/// count-then-fill into back-to-back padded rows of the same never
-/// value-initialised storage, still row-parallel.  Row i is
-/// entries[row_begin[i], row_end[i]).  `run_rows` splits [0, n) over
-/// whatever pool the caller owns; `limit` is the offset guard's (see
-/// check_entry_limit).  Returns the padded entry count.
-template <typename Real>
-std::size_t build_all_pairs_csr(
-    const std::vector<emdpa::Vec3<Real>>& wrapped,
-    const PeriodicBoxT<Real>& box, Real list_cutoff_sq,
-    const std::function<void(std::size_t,
-                             const std::function<void(std::size_t,
-                                                      std::size_t)>&)>&
-        run_rows,
-    std::vector<std::uint32_t>& row_begin, std::vector<std::uint32_t>& row_end,
-    RawArray<std::uint32_t>& entries, std::uint64_t& directed_entries,
-    std::uint64_t& build_distance_tests, std::uint64_t limit) {
-  const std::size_t n = wrapped.size();
-  std::vector<std::uint32_t> row_count(n);
-  run_rows(n, [&](std::size_t i_begin, std::size_t i_end) {
-    for (std::size_t i = i_begin; i < i_end; ++i) {
-      std::uint32_t count = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        const auto dr = box.min_image(wrapped[i] - wrapped[j]);
-        if (length_squared(dr) < list_cutoff_sq) ++count;
-      }
-      row_count[i] = count;
-    }
-  });
-
-  directed_entries = padded_row_offsets<Real>(row_count, row_begin, limit);
-  build_distance_tests = n == 0 ? 0 : static_cast<std::uint64_t>(n) * (n - 1);
-  row_end.assign(row_begin.begin() + 1, row_begin.end());
-  row_begin.pop_back();
-  const std::size_t total = n == 0 ? 0 : row_end[n - 1];
-
-  entries.reserve_discard(total);
-  std::uint32_t* const out = entries.data();
-  run_rows(n, [&](std::size_t i_begin, std::size_t i_end) {
-    for (std::size_t i = i_begin; i < i_end; ++i) {
-      std::uint32_t slot = row_begin[i];
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        const auto dr = box.min_image(wrapped[i] - wrapped[j]);
-        if (length_squared(dr) < list_cutoff_sq) {
-          out[slot++] = static_cast<std::uint32_t>(j);
-        }
-      }
-      for (; slot < row_end[i]; ++slot) {
-        out[slot] = static_cast<std::uint32_t>(i);  // self pad, r2 == 0
-      }
-    }
-  });
-  return total;
+/// Split [0, n) into chunks of `grain` over `pool`, or run it whole on the
+/// caller when there is no pool.
+inline void run_span(
+    ThreadPool* pool, std::size_t n, std::size_t grain,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(0, n, grain, body);
+  } else {
+    body(0, n);
+  }
 }
-
-/// How the builds split an index range over their pool: (n, grain, body).
-using RunSpanFn = std::function<void(
-    std::size_t, std::size_t,
-    const std::function<void(std::size_t, std::size_t)>&)>;
 
 /// Clamp one wrapped coordinate to its axis cell.  The clamp guards the
 /// exact-edge case (coord * inv_cell landing on `cells` after rounding).
@@ -223,7 +151,7 @@ std::size_t cell_index(const emdpa::Vec3<Real>& p, double inv_cell,
 template <typename Real>
 void bin_pass_histogram(const std::vector<emdpa::Vec3<Real>>& wrapped,
                         std::size_t cells, std::size_t n_cells,
-                        double inv_cell, const RunSpanFn& run_span,
+                        double inv_cell, ThreadPool* pool,
                         std::vector<std::uint32_t>& cell_of_atom,
                         std::vector<std::uint32_t>& bin_hist) {
   const std::size_t n = wrapped.size();
@@ -231,7 +159,7 @@ void bin_pass_histogram(const std::vector<emdpa::Vec3<Real>>& wrapped,
   const std::size_t n_chunks = (n + chunk - 1) / chunk;
   cell_of_atom.resize(n);
   bin_hist.resize(n_chunks * n_cells);
-  run_span(n_chunks, 1, [&](std::size_t k_begin, std::size_t k_end) {
+  run_span(pool, n_chunks, 1, [&](std::size_t k_begin, std::size_t k_end) {
     for (std::size_t k = k_begin; k < k_end; ++k) {
       std::uint32_t* hist = bin_hist.data() + k * n_cells;
       std::fill_n(hist, n_cells, 0u);
@@ -260,7 +188,7 @@ constexpr std::size_t kMergeCells = 4096;
 /// histogram row by row within a block.  Requires bin_hist/cell_of_atom
 /// exactly as bin_pass_histogram leaves them.
 inline void bin_merge_scatter(std::size_t n, std::size_t n_cells,
-                              const RunSpanFn& run_span,
+                              ThreadPool* pool,
                               const std::vector<std::uint32_t>& cell_of_atom,
                               std::vector<std::uint32_t>& bin_hist,
                               std::vector<std::uint32_t>& cell_start,
@@ -277,7 +205,7 @@ inline void bin_merge_scatter(std::size_t n, std::size_t n_cells,
   cell_start.resize(n_cells + 1);
   cell_start[0] = 0;
   std::vector<std::uint32_t> base(n_blocks);
-  run_span(n_blocks, 1, [&](std::size_t b_begin, std::size_t b_end) {
+  run_span(pool, n_blocks, 1, [&](std::size_t b_begin, std::size_t b_end) {
     for (std::size_t b = b_begin; b < b_end; ++b) {
       const std::size_t c0 = b * kMergeCells;
       const std::size_t c1 = block_end(b);
@@ -298,7 +226,7 @@ inline void bin_merge_scatter(std::size_t n, std::size_t n_cells,
     b = running;
     running += sum;
   }
-  run_span(n_blocks, 1, [&](std::size_t b_begin, std::size_t b_end) {
+  run_span(pool, n_blocks, 1, [&](std::size_t b_begin, std::size_t b_end) {
     std::vector<std::uint32_t> cursor;
     for (std::size_t b = b_begin; b < b_end; ++b) {
       const std::size_t c0 = b * kMergeCells;
@@ -323,7 +251,7 @@ inline void bin_merge_scatter(std::size_t n, std::size_t n_cells,
   });
 
   cell_atoms.resize(n);
-  run_span(n_chunks, 1, [&](std::size_t k_begin, std::size_t k_end) {
+  run_span(pool, n_chunks, 1, [&](std::size_t k_begin, std::size_t k_end) {
     for (std::size_t k = k_begin; k < k_end; ++k) {
       std::uint32_t* cursor = bin_hist.data() + k * n_cells;
       const std::size_t i_end = std::min(n, (k + 1) * chunk);
@@ -337,12 +265,12 @@ inline void bin_merge_scatter(std::size_t n, std::size_t n_cells,
 /// Stencil population per cell, computed separably: one 1-D wrap-around
 /// sliding-window pass per axis (add the entering cell, drop the leaving
 /// one) — O(cells) per line instead of O(cells * width).  Valid because
-/// width <= cells (the all-pairs fallback catches smaller boxes), so the
-/// window never visits a cell twice.  Three passes flip between the two
+/// width <= cells (a box too small for that is binned as one cell with
+/// range 0), so the window never visits a cell twice.  Three passes flip between the two
 /// buffers and land in stencil_pop:
 ///   populations (tmp) --z--> pop --y--> tmp --x--> pop.
 inline void populate_stencil(std::size_t cells, std::size_t range,
-                             const RunSpanFn& run_span,
+                             ThreadPool* pool,
                              const std::vector<std::uint32_t>& cell_start,
                              std::vector<std::uint32_t>& stencil_pop,
                              std::vector<std::uint32_t>& stencil_tmp) {
@@ -355,7 +283,7 @@ inline void populate_stencil(std::size_t cells, std::size_t range,
   auto window_pass = [&](const std::uint32_t* in, std::uint32_t* out,
                          std::size_t stride,
                          const std::function<std::size_t(std::size_t)>& base) {
-    run_span(n_lines, 16, [&](std::size_t l_begin, std::size_t l_end) {
+    run_span(pool, n_lines, 16, [&](std::size_t l_begin, std::size_t l_end) {
       for (std::size_t l = l_begin; l < l_end; ++l) {
         const std::size_t b = base(l);
         std::uint32_t window = 0;
@@ -372,7 +300,7 @@ inline void populate_stencil(std::size_t cells, std::size_t range,
     });
   };
 
-  run_span(n_cells, 4096, [&](std::size_t c_begin, std::size_t c_end) {
+  run_span(pool, n_cells, 4096, [&](std::size_t c_begin, std::size_t c_end) {
     for (std::size_t c = c_begin; c < c_end; ++c) {
       stencil_tmp[c] = cell_start[c + 1] - cell_start[c];
     }

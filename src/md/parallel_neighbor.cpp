@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <numbers>
-#include <numeric>
 #include <string>
 
 #include "core/error.h"
@@ -14,6 +13,7 @@
 
 namespace emdpa::md {
 
+using listutil::run_span;
 using listutil::seconds_since;
 
 const char* to_string(SkinPolicy policy) {
@@ -30,28 +30,9 @@ const char* to_string(SkinPolicy policy) {
 
 template <typename Real>
 ParallelNeighborListT<Real>::ParallelNeighborListT(Real skin, ThreadPool* pool,
-                                                   std::size_t grain,
                                                    SkinPolicy policy)
-    : skin_(skin), pool_(pool), grain_(grain), policy_(policy) {
+    : skin_(skin), pool_(pool), policy_(policy) {
   EMDPA_REQUIRE(skin >= Real(0), "skin must be non-negative");
-}
-
-template <typename Real>
-void ParallelNeighborListT<Real>::run_rows(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& body) const {
-  run_span(n, grain_, body);
-}
-
-template <typename Real>
-void ParallelNeighborListT<Real>::run_span(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) const {
-  if (pool_ != nullptr) {
-    pool_->parallel_for(0, n, grain, body);
-  } else {
-    body(0, n);
-  }
 }
 
 template <typename Real>
@@ -70,16 +51,18 @@ bool ParallelNeighborListT<Real>::needs_rebuild(
   // same rebuild schedule — at any thread count.
   const Real limit_sq = (skin_ / Real(2)) * (skin_ / Real(2));
   std::atomic<bool> stale{false};
-  run_span(positions.size(), kStaleGrain, [&](std::size_t b, std::size_t e) {
-    if (stale.load(std::memory_order_relaxed)) return;
-    for (std::size_t i = b; i < e; ++i) {
-      const auto dr = box.min_image(positions[i] - build_positions_[i]);
-      if (length_squared(dr) > limit_sq) {
-        stale.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  });
+  run_span(pool_, positions.size(), kAtomGrain,
+           [&](std::size_t b, std::size_t e) {
+             if (stale.load(std::memory_order_relaxed)) return;
+             for (std::size_t i = b; i < e; ++i) {
+               const auto dr =
+                   box.min_image(positions[i] - build_positions_[i]);
+               if (length_squared(dr) > limit_sq) {
+                 stale.store(true, std::memory_order_relaxed);
+                 return;
+               }
+             }
+           });
   return stale.load(std::memory_order_relaxed);
 }
 
@@ -116,13 +99,9 @@ void ParallelNeighborListT<Real>::bin_atoms(std::size_t n, std::size_t cells,
                                             std::size_t n_cells,
                                             double inv_cell) {
   // The histogram and merge-scatter passes live in list_build_util.h.
-  auto run = [this](std::size_t count, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body) {
-    run_span(count, grain, body);
-  };
-  listutil::bin_pass_histogram(wrapped_, cells, n_cells, inv_cell, run,
+  listutil::bin_pass_histogram(wrapped_, cells, n_cells, inv_cell, pool_,
                                cell_of_atom_, bin_hist_);
-  listutil::bin_merge_scatter(n, n_cells, run, cell_of_atom_, bin_hist_,
+  listutil::bin_merge_scatter(n, n_cells, pool_, cell_of_atom_, bin_hist_,
                               cell_start_, cell_atoms_);
 
   // Cell-sorted SoA copy of the wrapped coordinates: every stencil cell is
@@ -133,7 +112,7 @@ void ParallelNeighborListT<Real>::bin_atoms(std::size_t n, std::size_t cells,
   sorted_x_.resize(padded);
   sorted_y_.resize(padded);
   sorted_z_.resize(padded);
-  run_span(n, 4096, [&](std::size_t s_begin, std::size_t s_end) {
+  run_span(pool_, n, kAtomGrain, [&](std::size_t s_begin, std::size_t s_end) {
     for (std::size_t s = s_begin; s < s_end; ++s) {
       const emdpa::Vec3<Real>& p = wrapped_[cell_atoms_[s]];
       sorted_x_[s] = p.x;
@@ -141,17 +120,6 @@ void ParallelNeighborListT<Real>::bin_atoms(std::size_t n, std::size_t cells,
       sorted_z_[s] = p.z;
     }
   });
-}
-
-template <typename Real>
-void ParallelNeighborListT<Real>::populate_stencil(std::size_t cells,
-                                                   std::size_t range) {
-  auto run = [this](std::size_t count, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body) {
-    run_span(count, grain, body);
-  };
-  listutil::populate_stencil(cells, range, run, cell_start_, stencil_pop_,
-                             stencil_tmp_);
 }
 
 template <typename Real>
@@ -190,7 +158,8 @@ ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
   std::atomic<std::size_t> next_chunk{0};
   std::atomic<std::size_t> next_page{0};
   std::vector<FillTotals> totals(pool_ != nullptr ? pool_->size() : 1);
-  run_span(totals.size(), 1, [&](std::size_t t_begin, std::size_t t_end) {
+  run_span(pool_, totals.size(), 1, [&](std::size_t t_begin,
+                                         std::size_t t_end) {
     for (std::size_t t = t_begin; t < t_end; ++t) {
       FillTotals& sum = totals[t];
       std::vector<std::uint32_t> spans;
@@ -313,7 +282,7 @@ void ParallelNeighborListT<Real>::build_rows(
 
   const auto t_start = std::chrono::steady_clock::now();
   wrapped_.resize(n);
-  run_rows(n, [&](std::size_t i_begin, std::size_t i_end) {
+  run_span(pool_, n, kAtomGrain, [&](std::size_t i_begin, std::size_t i_end) {
     for (std::size_t i = i_begin; i < i_end; ++i) {
       wrapped_[i] = box.wrap(positions[i]);
     }
@@ -323,35 +292,22 @@ void ParallelNeighborListT<Real>::build_rows(
   // classic 27-cell stencil, ~16x the volume of the list sphere, while a
   // radius-2 stencil over half-sized cells sweeps ~6x — far fewer wasted
   // distance tests per build.  `range` is however many cells it takes to
-  // cover the list radius at the realised cell edge.
+  // cover the list radius at the realised cell edge.  A box too small for
+  // that stencil (wrap-around would visit a cell twice and duplicate
+  // entries), or an empty one, is binned as ONE cell with range 0: its
+  // stencil is itself, so every row tests every other atom in index order
+  // (the sort is stable), through the same filter and padding.
   const double edge = static_cast<double>(box.edge());
   auto cells_ll =
       static_cast<long long>(edge / (static_cast<double>(list_cutoff) * 0.5));
   if (cells_ll < 1) cells_ll = 1;
-  const auto cells = static_cast<std::size_t>(cells_ll);
+  auto cells = static_cast<std::size_t>(cells_ll);
   const double cell_edge = edge / static_cast<double>(cells);
-  const auto range = static_cast<std::size_t>(
+  auto range = static_cast<std::size_t>(
       std::ceil(static_cast<double>(list_cutoff) / cell_edge));
   if (n == 0 || 2 * range + 1 > cells) {
-    // Box too small for a proper stencil (wrap-around would visit a cell
-    // twice and duplicate entries): O(N^2) build instead.  All of it counts
-    // as fill — there is no binning phase to speak of.
-    last_bin_seconds_ = seconds_since(t_start);
-    bin_seconds_total_ += last_bin_seconds_;
-    const auto t_fill = std::chrono::steady_clock::now();
-    cell_atoms_.resize(n);
-    std::iota(cell_atoms_.begin(), cell_atoms_.end(), 0u);
-    entry_count_ = listutil::build_all_pairs_csr<Real>(
-        wrapped_, box, list_cutoff_sq_,
-        [this](std::size_t count,
-               const std::function<void(std::size_t, std::size_t)>& body) {
-          run_rows(count, body);
-        },
-        row_begin_, row_end_, entries_, directed_entries_,
-        build_distance_tests_, csr_limit_);
-    last_fill_seconds_ = seconds_since(t_fill);
-    fill_seconds_total_ += last_fill_seconds_;
-    return;
+    cells = 1;
+    range = 0;
   }
 
   // Pool-parallel stable counting sort into cells (per-chunk histograms +
@@ -366,7 +322,8 @@ void ParallelNeighborListT<Real>::build_rows(
   // window pass per axis).  Every atom in a cell tests exactly the atoms of
   // that cell's stencil minus itself, so this bounds each row — and gives
   // the build's exact distance-test count — without touching an atom.
-  populate_stencil(cells, range);
+  listutil::populate_stencil(cells, range, pool_, cell_start_, stencil_pop_,
+                             stencil_tmp_);
 
   last_bin_seconds_ = seconds_since(t_start);
   bin_seconds_total_ += last_bin_seconds_;
@@ -385,10 +342,14 @@ void ParallelNeighborListT<Real>::build_rows(
                              kPageEntries);
   };
   if (pages_used_ == 0) {
+    // A list sphere wider than the box (a one-cell build) still holds at
+    // most every atom.
     const double r = static_cast<double>(list_cutoff);
-    const double per_row = static_cast<double>(n) / (edge * edge * edge) *
-                               (4.0 / 3.0) * std::numbers::pi * r * r * r +
-                           static_cast<double>(padded_multiple());
+    const double per_row =
+        std::min(static_cast<double>(n) / (edge * edge * edge) * (4.0 / 3.0) *
+                     std::numbers::pi * r * r * r,
+                 static_cast<double>(n)) +
+        static_cast<double>(padded_multiple());
     pages_used_ = static_cast<std::size_t>(
                       1.5 * per_row * static_cast<double>(n) / kPageEntries) +
                   1;

@@ -21,9 +21,12 @@
 //    wider stencil — much tighter around the list sphere than a cutoff-sized
 //    27-cell grid — and per stencil (x, y) line the z-window is consecutive
 //    cell ids, so a cell's whole stencil is a few merged spans of the sorted
-//    arrays (two per line at most, where the window wraps).  The fill runs
-//    every distance test once and writes every row once, straight into the
-//    storage the force sweep reads: the runtime-dispatched per-ISA distance
+//    arrays (two per line at most, where the window wraps).  A box narrower
+//    than that stencil (about 2.5 list radii) is binned as ONE cell with
+//    range 0, whose stencil is itself: every row then tests every other
+//    atom in index order, on the same path.  The fill runs every distance
+//    test once and writes every row once, straight into the storage the
+//    force sweep reads: the runtime-dispatched per-ISA distance
 //    filter (kernel_rows.h ListFill — the force sweep's copysign reflection
 //    across SIMD lanes, kept indices written with vpcompressd or a mask-bit
 //    scan) writes each row into pages taken from one shared block — one
@@ -45,10 +48,11 @@
 //    r2 == 0 the shared lane mask (lj_simd.h) already rejects.  The block
 //    is never value-initialised and keeps its capacity across builds: a
 //    continuing list sizes it from the pages its last build took, a fresh
-//    one from the uniform-density estimate n rho (4/3) pi r^3 plus padding
-//    and generous headroom (pages nobody takes are never touched, so they
-//    cost no RSS).  Only a build that still runs out grows the block and
-//    filters again — a "refill"; its first pass counted every row exactly.
+//    one from the uniform-density estimate n rho (4/3) pi r^3 (at most n
+//    per row) plus padding and generous headroom (pages nobody takes are
+//    never touched, so they cost no RSS).  Only a build that still runs
+//    out grows the block and filters again — a "refill"; its first pass
+//    counted every row exactly.
 //    A growing block is released before its replacement is taken and
 //    nothing is copied, so first touch happens in the parallel fill.  The
 //    build reports two phase timings — "bin" (wrap + counting sort +
@@ -183,7 +187,7 @@ class ParallelNeighborListT {
   /// `skin`: extra shell radius beyond the cutoff; `pool`: nullptr builds
   /// serially on the caller.
   explicit ParallelNeighborListT(
-      Real skin, ThreadPool* pool = nullptr, std::size_t grain = 64,
+      Real skin, ThreadPool* pool = nullptr,
       SkinPolicy policy = SkinPolicy::kHalfSkinDisplacement);
 
   Real skin() const { return skin_; }
@@ -255,8 +259,8 @@ class ParallelNeighborListT {
   const std::vector<std::uint32_t>& row_begin() const { return row_begin_; }
   const std::vector<std::uint32_t>& row_end() const { return row_end_; }
   /// Every atom once, in the order the build wrote the rows (cell-sorted;
-  /// index order after the all-pairs fallback): a sweep visiting rows in
-  /// this order streams through the block.
+  /// index order in a one-cell build): a sweep visiting rows in this order
+  /// streams through the block.
   const std::vector<std::uint32_t>& row_order() const { return cell_atoms_; }
   /// The pages of the block the most recent build took.  Slots between
   /// rows (a page's unused tail) are never written; every row slot is
@@ -293,13 +297,8 @@ class ParallelNeighborListT {
   double check_seconds_total() const { return check_seconds_total_; }
 
  private:
-  void run_rows(std::size_t n,
-                const std::function<void(std::size_t, std::size_t)>& body) const;
-  void run_span(std::size_t n, std::size_t grain,
-                const std::function<void(std::size_t, std::size_t)>& body) const;
   void bin_atoms(std::size_t n, std::size_t cells, std::size_t n_cells,
                  double inv_cell);
-  void populate_stencil(std::size_t cells, std::size_t range);
   void build_rows(const std::vector<emdpa::Vec3<Real>>& positions,
                   const PeriodicBoxT<Real>& box, Real cutoff);
   /// What one fill pass wrote: pages taken (more than usable_pages() means
@@ -322,8 +321,9 @@ class ParallelNeighborListT {
     return std::min(entries_.capacity() / kPageEntries, kMaxPages);
   }
 
-  /// Atoms per chunk of the pool-parallel staleness check.
-  static constexpr std::size_t kStaleGrain = 4096;
+  /// Atoms per chunk of the O(n) passes: the staleness check, the wrap and
+  /// the cell-sorted gather.
+  static constexpr std::size_t kAtomGrain = 4096;
   /// Cells per fill chunk (~2 atoms each at MD densities).
   static constexpr std::size_t kFillCellGrain = 64;
   /// Entries per page of the row block.  A fill task keeps its page across
@@ -337,7 +337,6 @@ class ParallelNeighborListT {
 
   Real skin_;
   ThreadPool* pool_;
-  std::size_t grain_;
   SkinPolicy policy_;
 
   Real build_cutoff_ = Real(-1);   ///< lj cutoff the list was built for
@@ -404,7 +403,7 @@ class NeighborListKernelT final : public ForceKernel,
 
   explicit NeighborListKernelT(Options options = {})
       : list_(static_cast<Real>(options.skin), options.pool,
-              options.grain < 64 ? 64 : options.grain, options.skin_policy),
+              options.skin_policy),
         pool_(options.pool),
         grain_(options.grain),
         isa_(simd_kernels::resolve_isa(options.isa)) {

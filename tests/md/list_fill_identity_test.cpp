@@ -17,10 +17,10 @@
 //
 // The block is reused across builds and never value-initialised, so a
 // sequence of builds on ONE list object — growing past its capacity (the
-// grow-and-filter-again refill), shrinking, regrowing, through the
-// all-pairs fallback — must give the rows a fresh list gives, and every
-// slot of a shrunken list's rows must be rewritten (no stale index
-// survives).
+// grow-and-filter-again refill), shrinking, regrowing, through a one-cell
+// build of a box too small for the stencil — must give the rows a fresh
+// list gives, and every slot of a shrunken list's rows must be rewritten
+// (no stale index survives).
 //
 // Also here: the pool-parallel staleness check, the checked 32-bit offset
 // guard (a build that trips it leaves the list invalid), the bounded
@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -165,6 +164,17 @@ std::size_t entry_count(const ListRows& rows) {
   return count;
 }
 
+/// Entries that are not self padding (a row never keeps its own atom): the
+/// list's directed entries.
+std::uint64_t directed_count(const ListRows& rows) {
+  std::uint64_t count = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    count += rows[i].size() -
+             static_cast<std::size_t>(std::ranges::count(rows[i], i));
+  }
+  return count;
+}
+
 /// Every row of the list equals the reference's on every available ISA at 1
 /// and 8 threads.  Returns the reference for scenario-specific checks.
 template <typename Real>
@@ -260,8 +270,8 @@ TEST(ListFillIdentity, CoincidentAtomsAreKept) {
 
 TEST(ListFillIdentity, PairExactlyHalfTheEdgeApart) {
   // The reflection tie (|d| == edge/2) on every axis in turn.  A list radius
-  // below the half edge (the cell-grid path) never keeps such a pair; the
-  // all-pairs fallback of a small box does.
+  // below the half edge (a proper cell grid) never keeps such a pair; the
+  // one-cell build of a box too small for the stencil does.
   const double edge = 16.0;
   std::vector<Vec3d> positions = random_positions(200, edge, 13);
   positions[0] = {3.0, 5.0, 7.0};
@@ -275,12 +285,24 @@ TEST(ListFillIdentity, PairExactlyHalfTheEdgeApart) {
   expect_identity<float>(positions, edge, 2.5, 0.3);
 
   ASSERT_TRUE(grid_for(edge, 8.5 + 0.3).degenerate());
-  const ListRows all_pairs =
+  const ListRows one_cell =
       expect_identity<double>(positions, edge, 8.5, 0.3);
-  EXPECT_TRUE(row_contains(all_pairs, 0, 1));
-  EXPECT_TRUE(row_contains(all_pairs, 3, 2));
-  EXPECT_TRUE(row_contains(all_pairs, 5, 4));
+  EXPECT_TRUE(row_contains(one_cell, 0, 1));
+  EXPECT_TRUE(row_contains(one_cell, 3, 2));
+  EXPECT_TRUE(row_contains(one_cell, 5, 4));
   expect_identity<float>(positions, edge, 8.5, 0.3);
+
+  // The counters the device pairlist cost models price: in a one-cell
+  // build every ordered pair is one distance test, and the directed
+  // entries are the reference's non-padding ones.
+  const std::uint64_t n = positions.size();
+  for (const std::size_t threads : {1u, 8u}) {
+    ThreadPool pool(threads);
+    ParallelNeighborListT<double> list(0.3, &pool);
+    list.build(positions, PeriodicBox(edge), 8.5);
+    EXPECT_EQ(list.build_distance_tests(), n * (n - 1)) << threads;
+    EXPECT_EQ(list.directed_entries(), directed_count(one_cell)) << threads;
+  }
 }
 
 TEST(ListFillIdentity, MostlyEmptyCells) {
@@ -325,20 +347,23 @@ TEST(ListStaleness, ParallelVerdictMatchesSerialAtAnyThreadCount) {
 }
 
 TEST(ListCsrOffsets, PaddedPrefixMatchesTheBlockPadding) {
-  const std::vector<std::uint32_t> counts = {1, 9, 0, 16};
-  std::vector<std::uint32_t> row_begin;
-  EXPECT_EQ(listutil::padded_row_offsets<double>(counts, row_begin), 26u);
-  EXPECT_EQ(row_begin, (std::vector<std::uint32_t>{0, 8, 24, 24, 40}));
-  EXPECT_EQ(listutil::padded_row_offsets<float>(counts, row_begin), 26u);
-  EXPECT_EQ(row_begin, (std::vector<std::uint32_t>{0, 16, 32, 32, 48}));
-  EXPECT_EQ(listutil::padded_row_offsets<double>(counts, row_begin, 40), 26u);
+  // Rows pad to the 64-byte block: 8 doubles, 16 floats; an empty row
+  // stays empty.
+  const std::vector<std::size_t> counts = {1, 9, 0, 16};
+  std::vector<std::size_t> dp, sp;
+  for (const std::size_t count : counts) {
+    dp.push_back(listutil::padded_row<double>(count));
+    sp.push_back(listutil::padded_row<float>(count));
+  }
+  EXPECT_EQ(dp, (std::vector<std::size_t>{8, 16, 0, 16}));
+  EXPECT_EQ(sp, (std::vector<std::size_t>{16, 16, 0, 16}));
 }
 
 TEST(ListCsrOffsets, OverflowThrowsWithContextInsteadOfWrapping) {
-  const std::vector<std::uint32_t> counts = {1, 9, 0, 16};
-  std::vector<std::uint32_t> row_begin;
+  // The padded rows of {1, 9, 0, 16} in dp: 40 entries for 4 atoms.
+  EXPECT_NO_THROW(listutil::check_entry_limit(4, 40, 40));
   try {
-    listutil::padded_row_offsets<double>(counts, row_begin, 39);
+    listutil::check_entry_limit(4, 40, 39);
     FAIL() << "expected the padded-offset guard to throw";
   } catch (const RuntimeFailure& e) {
     const ErrorContext* context = error_context(e);
@@ -347,9 +372,13 @@ TEST(ListCsrOffsets, OverflowThrowsWithContextInsteadOfWrapping) {
     EXPECT_EQ(context->detail, "padded entries 40 > limit 39");
     EXPECT_NE(std::string(e.what()).find("32-bit"), std::string::npos);
   }
-  // The real limit is the uint32 offset range: a sum that wraps it throws.
-  const std::vector<std::uint32_t> huge = {UINT32_MAX - 4, 8};
-  EXPECT_THROW(listutil::padded_row_offsets<double>(huge, row_begin),
+  // The real limit is the uint32 offset range: a uint64 sum of padded rows
+  // past it throws instead of wrapping.
+  const std::uint64_t huge =
+      std::uint64_t{listutil::padded_row<double>(UINT32_MAX - 4)} +
+      listutil::padded_row<double>(8);
+  ASSERT_GT(huge, std::uint64_t{UINT32_MAX});
+  EXPECT_THROW(listutil::check_entry_limit(2, huge, listutil::kMaxCsrEntries),
                RuntimeFailure);
 }
 
@@ -358,8 +387,8 @@ TEST(ListCsrOffsets, OverflowThrowsWithContextInsteadOfWrapping) {
 
 /// One list object per (ISA, threads) rebuilt through a sequence that grows
 /// the list past its block (a refill: the build runs out, grows the block
-/// and filters again), shrinks it, detours through the all-pairs fallback
-/// (a box too small for the stencil) and regrows it past the largest
+/// and filters again), shrinks it, detours through a one-cell build (a box
+/// too small for the stencil) and regrows it past the largest
 /// capacity so far.  Every build's rows must equal a freshly
 /// constructed list's and the brute-force reference's.
 template <typename Real>
@@ -372,7 +401,7 @@ void expect_reuse_sequence() {
   const Step steps[] = {{300, 14.0, 21},   // sparse: small block
                         {2000, 14.0, 22},  // ~7x the entries: grows
                         {500, 14.0, 23},   // shrinks, storage kept
-                        {150, 5.0, 24},    // all-pairs fallback
+                        {150, 5.0, 24},    // one cell
                         {6000, 14.0, 25}}; // past every capacity so far
   const auto cutoff = static_cast<Real>(2.5);
   const auto skin = static_cast<Real>(0.3);
@@ -560,7 +589,7 @@ TEST(ListStorage, FreshFluidListNeverRefills) {
 // Failed builds.
 
 TEST(ListCsrOffsets, FailedBuildLeavesTheListInvalidAndTheNextBuildIsCorrect) {
-  // Grid path (edge 12) and all-pairs fallback (edge 5).
+  // A cell grid (edge 12) and a one-cell build (edge 5).
   for (const double edge : {12.0, 5.0}) {
     SCOPED_TRACE(::testing::Message() << "edge " << edge);
     const double cutoff = 2.5, skin = 0.3;
@@ -651,24 +680,16 @@ TEST(ListBinChunks, CountingSortDoesNotDependOnTheThreadCount) {
     SCOPED_TRACE(::testing::Message() << threads << " threads");
     std::optional<ThreadPool> pool;
     if (threads > 0) pool.emplace(threads);
-    const listutil::RunSpanFn run =
-        [&](std::size_t count, std::size_t grain,
-            const std::function<void(std::size_t, std::size_t)>& body) {
-          if (pool) {
-            pool->parallel_for(0, count, grain, body);
-          } else {
-            body(0, count);
-          }
-        };
+    ThreadPool* const runner = pool ? &*pool : nullptr;
     std::vector<std::uint32_t> cell_of_atom, bin_hist, cell_start, cell_atoms;
     // Stale contents from an earlier, larger use must not leak through.
     bin_hist.assign(2 * n_chunks * n_cells, 7u);
     bin_hist.resize(n_chunks * n_cells / 2);
-    listutil::bin_pass_histogram(wrapped, cells, n_cells, inv_cell, run,
+    listutil::bin_pass_histogram(wrapped, cells, n_cells, inv_cell, runner,
                                  cell_of_atom, bin_hist);
     EXPECT_EQ(bin_hist.size(), n_chunks * n_cells);
     EXPECT_LE(bin_hist.size(), listutil::kMaxBinChunks * n_cells);
-    listutil::bin_merge_scatter(n, n_cells, run, cell_of_atom, bin_hist,
+    listutil::bin_merge_scatter(n, n_cells, runner, cell_of_atom, bin_hist,
                                 cell_start, cell_atoms);
     EXPECT_EQ(cell_start, expected_start);
     EXPECT_EQ(cell_atoms, expected_atoms);

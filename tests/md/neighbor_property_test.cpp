@@ -5,7 +5,7 @@
 // cross-checks the list kernel against an N^2 kernel over ~50 seeded random
 // configurations — varying atom count (up to 20k), density, temperature,
 // cutoff, skin and box shape, including degenerate boxes barely wider than
-// 2*cutoff that force the all-pairs fallback — and asserts three contracts
+// 2*cutoff that the list bins as one cell — and asserts three contracts
 // on every one:
 //
 //  1. Physics equivalence: forces, PE and virial match the N^2 reference

@@ -42,7 +42,7 @@ TEST_P(NeighborListAgreement, MatchesReferenceKernel) {
   }
 }
 
-// 27 exercises the degenerate all-pairs fallback (box < 3 cells per axis);
+// 27 exercises the one-cell build of a box too small for the stencil;
 // 171 is deliberately not a multiple of any SIMD width; 2048 has a real grid.
 INSTANTIATE_TEST_SUITE_P(AtomCounts, NeighborListAgreement,
                          ::testing::Values(27, 64, 171, 256, 512, 2048));

@@ -30,7 +30,7 @@ struct PropertyConfig {
 /// Deterministically expand a config index into a workload recipe.  Most
 /// configs are small (fast reference comparison); every 10th is large
 /// (4k–20k atoms, where the parallel binning actually has work to do);
-/// every 7th shrinks the box until the all-pairs fallback engages.
+/// every 7th shrinks the box until the list bins it as one cell.
 inline PropertyConfig make_config(std::size_t index) {
   Rng rng(0xC0FFEEull * (index + 1) + index);
   static constexpr std::size_t kSmall[] = {32,  48,  64,   100,  128,  171, 200,
@@ -51,7 +51,7 @@ inline PropertyConfig make_config(std::size_t index) {
   const double edge = box_edge_for(config.n_atoms, config.density);
   if (config.degenerate) {
     // List radius at 95% of the half edge: the box fits fewer than
-    // width cells per axis, so the build must take the all-pairs branch.
+    // width cells per axis, so the build bins it as one cell.
     config.cutoff = 0.95 * edge / 2.0 - config.skin;
   } else {
     // Keep cutoff + skin within the half edge the minimum-image convention
