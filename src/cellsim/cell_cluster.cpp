@@ -5,7 +5,6 @@
 #include "cellsim/spe_kernel.h"
 #include "core/aligned_buffer.h"
 #include "core/error.h"
-#include "md/observables.h"
 
 namespace emdpa::cell {
 
@@ -46,8 +45,6 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
   const md::PeriodicBoxF box(static_cast<float>(workload.box.edge()));
   const auto lj = run_config.lj.cast<float>();
   const std::size_t n = system.size();
-  const float dt = static_cast<float>(run_config.dt);
-  const float half_dt = 0.5f * dt;
   for (auto& p : system.positions()) p = box.wrap(p);
 
   const int blades = options_.n_blades;
@@ -59,7 +56,7 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
   // One shared local store image per slice evaluation (the simulator runs
   // slices sequentially; each "SPE" sees the same resident layout).
   LocalStore ls(blade_config_.local_store_bytes);
-  ls.allocate(48 * 1024, "spe program image + stack");
+  ls.allocate(kSpeProgramImageBytes, "spe program image + stack");
   const LsAddr ls_pos = ls.allocate(n * sizeof(emdpa::Vec4f), "positions");
   const LsAddr ls_acc = ls.allocate(n * sizeof(emdpa::Vec4f), "accelerations");
 
@@ -70,9 +67,12 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
   result.backend_name = name();
   ModelTime t_comm, t_compute, t_overhead;
 
-  auto evaluate = [&]() -> std::pair<float, ModelTime> {
+  // One acceleration evaluation; its modelled time lands in accel_time.
+  ModelTime accel_time;
+  md::CallableKernelF kernel(name(), [&](const auto& x, const auto&,
+                                         const auto&, float) {
     for (std::size_t i = 0; i < n; ++i) {
-      host_pos[i] = emdpa::Vec4f(system.positions()[i], 0.0f);
+      host_pos[i] = emdpa::Vec4f(x[i], 0.0f);
     }
     dma.get_large(ls, ls_pos, host_pos.data(), n * sizeof(emdpa::Vec4f), 1);
     const ModelTime dma_in = dma.wait_on_tags(1u << 1, ModelTime::zero());
@@ -80,7 +80,6 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
     // Every blade computes its slice bundle; the step waits for the slowest
     // blade (its SPEs run concurrently within the blade).
     ModelTime slowest_blade;
-    float pe = 0.0f;
     auto* acc = ls.data_at<emdpa::Vec4f>(ls_acc, n);
 
     for (int blade = 0; blade < blades; ++blade) {
@@ -115,9 +114,11 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
     t_overhead += blade_config_.ppe_step_overhead;
 
     // Collect accelerations + PE from the LS image (physics side).
+    md::ForceResultF forces;
+    forces.accelerations.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      system.accelerations()[i] = acc[i].xyz();
-      pe += acc[i].w;
+      forces.accelerations[i] = acc[i].xyz();
+      forces.potential_energy += acc[i].w;
     }
 
     // Ring allgather so every blade sees all updated positions next step
@@ -130,42 +131,30 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
         2.0;
     t_comm += comm;
 
-    return {pe, dma_in + slowest_blade + blade_config_.ppe_step_overhead + comm};
-  };
+    accel_time =
+        dma_in + slowest_blade + blade_config_.ppe_step_overhead + comm;
+    return forces;
+  });
+  const md::VelocityVerletF integrator(static_cast<float>(run_config.dt));
 
   // Prime (untimed).
-  {
-    auto [pe, ignored] = evaluate();
-    (void)ignored;
-    t_comm = t_compute = t_overhead = ModelTime::zero();
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-  }
+  result.energies.push_back(
+      integrator.prime(system, box, lj, kernel).cast<double>());
+  t_comm = t_compute = t_overhead = ModelTime::zero();
 
   const ModelTime launch = blade_config_.thread_launch *
                            static_cast<double>(spes);  // per blade, parallel
+  const ModelTime t_integration = ppe_clock.to_time(CycleCount(
+      static_cast<double>(n) * kPpeIntegrationOpsPerAtom *
+      blade_config_.ppe_cpi));
   ModelTime total = launch;
-
   for (int step = 0; step < run_config.steps; ++step) {
     ModelTime step_time;
     if (step == 0) step_time += launch;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      system.positions()[i] =
-          box.wrap(system.positions()[i] + system.velocities()[i] * dt);
-    }
-    step_time += ppe_clock.to_time(CycleCount(
-        static_cast<double>(n) * 43.0 * blade_config_.ppe_cpi));
-
-    auto [pe, accel_time] = evaluate();
+    step_time += t_integration;
+    result.energies.push_back(
+        integrator.step(system, box, lj, kernel).cast<double>());
     step_time += accel_time;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
     result.step_times.push_back(step_time);
     total += step_time - (step == 0 ? launch : ModelTime::zero());
   }

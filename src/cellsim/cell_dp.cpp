@@ -5,7 +5,6 @@
 #include "core/aligned_buffer.h"
 #include "core/error.h"
 #include "core/vec4.h"
-#include "md/observables.h"
 #include "md/workload.h"
 
 namespace emdpa::cell {
@@ -140,7 +139,6 @@ md::RunResult CellDpBackend::run(const md::RunConfig& run_config) {
   md::ParticleSystem& system = workload.system;
   const md::PeriodicBox& box = workload.box;
   const std::size_t n = system.size();
-  const double half_dt = 0.5 * run_config.dt;
 
   for (auto& p : system.positions()) p = box.wrap(p);
 
@@ -157,7 +155,7 @@ md::RunResult CellDpBackend::run(const md::RunConfig& run_config) {
   for (int s = 0; s < n_spes_; ++s) {
     stores.emplace_back(config_.local_store_bytes);
     auto& store = stores.back();
-    store.allocate(48 * 1024, "spe program image + stack");
+    store.allocate(kSpeProgramImageBytes, "spe program image + stack");
     ls_pos[static_cast<std::size_t>(s)] =
         store.allocate(n * sizeof(emdpa::Vec4d), "positions (dp)");
     ls_acc[static_cast<std::size_t>(s)] =
@@ -181,9 +179,12 @@ md::RunResult CellDpBackend::run(const md::RunConfig& run_config) {
 
   DmaEngine dma(config_.dma);
 
-  auto evaluate = [&]() -> std::pair<double, ModelTime> {
+  // One acceleration evaluation; its modelled time lands in accel_time.
+  ModelTime accel_time;
+  md::CallableKernel kernel(name(), [&](const auto& x, const auto&,
+                                        const auto&, double) {
     for (std::size_t i = 0; i < n; ++i) {
-      host_pos[i] = emdpa::Vec4d(system.positions()[i], 0.0);
+      host_pos[i] = emdpa::Vec4d(x[i], 0.0);
     }
     ModelTime slowest;
     for (int s = 0; s < n_spes_; ++s) {
@@ -213,47 +214,34 @@ md::RunResult CellDpBackend::run(const md::RunConfig& run_config) {
       result.ops.add("cell_dp.pair_candidates", kr.stats.candidates);
     }
 
-    double pe = 0.0;
+    md::ForceResult forces;
+    forces.accelerations.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      system.accelerations()[i] = host_acc[i].xyz();
-      pe += host_acc[i].w;
+      forces.accelerations[i] = host_acc[i].xyz();
+      forces.potential_energy += host_acc[i].w;
     }
-    return {pe, slowest + config_.ppe_step_overhead};
-  };
+    accel_time = slowest + config_.ppe_step_overhead;
+    return forces;
+  });
+  const md::VelocityVerlet integrator(run_config.dt);
 
   // Prime (untimed).
-  {
-    auto [pe, ignored] = evaluate();
-    (void)ignored;
-    t_compute = t_dma = ModelTime::zero();
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-  }
+  result.energies.push_back(
+      integrator.prime(system, box, run_config.lj, kernel));
+  t_compute = t_dma = ModelTime::zero();
 
   const ModelTime launch =
       config_.thread_launch * static_cast<double>(n_spes_);
+  const ModelTime t_integration = ppe_clock.to_time(CycleCount(
+      static_cast<double>(n) * kPpeIntegrationOpsPerAtom * config_.ppe_cpi));
   ModelTime total = launch;
-
   for (int step = 0; step < run_config.steps; ++step) {
     ModelTime step_time;
     if (step == 0) step_time += launch;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      system.positions()[i] = box.wrap(system.positions()[i] +
-                                       system.velocities()[i] * run_config.dt);
-    }
-    step_time += ppe_clock.to_time(
-        CycleCount(static_cast<double>(n) * 43.0 * config_.ppe_cpi));
-
-    auto [pe, accel_time] = evaluate();
+    step_time += t_integration;
+    result.energies.push_back(
+        integrator.step(system, box, run_config.lj, kernel));
     step_time += accel_time;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
     result.step_times.push_back(step_time);
     total += step_time - (step == 0 ? launch : ModelTime::zero());
   }

@@ -8,16 +8,10 @@
 #include "core/aligned_buffer.h"
 #include "core/error.h"
 #include "core/thread_pool.h"
-#include "md/observables.h"
 
 namespace emdpa::cell {
 
 namespace {
-
-// PPE-side scalar work per atom for one step's integration phases (two
-// half-kicks, drift, wrap, kinetic energy) plus the pack/unpack of the
-// quadword arrays and the linear PE reduction.
-constexpr double kPpeIntegrationOpsPerAtom = 34 + 8 + 1;
 
 /// One SPE's per-step offload: DMA positions in, run the kernel, DMA its
 /// acceleration slice out.  Returns the modelled busy time of that SPE.
@@ -174,8 +168,6 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
   const md::PeriodicBoxF box(static_cast<float>(workload.box.edge()));
   const auto lj = run_config.lj.cast<float>();
   const std::size_t n = system.size();
-  const float dt = static_cast<float>(run_config.dt);
-  const float half_dt = 0.5f * dt;
 
   for (auto& p : system.positions()) p = box.wrap(p);
 
@@ -220,7 +212,8 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
   auto setup_ls = [&](int s) {
     auto& spe = *spes[static_cast<std::size_t>(s)];
     // Program image + stack resident in the LS before data.
-    spe.local_store().allocate(48 * 1024, "spe program image + stack");
+    spe.local_store().allocate(kSpeProgramImageBytes,
+                               "spe program image + stack");
     if (options_.data_layout == SpeDataLayout::kResident) {
       ls_pos[static_cast<std::size_t>(s)] =
           spe.local_store().allocate(n * sizeof(emdpa::Vec4f), "positions");
@@ -241,14 +234,18 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
     }
   };
 
-  // Acceleration evaluation at the current positions; returns total PE and
-  // the modelled time consumed this evaluation.
-  auto evaluate_accelerations = [&](bool first_step) -> std::pair<float, ModelTime> {
+  // Acceleration evaluation at the current positions; its modelled time
+  // lands in accel_time.  The prime's evaluation is the first step: it
+  // launches the persistent SPE threads, then clears first_step.
+  bool first_step = true;
+  ModelTime accel_time;
+  md::CallableKernelF kernel("cell", [&](const auto& x, const auto&,
+                                          const auto&, float) {
     ModelTime elapsed;
 
     // Marshal positions (PPE-side, priced within integration ops).
     for (std::size_t i = 0; i < n; ++i) {
-      host_pos[i] = emdpa::Vec4f(system.positions()[i], 0.0f);
+      host_pos[i] = emdpa::Vec4f(x[i], 0.0f);
     }
 
     if (ppe_only) {
@@ -338,64 +335,43 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
     }
 
     // Unmarshal accelerations and reduce PE linearly on the PPE.
-    float pe = 0.0f;
+    md::ForceResultF forces;
+    forces.accelerations.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      system.accelerations()[i] = host_acc[i].xyz();
-      pe += host_acc[i].w;
+      forces.accelerations[i] = host_acc[i].xyz();
+      forces.potential_energy += host_acc[i].w;
     }
-    return {pe, elapsed};
-  };
-
-  auto charge_ppe_integration = [&]() {
-    const ModelTime t = ppe_clock.to_time(CycleCount(
-        static_cast<double>(n) * kPpeIntegrationOpsPerAtom * config_.ppe_cpi));
-    t_ppe += t;
-    return t;
-  };
+    accel_time = elapsed;
+    first_step = false;
+    return forces;
+  });
+  const md::VelocityVerletF integrator(static_cast<float>(run_config.dt));
 
   // Prime (not part of the timed steps, mirroring the Opteron backend).
-  {
-    auto [pe, ignored] = evaluate_accelerations(/*first_step=*/true);
-    (void)ignored;  // priming is untimed, but persistent threads are now up
-    t_launch = ModelTime::zero();
-    t_compute = ModelTime::zero();
-    t_dma = ModelTime::zero();
-    t_mailbox = ModelTime::zero();
-    t_ppe = ModelTime::zero();
-    if (options_.launch_mode == LaunchMode::kPersistent && !ppe_only) {
-      // The paper's Fig-6 accounting includes the one-time launches in the
-      // measured run, so re-charge them at the start of the timed region.
-      t_launch = config_.thread_launch * static_cast<double>(options_.n_spes);
-    }
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
+  // Priming is untimed, but persistent threads are now up.
+  result.energies.push_back(
+      integrator.prime(system, box, lj, kernel).cast<double>());
+  t_launch = t_compute = t_dma = t_mailbox = t_ppe = ModelTime::zero();
+  if (options_.launch_mode == LaunchMode::kPersistent && !ppe_only) {
+    // The paper's Fig-6 accounting includes the one-time launches in the
+    // measured run, so re-charge them at the start of the timed region.
+    t_launch = config_.thread_launch * static_cast<double>(options_.n_spes);
   }
 
+  // The PPE's half kicks, drift, wrap and energy sums each step.
+  const ModelTime t_integration = ppe_clock.to_time(CycleCount(
+      static_cast<double>(n) * kPpeIntegrationOpsPerAtom * config_.ppe_cpi));
   ModelTime total = t_launch;
-
   for (int step = 0; step < run_config.steps; ++step) {
     ModelTime step_time;
     if (step == 0) step_time += t_launch;
+    t_ppe += t_integration;
+    step_time += t_integration;
 
-    // 1. advance velocities (half kick).
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    // 3/4. move atoms, wrap.
-    for (std::size_t i = 0; i < n; ++i) {
-      system.positions()[i] =
-          box.wrap(system.positions()[i] + system.velocities()[i] * dt);
-    }
-    step_time += charge_ppe_integration();
-
-    // 2. accelerations on the SPEs (or PPE).
-    auto [pe, accel_time] = evaluate_accelerations(/*first_step=*/false);
+    // The step; its force evaluation runs on the SPEs (or the PPE).
+    result.energies.push_back(
+        integrator.step(system, box, lj, kernel).cast<double>());
     step_time += accel_time;
-
-    // 1'. second half kick; 5. energies.
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
 
     result.step_times.push_back(step_time);
     total += step_time - (step == 0 ? t_launch : ModelTime::zero());

@@ -96,4 +96,12 @@ struct CellConfig {
   double ppe_cpi = 6.2;
 };
 
+/// PPE-side scalar work per atom for one step's integration phases (two
+/// half-kicks, drift, wrap, kinetic energy) plus the pack/unpack of the
+/// quadword arrays and the linear PE reduction.
+inline constexpr double kPpeIntegrationOpsPerAtom = 34 + 8 + 1;
+
+/// Local-store bytes the SPE program image and stack occupy before data.
+inline constexpr std::size_t kSpeProgramImageBytes = 48 * 1024;
+
 }  // namespace emdpa::cell

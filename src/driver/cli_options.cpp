@@ -1,6 +1,7 @@
 #include "driver/cli_options.h"
 
 #include <charconv>
+#include <cmath>
 
 #include "core/error.h"
 #include "core/simd_dispatch.h"
@@ -62,7 +63,7 @@ std::string cli_usage() {
       "  --steps K          velocity-Verlet steps (10)\n"
       "  --density D        reduced number density (0.8442)\n"
       "  --temperature T    initial reduced temperature (1.44)\n"
-      "  --dt DT            time step (0.005)\n"
+      "  --dt DT            time step, positive and finite (0.005)\n"
       "  --cutoff C         LJ cutoff (2.5)\n"
       "  --seed S           workload seed\n"
       "  --threads N        host execution threads (default: EMDPA_THREADS or all cores)\n"
@@ -223,7 +224,11 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       options.run_config.workload.temperature =
           parse_number(flag, need_value(flag));
     } else if (flag == "--dt") {
-      options.run_config.dt = parse_number(flag, need_value(flag));
+      const double dt = parse_number(flag, need_value(flag));
+      if (!(dt > 0.0 && std::isfinite(dt))) {
+        throw RuntimeFailure("--dt must be positive and finite");
+      }
+      options.run_config.dt = dt;
     } else if (flag == "--cutoff") {
       options.run_config.lj.cutoff = parse_number(flag, need_value(flag));
     } else if (flag == "--seed") {

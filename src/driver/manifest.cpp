@@ -1,5 +1,6 @@
 #include "driver/manifest.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -58,7 +59,11 @@ void apply_key(md::JobSpec& job, const std::string& source, int line,
   } else if (key == "temperature") {
     config.workload.temperature = number_value(source, line, key, value);
   } else if (key == "dt") {
-    config.dt = number_value(source, line, key, value);
+    const double dt = number_value(source, line, key, value);
+    if (!(dt > 0.0 && std::isfinite(dt))) {
+      fail_at(source, line, "dt must be positive and finite");
+    }
+    config.dt = dt;
   } else if (key == "cutoff") {
     config.lj.cutoff = number_value(source, line, key, value);
   } else if (key == "seed") {

@@ -2,7 +2,6 @@
 
 #include "gpusim/md_shader.h"
 #include "gpusim/reduction.h"
-#include "md/observables.h"
 
 namespace emdpa::gpu {
 
@@ -33,8 +32,6 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
   const md::PeriodicBoxF box(static_cast<float>(workload.box.edge()));
   const auto lj = run_config.lj.cast<float>();
   const std::size_t n = system.size();
-  const float dt = static_cast<float>(run_config.dt);
-  const float half_dt = 0.5f * dt;
 
   for (auto& p : system.positions()) p = box.wrap(p);
 
@@ -64,21 +61,21 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
   result.backend_name = name();
   ModelTime t_upload, t_pass, t_readback, t_host, t_reduction;
 
-  auto host_integration_time = [&]() {
-    return host_clock.to_time(CycleCount(static_cast<double>(n) *
-                                         host_.integration_flops_per_atom *
-                                         host_.cpi));
-  };
-
-  // One acceleration evaluation at current positions; returns (PE, time).
-  auto evaluate = [&]() -> std::pair<float, ModelTime> {
+  // One acceleration evaluation at the current positions; its modelled
+  // time lands in accel_time.  Box and LJ constants are baked into the
+  // compiled shader.
+  ModelTime accel_time;
+  md::CallableKernelF kernel(name(), [&](const auto& x, const auto&,
+                                         const auto&, float) {
     ModelTime elapsed;
+    md::ForceResultF forces;
+    forces.accelerations.resize(n);
 
     // Upload positions.
     {
       auto& tex = positions.host_data();
       for (std::size_t i = 0; i < n; ++i) {
-        tex[i] = emdpa::Vec4f(system.positions()[i], 0.0f);
+        tex[i] = emdpa::Vec4f(x[i], 0.0f);
       }
       const ModelTime t = pcie.upload(n * sizeof(emdpa::Vec4f));
       t_upload += t;
@@ -116,7 +113,7 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
       elapsed += t;
       const auto& tex = accelerations.host_data();
       for (std::size_t i = 0; i < n; ++i) {
-        system.accelerations()[i] = tex[i].xyz();
+        forces.accelerations[i] = tex[i].xyz();
       }
       if (options_.pe_strategy == PeStrategy::kReadbackInW) {
         // The free ride: PE contributions arrive in w; the CPU sums them in
@@ -130,40 +127,28 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
       }
     }
 
-    return {pe, elapsed};
-  };
+    forces.potential_energy = pe;
+    accel_time = elapsed;
+    return forces;
+  });
+  const md::VelocityVerletF integrator(static_cast<float>(run_config.dt));
 
   // Prime (untimed, as in the other backends).
-  {
-    auto [pe, ignored] = evaluate();
-    (void)ignored;
-    t_upload = t_pass = t_readback = t_host = t_reduction = ModelTime::zero();
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-  }
+  result.energies.push_back(
+      integrator.prime(system, box, lj, kernel).cast<double>());
+  t_upload = t_pass = t_readback = t_host = t_reduction = ModelTime::zero();
 
+  // The host's half kicks, drift and energy sums each step.
+  const ModelTime t_int = host_clock.to_time(CycleCount(
+      static_cast<double>(n) * host_.integration_flops_per_atom * host_.cpi));
   ModelTime total;
   for (int step = 0; step < run_config.steps; ++step) {
     ModelTime step_time;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      system.positions()[i] =
-          box.wrap(system.positions()[i] + system.velocities()[i] * dt);
-    }
-    const ModelTime t_int = host_integration_time();
     t_host += t_int;
     step_time += t_int;
-
-    auto [pe, accel_time] = evaluate();
+    result.energies.push_back(
+        integrator.step(system, box, lj, kernel).cast<double>());
     step_time += accel_time;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-
     result.step_times.push_back(step_time);
     total += step_time;
   }

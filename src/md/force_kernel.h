@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/vec3.h"
@@ -86,5 +88,34 @@ class ForceKernelT {
 
 using ForceKernel = ForceKernelT<double>;
 using ForceKernelF = ForceKernelT<float>;
+
+/// A force kernel whose compute() calls a callable with the same signature.
+/// The device models put their modelled force evaluation (offload, timing,
+/// op counting) behind it, so they step through the one VelocityVerletT.
+template <typename Real>
+class CallableKernelT final : public ForceKernelT<Real> {
+ public:
+  using Fn = std::function<ForceResultT<Real>(
+      const std::vector<emdpa::Vec3<Real>>&, const PeriodicBoxT<Real>&,
+      const LjParamsT<Real>&, Real)>;
+
+  CallableKernelT(std::string name, Fn fn)
+      : name_(std::move(name)), fn_(std::move(fn)) {}
+
+  std::string name() const override { return name_; }
+
+  ForceResultT<Real> compute(const std::vector<emdpa::Vec3<Real>>& positions,
+                             const PeriodicBoxT<Real>& box,
+                             const LjParamsT<Real>& lj, Real mass) override {
+    return fn_(positions, box, lj, mass);
+  }
+
+ private:
+  std::string name_;
+  Fn fn_;
+};
+
+using CallableKernel = CallableKernelT<double>;
+using CallableKernelF = CallableKernelT<float>;
 
 }  // namespace emdpa::md

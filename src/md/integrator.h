@@ -27,6 +27,11 @@ struct StepEnergiesT {
   Real kinetic{};
   Real potential{};
   Real total() const { return kinetic + potential; }
+
+  template <typename Other>
+  StepEnergiesT<Other> cast() const {
+    return {static_cast<Other>(kinetic), static_cast<Other>(potential)};
+  }
 };
 
 using StepEnergies = StepEnergiesT<double>;

@@ -392,8 +392,6 @@ class NeighborListKernelT final : public ForceKernel,
     double skin = 0.3;
     /// Pool to split the list build and atom rows over; nullptr runs serial.
     ThreadPool* pool = nullptr;
-    /// Atom rows per parallel chunk.
-    std::size_t grain = 16;
     /// Displacement-staleness policy (kNeverRebuild is for tests only).
     SkinPolicy skin_policy = SkinPolicy::kHalfSkinDisplacement;
     /// Force this instruction set; empty resolves EMDPA_SIMD, then the
@@ -401,11 +399,13 @@ class NeighborListKernelT final : public ForceKernel,
     std::optional<simd::SimdType> isa;
   };
 
+  /// Atom rows per parallel sweep chunk.
+  static constexpr std::size_t kRowGrain = 16;
+
   explicit NeighborListKernelT(Options options = {})
       : list_(static_cast<Real>(options.skin), options.pool,
               options.skin_policy),
         pool_(options.pool),
-        grain_(options.grain),
         isa_(simd_kernels::resolve_isa(options.isa)) {
     const simd_kernels::KernelRows& table = simd_kernels::rows(isa_);
     width_ = simd_kernels::width<Real>(table);
@@ -562,7 +562,7 @@ class NeighborListKernelT final : public ForceKernel,
 
     if (pool_ != nullptr) {
       pool_->parallel_for(0, n, 512, pack);
-      pool_->parallel_for(0, n, grain_, rows);
+      pool_->parallel_for(0, n, kRowGrain, rows);
     } else {
       pack(0, n);
       rows(0, n);
@@ -594,7 +594,6 @@ class NeighborListKernelT final : public ForceKernel,
  private:
   ParallelNeighborListT<Real> list_;
   ThreadPool* pool_;
-  std::size_t grain_;
   simd::SimdType isa_;
   std::size_t width_;
   simd_kernels::ListRowsFn<Real, Acc> rows_fn_;

@@ -2,25 +2,10 @@
 
 #include "core/error.h"
 #include "core/thread_pool.h"
-#include "md/observables.h"
 #include "md/reference_kernel.h"
 #include "mtasim/full_empty.h"
 
 namespace emdpa::mta {
-
-namespace {
-
-// Instruction profile of the original double-precision C code, which the
-// MTA port compiles unchanged (only the reduction/pragma differ between the
-// two flavours).  Same code shape as the Opteron reference: 27-image
-// minimum-image search per candidate pair.  The arithmetic below is
-// evaluated with the equivalent single-reflection form (identical results);
-// the counts price the code as written.
-constexpr double kOpsPerCandidate = 3 + 243 + 1 + 4;
-constexpr double kOpsPerInteraction = 30;  // LJ force/energy incl. divide
-constexpr double kIntegrationOpsPerAtom = 34;
-
-}  // namespace
 
 const char* to_string(ThreadingMode m) {
   switch (m) {
@@ -51,9 +36,7 @@ LoopDescription MtaBackend::force_loop_description(ThreadingMode mode,
 md::RunResult MtaBackend::run(const md::RunConfig& run_config) {
   md::Workload workload = md::make_lattice_workload(run_config.workload);
   md::ParticleSystem& system = workload.system;
-  const md::PeriodicBox& box = workload.box;
   const std::size_t n = system.size();
-  const double half_dt = 0.5 * run_config.dt;
 
   StreamMachine machine(config_);
   md::RunResult result;
@@ -67,27 +50,27 @@ md::RunResult MtaBackend::run(const md::RunConfig& run_config) {
 
   ModelTime t_force, t_other;
 
+  // When the compiler parallelises the loop, the modelled streams run for
+  // real: atom rows execute concurrently on the host pool.  The per-row
+  // accumulation + ordered reduction inside ReferenceKernelT keeps the
+  // result bit-identical to the serial kernel, which the cross-backend
+  // bitwise tests rely on.
+  md::ReferenceKernelT<double> reference(
+      md::MinImageStrategy::kRound,
+      decision.parallel ? &ThreadPool::global() : nullptr);
+
   // One force evaluation: real physics + instruction charging per the
-  // compiler's parallelisation decision.  Returns total PE.
-  auto evaluate = [&]() -> double {
-    // When the compiler parallelises the loop, the modelled streams run for
-    // real: atom rows execute concurrently on the host pool.  The per-row
-    // accumulation + ordered reduction inside ReferenceKernelT keeps the
-    // result bit-identical to the serial kernel, which the cross-backend
-    // bitwise tests rely on.
-    md::ReferenceKernelT<double> kernel(
-        md::MinImageStrategy::kRound,
-        decision.parallel ? &ThreadPool::global() : nullptr);
-    auto forces = kernel.compute(system.positions(), box, run_config.lj,
-                                 system.mass());
+  // compiler's parallelisation decision.
+  md::CallableKernel kernel(name(), [&](const auto& positions, const auto& box,
+                                        const auto& lj, double mass) {
+    md::ForceResult forces = reference.compute(positions, box, lj, mass);
 
     // PairStats are unordered pairs; the modelled MTA loop ("for each atom,
     // all j != i") really executes each pair from both ends, so the
     // instruction charge prices the directed visit count.
     const double instructions =
-        2.0 * (kOpsPerCandidate * static_cast<double>(forces.stats.candidates) +
-               kOpsPerInteraction *
-                   static_cast<double>(forces.stats.interacting));
+        n2_instructions(2.0 * static_cast<double>(forces.stats.candidates),
+                        2.0 * static_cast<double>(forces.stats.interacting));
 
     if (decision.parallel) {
       // Fully multithreaded: iterations spread across the streams; the PE
@@ -105,42 +88,26 @@ md::RunResult MtaBackend::run(const md::RunConfig& run_config) {
       t_force += machine.charge_serial(instructions);
     }
 
-    system.accelerations() = std::move(forces.accelerations);
     result.ops.add("mta.pair_candidates", forces.stats.candidates);
     result.ops.add("mta.pair_interactions", forces.stats.interacting);
-    return forces.potential_energy;
-  };
+    return forces;
+  });
+  const md::VelocityVerlet integrator(run_config.dt);
 
   // Prime (untimed).
-  {
-    const double pe = evaluate();
-    machine.reset();
-    t_force = t_other = ModelTime::zero();
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-  }
+  result.energies.push_back(
+      integrator.prime(system, workload.box, run_config.lj, kernel));
+  machine.reset();
+  t_force = t_other = ModelTime::zero();
 
   ModelTime total;
   for (int step = 0; step < run_config.steps; ++step) {
     const ModelTime before = machine.elapsed();
-
     // Integration loops: parallelised automatically in both flavours.
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      system.positions()[i] =
-          box.wrap(system.positions()[i] + system.velocities()[i] * run_config.dt);
-    }
     t_other += machine.charge_parallel(
         static_cast<double>(n) * kIntegrationOpsPerAtom, n);
-
-    const double pe = evaluate();
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-
+    result.energies.push_back(
+        integrator.step(system, workload.box, run_config.lj, kernel));
     result.step_times.push_back(machine.elapsed() - before);
     total = machine.elapsed();
   }

@@ -4,22 +4,13 @@ namespace emdpa::mta {
 
 namespace {
 
-// Same code shape the MTA/XMT backends charge for the on-the-fly kernel.
-constexpr double kN2OpsPerCandidate = 3 + 243 + 1 + 4;
-constexpr double kN2OpsPerInteraction = 30;
-
 constexpr double kPairlistOpsPerEntry = 27;   // see mta_pairlist.h
 constexpr double kBuildOpsPerTest = 31;
 constexpr double kBinOpsPerAtom = 12;
 
-double n2_instructions(const md::PairlistStepWork& work) {
-  return kN2OpsPerCandidate * work.candidates_directed +
-         kN2OpsPerInteraction * work.interacting_directed;
-}
-
 double pairlist_instructions(const md::PairlistStepWork& work) {
   return kPairlistOpsPerEntry * work.list_entries_directed +
-         kN2OpsPerInteraction * work.interacting_directed +
+         kOpsPerInteraction * work.interacting_directed +
          (kBuildOpsPerTest * work.build_tests_directed +
           kBinOpsPerAtom * static_cast<double>(work.n_atoms)) /
              work.rebuild_period_steps;
@@ -35,7 +26,10 @@ ModelTime mta_time(const MtaConfig& config, double instructions,
 
 ModelTime mta_n2_step_time(const MtaConfig& config,
                            const md::PairlistStepWork& work) {
-  return mta_time(config, n2_instructions(work), work.n_atoms);
+  return mta_time(config,
+                  n2_instructions(work.candidates_directed,
+                                  work.interacting_directed),
+                  work.n_atoms);
 }
 
 ModelTime mta_pairlist_step_time(const MtaConfig& config,
@@ -47,8 +41,10 @@ ModelTime mta_pairlist_step_time(const MtaConfig& config,
 
 ModelTime xmt_n2_step_time(const XmtConfig& config,
                            const md::PairlistStepWork& work) {
-  return xmt_parallel_time(config, n2_instructions(work),
-                           naive_remote_fraction(config.n_processors));
+  return xmt_parallel_time(
+      config,
+      n2_instructions(work.candidates_directed, work.interacting_directed),
+      naive_remote_fraction(config.n_processors));
 }
 
 ModelTime xmt_pairlist_step_time(const XmtConfig& config,

@@ -35,6 +35,25 @@ struct MtaConfig {
   double fe_op_cycles = 8.0;
 };
 
+// Instruction profile of the original double-precision C code, which the
+// MTA-2 port compiles unchanged (only the reduction/pragma differ between
+// its two flavours) and the XMT projection reuses.  Same code shape as the
+// Opteron reference: 27-image minimum-image search per candidate pair.  The
+// arithmetic is evaluated with the equivalent single-reflection form
+// (identical results); the counts price the code as written.
+inline constexpr double kOpsPerCandidate = 3 + 243 + 1 + 4;
+inline constexpr double kOpsPerInteraction = 30;  // LJ force/energy incl. divide
+inline constexpr double kIntegrationOpsPerAtom = 34;
+
+/// Instructions of one on-the-fly N^2 force loop.  Its "for each atom, all
+/// j != i" visits every pair from both ends, so the counts are DIRECTED
+/// (twice the unordered md::PairStats).
+constexpr double n2_instructions(double candidates_directed,
+                                 double interacting_directed) {
+  return kOpsPerCandidate * candidates_directed +
+         kOpsPerInteraction * interacting_directed;
+}
+
 class StreamMachine {
  public:
   explicit StreamMachine(const MtaConfig& config = {});

@@ -5,17 +5,9 @@
 
 #include "core/error.h"
 #include "core/thread_pool.h"
-#include "md/observables.h"
 #include "md/reference_kernel.h"
 
 namespace emdpa::mta {
-
-namespace {
-// Same original C code as the MTA-2 port (see mta_backend.cpp).
-constexpr double kOpsPerCandidate = 3 + 243 + 1 + 4;
-constexpr double kOpsPerInteraction = 30;
-constexpr double kIntegrationOpsPerAtom = 34;
-}  // namespace
 
 double naive_remote_fraction(int p) {
   EMDPA_REQUIRE(p > 0, "processor count must be positive");
@@ -57,9 +49,7 @@ std::string XmtBackend::name() const {
 md::RunResult XmtBackend::run(const md::RunConfig& run_config) {
   md::Workload workload = md::make_lattice_workload(run_config.workload);
   md::ParticleSystem& system = workload.system;
-  const md::PeriodicBox& box = workload.box;
   const std::size_t n = system.size();
-  const double half_dt = 0.5 * run_config.dt;
   const double remote = naive_remote_fraction(config_.n_processors);
 
   md::RunResult result;
@@ -68,50 +58,35 @@ md::RunResult XmtBackend::run(const md::RunConfig& run_config) {
 
   // The modelled streams execute for real: atom rows run concurrently on the
   // host pool, with results bit-identical to the serial kernel.
-  md::ReferenceKernelT<double> kernel(md::MinImageStrategy::kRound,
-                                      &ThreadPool::global());
+  md::ReferenceKernelT<double> reference(md::MinImageStrategy::kRound,
+                                         &ThreadPool::global());
 
-  auto evaluate = [&]() -> std::pair<double, ModelTime> {
-    auto forces = kernel.compute(system.positions(), box, run_config.lj,
-                                 system.mass());
+  // One force evaluation; its modelled time lands in force_time.
+  ModelTime force_time;
+  md::CallableKernel kernel(name(), [&](const auto& positions, const auto& box,
+                                        const auto& lj, double mass) {
+    md::ForceResult forces = reference.compute(positions, box, lj, mass);
     // PairStats are unordered pairs; the modelled loop visits each pair from
     // both ends, so the instruction charge prices the directed count.
     const double instructions =
-        2.0 * (kOpsPerCandidate * static_cast<double>(forces.stats.candidates) +
-               kOpsPerInteraction *
-                   static_cast<double>(forces.stats.interacting));
-    const ModelTime t = xmt_parallel_time(config_, instructions, remote);
-    system.accelerations() = std::move(forces.accelerations);
+        n2_instructions(2.0 * static_cast<double>(forces.stats.candidates),
+                        2.0 * static_cast<double>(forces.stats.interacting));
+    force_time = xmt_parallel_time(config_, instructions, remote);
     result.ops.add("xmt.pair_candidates", forces.stats.candidates);
-    return {forces.potential_energy, t};
-  };
+    return forces;
+  });
+  const md::VelocityVerlet integrator(run_config.dt);
 
   // Prime (untimed).
-  {
-    auto [pe, ignored] = evaluate();
-    (void)ignored;
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
-  }
+  result.energies.push_back(
+      integrator.prime(system, workload.box, run_config.lj, kernel));
 
   for (int step = 0; step < run_config.steps; ++step) {
-    ModelTime step_time;
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      system.positions()[i] = box.wrap(system.positions()[i] +
-                                       system.velocities()[i] * run_config.dt);
-    }
-    step_time += xmt_parallel_time(
+    ModelTime step_time = xmt_parallel_time(
         config_, static_cast<double>(n) * kIntegrationOpsPerAtom, remote);
-
-    auto [pe, force_time] = evaluate();
+    result.energies.push_back(
+        integrator.step(system, workload.box, run_config.lj, kernel));
     step_time += force_time;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      system.velocities()[i] += system.accelerations()[i] * half_dt;
-    }
-    result.energies.push_back({md::kinetic_energy_of(system), pe});
     result.step_times.push_back(step_time);
     total += step_time;
   }

@@ -89,6 +89,22 @@ TEST(CliOptions, RejectsBadInput) {
   EXPECT_THROW(parse_cli({"run", "--backend", "gpu", "--wat"}), RuntimeFailure);
 }
 
+TEST(CliOptions, RejectsNonPositiveOrNonFiniteTimeStep) {
+  for (const char* dt : {"0", "-0", "-0.005", "nan", "inf", "-inf"}) {
+    SCOPED_TRACE(dt);
+    try {
+      parse_cli({"run", "--backend", "gpu", "--dt", dt});
+      FAIL() << "expected RuntimeFailure";
+    } catch (const RuntimeFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("--dt"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_DOUBLE_EQ(
+      parse_cli({"run", "--backend", "gpu", "--dt", "1e-4"}).run_config.dt,
+      1e-4);
+}
+
 TEST(CliOptions, UsageMentionsEveryBackend) {
   const std::string usage = cli_usage();
   EXPECT_NE(usage.find("cell-8spe"), std::string::npos);

@@ -79,6 +79,21 @@ TEST(ManifestTest, RejectsMalformedInput) {
   EXPECT_THROW(parse(""), RuntimeFailure);                     // empty
 }
 
+TEST(ManifestTest, RejectsNonPositiveOrNonFiniteTimeStep) {
+  for (const char* dt : {"0", "-0.005", "nan", "inf"}) {
+    SCOPED_TRACE(dt);
+    try {
+      parse(std::string("ok\njob dt=") + dt + "\n");
+      FAIL() << "expected RuntimeFailure";
+    } catch (const RuntimeFailure& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("test:2"), std::string::npos) << what;
+      EXPECT_NE(what.find("dt must be positive"), std::string::npos) << what;
+    }
+  }
+  EXPECT_DOUBLE_EQ(parse("job dt=0.002\n")[0].config.dt, 0.002);
+}
+
 TEST(ManifestTest, LoadManifestRejectsMissingFile) {
   EXPECT_THROW(load_manifest("/nonexistent/manifest.txt"), RuntimeFailure);
 }
