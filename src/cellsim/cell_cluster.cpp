@@ -5,6 +5,7 @@
 #include "cellsim/spe_kernel.h"
 #include "core/aligned_buffer.h"
 #include "core/error.h"
+#include "md/device_model.h"
 
 namespace emdpa::cell {
 
@@ -40,18 +41,13 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
   EMDPA_REQUIRE(!run_config.lj.shifted,
                 "the Cell port implements the paper's truncated LJ only");
 
-  md::Workload workload = md::make_lattice_workload(run_config.workload);
-  md::ParticleSystemF system = workload.system.cast<float>();
-  const md::PeriodicBoxF box(static_cast<float>(workload.box.edge()));
-  const auto lj = run_config.lj.cast<float>();
-  const std::size_t n = system.size();
-  for (auto& p : system.positions()) p = box.wrap(p);
+  auto workload = md::make_device_workload<float>(run_config, /*wrap=*/true);
+  const std::size_t n = workload.system.size();
 
   const int blades = options_.n_blades;
   const int spes = options_.spes_per_blade;
   const int total_slices = blades * spes;
   const ClockDomain spe_clock(blade_config_.spe_clock_hz);
-  const ClockDomain ppe_clock(blade_config_.ppe_clock_hz);
 
   // One shared local store image per slice evaluation (the simulator runs
   // slices sequentially; each "SPE" sees the same resident layout).
@@ -67,21 +63,15 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
   result.backend_name = name();
   ModelTime t_comm, t_compute, t_overhead;
 
-  // One acceleration evaluation; its modelled time lands in accel_time.
-  ModelTime accel_time;
-  md::CallableKernelF kernel(name(), [&](const auto& x, const auto&,
-                                         const auto&, float) {
-    for (std::size_t i = 0; i < n; ++i) {
-      host_pos[i] = emdpa::Vec4f(x[i], 0.0f);
-    }
+  auto force = [&](ModelTime& time, const auto& x, const auto& box,
+                   const auto& lj, float mass) {
+    md::pack_positions(x, host_pos.data());
     dma.get_large(ls, ls_pos, host_pos.data(), n * sizeof(emdpa::Vec4f), 1);
     const ModelTime dma_in = dma.wait_on_tags(1u << 1, ModelTime::zero());
 
     // Every blade computes its slice bundle; the step waits for the slowest
     // blade (its SPEs run concurrently within the blade).
     ModelTime slowest_blade;
-    auto* acc = ls.data_at<emdpa::Vec4f>(ls_acc, n);
-
     for (int blade = 0; blade < blades; ++blade) {
       ModelTime slowest_spe;
       for (int s = 0; s < spes; ++s) {
@@ -91,7 +81,7 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
         params.cutoff_sq = lj.cutoff_squared();
         params.epsilon = lj.epsilon;
         params.sigma = lj.sigma;
-        params.inv_mass = 1.0f / system.mass();
+        params.inv_mass = 1.0f / mass;
         params.n_atoms = static_cast<std::uint32_t>(n);
         params.i_begin = static_cast<std::uint32_t>(
             n * static_cast<std::size_t>(slice) /
@@ -113,14 +103,6 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
     // so the per-step overhead is paid once, not per blade.
     t_overhead += blade_config_.ppe_step_overhead;
 
-    // Collect accelerations + PE from the LS image (physics side).
-    md::ForceResultF forces;
-    forces.accelerations.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      forces.accelerations[i] = acc[i].xyz();
-      forces.potential_energy += acc[i].w;
-    }
-
     // Ring allgather so every blade sees all updated positions next step
     // (accelerations travel the same wire the other way; the symmetric cost
     // is folded into the same call).
@@ -131,40 +113,26 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
         2.0;
     t_comm += comm;
 
-    accel_time =
-        dma_in + slowest_blade + blade_config_.ppe_step_overhead + comm;
-    return forces;
-  });
-  const md::VelocityVerletF integrator(static_cast<float>(run_config.dt));
-
-  // Prime (untimed).
-  result.energies.push_back(
-      integrator.prime(system, box, lj, kernel).cast<double>());
-  t_comm = t_compute = t_overhead = ModelTime::zero();
+    time = dma_in + slowest_blade + blade_config_.ppe_step_overhead + comm;
+    // Collect accelerations + PE from the LS image (physics side).
+    return md::unpack_forces(ls.data_at<emdpa::Vec4f>(ls_acc, n), n);
+  };
 
   const ModelTime launch = blade_config_.thread_launch *
                            static_cast<double>(spes);  // per blade, parallel
-  const ModelTime t_integration = ppe_clock.to_time(CycleCount(
-      static_cast<double>(n) * kPpeIntegrationOpsPerAtom *
-      blade_config_.ppe_cpi));
-  ModelTime total = launch;
-  for (int step = 0; step < run_config.steps; ++step) {
-    ModelTime step_time;
-    if (step == 0) step_time += launch;
-    step_time += t_integration;
-    result.energies.push_back(
-        integrator.step(system, box, lj, kernel).cast<double>());
-    step_time += accel_time;
-    result.step_times.push_back(step_time);
-    total += step_time - (step == 0 ? launch : ModelTime::zero());
-  }
+  const ModelTime t_integration = ppe_integration_time(blade_config_, n);
+  md::run_timed_region(
+      std::move(workload), run_config,
+      {.force = force,
+       .charge_step = [&] { return t_integration; },
+       .launch = launch,
+       .reset = [&] { t_comm = t_compute = t_overhead = ModelTime::zero(); }},
+      result);
 
-  result.device_time = total;
   result.breakdown["interconnect"] = t_comm;
   result.breakdown["compute"] = t_compute;
   result.breakdown["blade_overhead"] = t_overhead;
   result.breakdown["spe_launch"] = launch;
-  result.final_state = system.cast<double>();
   return result;
 }
 

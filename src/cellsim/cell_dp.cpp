@@ -5,7 +5,7 @@
 #include "core/aligned_buffer.h"
 #include "core/error.h"
 #include "core/vec4.h"
-#include "md/workload.h"
+#include "md/device_model.h"
 
 namespace emdpa::cell {
 
@@ -135,15 +135,10 @@ md::RunResult CellDpBackend::run(const md::RunConfig& run_config) {
   EMDPA_REQUIRE(!run_config.lj.shifted,
                 "the Cell port implements the paper's truncated LJ only");
 
-  md::Workload workload = md::make_lattice_workload(run_config.workload);
-  md::ParticleSystem& system = workload.system;
-  const md::PeriodicBox& box = workload.box;
-  const std::size_t n = system.size();
-
-  for (auto& p : system.positions()) p = box.wrap(p);
+  auto workload = md::make_device_workload<double>(run_config, /*wrap=*/true);
+  const std::size_t n = workload.system.size();
 
   const ClockDomain spe_clock(config_.spe_clock_hz);
-  const ClockDomain ppe_clock(config_.ppe_clock_hz);
 
   AlignedBuffer<emdpa::Vec4d> host_pos(n), host_acc(n);
 
@@ -161,11 +156,11 @@ md::RunResult CellDpBackend::run(const md::RunConfig& run_config) {
     ls_acc[static_cast<std::size_t>(s)] =
         store.allocate(n * sizeof(emdpa::Vec4d), "accelerations (dp)");
     auto& p = params[static_cast<std::size_t>(s)];
-    p.box_edge = box.edge();
+    p.box_edge = workload.box.edge();
     p.cutoff_sq = run_config.lj.cutoff_squared();
     p.epsilon = run_config.lj.epsilon;
     p.sigma = run_config.lj.sigma;
-    p.inv_mass = 1.0 / system.mass();
+    p.inv_mass = 1.0 / workload.system.mass();
     p.n_atoms = static_cast<std::uint32_t>(n);
     p.i_begin = static_cast<std::uint32_t>(
         n * static_cast<std::size_t>(s) / static_cast<std::size_t>(n_spes_));
@@ -179,13 +174,9 @@ md::RunResult CellDpBackend::run(const md::RunConfig& run_config) {
 
   DmaEngine dma(config_.dma);
 
-  // One acceleration evaluation; its modelled time lands in accel_time.
-  ModelTime accel_time;
-  md::CallableKernel kernel(name(), [&](const auto& x, const auto&,
-                                        const auto&, double) {
-    for (std::size_t i = 0; i < n; ++i) {
-      host_pos[i] = emdpa::Vec4d(x[i], 0.0);
-    }
+  auto force = [&](ModelTime& time, const auto& x, const auto&, const auto&,
+                   double) {
+    md::pack_positions(x, host_pos.data());
     ModelTime slowest;
     for (int s = 0; s < n_spes_; ++s) {
       auto& store = stores[static_cast<std::size_t>(s)];
@@ -213,44 +204,24 @@ md::RunResult CellDpBackend::run(const md::RunConfig& run_config) {
       t_compute += compute;
       result.ops.add("cell_dp.pair_candidates", kr.stats.candidates);
     }
-
-    md::ForceResult forces;
-    forces.accelerations.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      forces.accelerations[i] = host_acc[i].xyz();
-      forces.potential_energy += host_acc[i].w;
-    }
-    accel_time = slowest + config_.ppe_step_overhead;
-    return forces;
-  });
-  const md::VelocityVerlet integrator(run_config.dt);
-
-  // Prime (untimed).
-  result.energies.push_back(
-      integrator.prime(system, box, run_config.lj, kernel));
-  t_compute = t_dma = ModelTime::zero();
+    time = slowest + config_.ppe_step_overhead;
+    return md::unpack_forces(host_acc.data(), n);
+  };
 
   const ModelTime launch =
       config_.thread_launch * static_cast<double>(n_spes_);
-  const ModelTime t_integration = ppe_clock.to_time(CycleCount(
-      static_cast<double>(n) * kPpeIntegrationOpsPerAtom * config_.ppe_cpi));
-  ModelTime total = launch;
-  for (int step = 0; step < run_config.steps; ++step) {
-    ModelTime step_time;
-    if (step == 0) step_time += launch;
-    step_time += t_integration;
-    result.energies.push_back(
-        integrator.step(system, box, run_config.lj, kernel));
-    step_time += accel_time;
-    result.step_times.push_back(step_time);
-    total += step_time - (step == 0 ? launch : ModelTime::zero());
-  }
+  const ModelTime t_integration = ppe_integration_time(config_, n);
+  md::run_timed_region(
+      std::move(workload), run_config,
+      {.force = force,
+       .charge_step = [&] { return t_integration; },
+       .launch = launch,
+       .reset = [&] { t_compute = t_dma = ModelTime::zero(); }},
+      result);
 
-  result.device_time = total;
   result.breakdown["spe_launch"] = launch;
   result.breakdown["spe_compute"] = t_compute;
   result.breakdown["dma"] = t_dma;
-  result.final_state = std::move(system);
   return result;
 }
 

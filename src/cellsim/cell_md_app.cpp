@@ -8,6 +8,7 @@
 #include "core/aligned_buffer.h"
 #include "core/error.h"
 #include "core/thread_pool.h"
+#include "md/device_model.h"
 
 namespace emdpa::cell {
 
@@ -161,15 +162,10 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
   EMDPA_REQUIRE(!run_config.lj.shifted,
                 "the Cell port implements the paper's truncated LJ only");
 
-  // Build the canonical double-precision workload, then cross the host ->
-  // device boundary into single precision (as the paper's Cell port does).
-  md::Workload workload = md::make_lattice_workload(run_config.workload);
-  md::ParticleSystemF system = workload.system.cast<float>();
-  const md::PeriodicBoxF box(static_cast<float>(workload.box.edge()));
-  const auto lj = run_config.lj.cast<float>();
-  const std::size_t n = system.size();
-
-  for (auto& p : system.positions()) p = box.wrap(p);
+  // The canonical workload crosses the host -> device boundary into single
+  // precision (as the paper's Cell port does).
+  auto workload = md::make_device_workload<float>(run_config, /*wrap=*/true);
+  const std::size_t n = workload.system.size();
 
   const ClockDomain ppe_clock(config_.ppe_clock_hz);
   const bool ppe_only = options_.n_spes == 0;
@@ -186,11 +182,11 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
   for (int s = 0; s < options_.n_spes; ++s) {
     spes.push_back(std::make_unique<SpeContext>(s, config_));
     auto& p = params[static_cast<std::size_t>(s)];
-    p.box_edge = box.edge();
-    p.cutoff_sq = lj.cutoff_squared();
-    p.epsilon = lj.epsilon;
-    p.sigma = lj.sigma;
-    p.inv_mass = 1.0f / system.mass();
+    p.box_edge = workload.box.edge();
+    p.cutoff_sq = workload.lj.cutoff_squared();
+    p.epsilon = workload.lj.epsilon;
+    p.sigma = workload.lj.sigma;
+    p.inv_mass = 1.0f / workload.system.mass();
     p.n_atoms = static_cast<std::uint32_t>(n);
     p.i_begin = static_cast<std::uint32_t>(n * static_cast<std::size_t>(s) /
                                            static_cast<std::size_t>(options_.n_spes));
@@ -234,24 +230,21 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
     }
   };
 
-  // Acceleration evaluation at the current positions; its modelled time
-  // lands in accel_time.  The prime's evaluation is the first step: it
-  // launches the persistent SPE threads, then clears first_step.
+  // Acceleration evaluation at the current positions.  The prime's
+  // evaluation is the first step: it launches the persistent SPE threads,
+  // then clears first_step.
   bool first_step = true;
-  ModelTime accel_time;
-  md::CallableKernelF kernel("cell", [&](const auto& x, const auto&,
-                                          const auto&, float) {
-    ModelTime elapsed;
+  auto force = [&](ModelTime& elapsed, const auto& x, const auto& box,
+                   const auto& lj, float mass) {
+    elapsed = ModelTime::zero();
 
     // Marshal positions (PPE-side, priced within integration ops).
-    for (std::size_t i = 0; i < n; ++i) {
-      host_pos[i] = emdpa::Vec4f(x[i], 0.0f);
-    }
+    md::pack_positions(x, host_pos.data());
 
     if (ppe_only) {
       PpeKernelResult ppe = run_ppe_accel_kernel(
-          box.edge(), lj.cutoff_squared(), lj.epsilon, lj.sigma,
-          1.0f / system.mass(), host_pos.data(), host_acc.data(), n);
+          box.edge(), lj.cutoff_squared(), lj.epsilon, lj.sigma, 1.0f / mass,
+          host_pos.data(), host_acc.data(), n);
       const ModelTime t =
           ppe_clock.to_time(CycleCount(ppe.scalar_ops * config_.ppe_cpi));
       t_ppe += t;
@@ -324,8 +317,6 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
         result.ops.add("cell.pair_candidates", outcome.kernel.stats.candidates);
         result.ops.add("cell.pair_interactions",
                        outcome.kernel.stats.interacting);
-        result.ops.add("cell.dma_bytes",
-                       spes[static_cast<std::size_t>(s)]->dma().bytes_transferred());
       }
       elapsed += slowest;
 
@@ -335,59 +326,43 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
     }
 
     // Unmarshal accelerations and reduce PE linearly on the PPE.
-    md::ForceResultF forces;
-    forces.accelerations.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      forces.accelerations[i] = host_acc[i].xyz();
-      forces.potential_energy += host_acc[i].w;
-    }
-    accel_time = elapsed;
     first_step = false;
-    return forces;
-  });
-  const md::VelocityVerletF integrator(static_cast<float>(run_config.dt));
+    return md::unpack_forces(host_acc.data(), n);
+  };
 
-  // Prime (not part of the timed steps, mirroring the Opteron backend).
-  // Priming is untimed, but persistent threads are now up.
-  result.energies.push_back(
-      integrator.prime(system, box, lj, kernel).cast<double>());
-  t_launch = t_compute = t_dma = t_mailbox = t_ppe = ModelTime::zero();
-  if (options_.launch_mode == LaunchMode::kPersistent && !ppe_only) {
-    // The paper's Fig-6 accounting includes the one-time launches in the
-    // measured run, so re-charge them at the start of the timed region.
-    t_launch = config_.thread_launch * static_cast<double>(options_.n_spes);
-  }
+  // Fig 6 counts the persistent threads' one-time launches, which the untimed
+  // prime made: re-charge them at the start of the timed region.
+  const ModelTime relaunch =
+      options_.launch_mode == LaunchMode::kPersistent && !ppe_only
+          ? config_.thread_launch * static_cast<double>(options_.n_spes)
+          : ModelTime::zero();
+  const ModelTime t_integration = ppe_integration_time(config_, n);
+  md::run_timed_region(
+      std::move(workload), run_config,
+      {.force = force,
+       .charge_step =
+           [&] {
+             t_ppe += t_integration;
+             return t_integration;
+           },
+       .launch = relaunch,
+       .reset =
+           [&] {
+             t_compute = t_dma = t_mailbox = t_ppe = ModelTime::zero();
+             t_launch = relaunch;
+           }},
+      result);
 
-  // The PPE's half kicks, drift, wrap and energy sums each step.
-  const ModelTime t_integration = ppe_clock.to_time(CycleCount(
-      static_cast<double>(n) * kPpeIntegrationOpsPerAtom * config_.ppe_cpi));
-  ModelTime total = t_launch;
-  for (int step = 0; step < run_config.steps; ++step) {
-    ModelTime step_time;
-    if (step == 0) step_time += t_launch;
-    t_ppe += t_integration;
-    step_time += t_integration;
-
-    // The step; its force evaluation runs on the SPEs (or the PPE).
-    result.energies.push_back(
-        integrator.step(system, box, lj, kernel).cast<double>());
-    step_time += accel_time;
-
-    result.step_times.push_back(step_time);
-    total += step_time - (step == 0 ? t_launch : ModelTime::zero());
-  }
-
-  result.device_time = total;
   result.breakdown["spe_launch"] = t_launch;
   result.breakdown["spe_compute"] = t_compute;
   result.breakdown["dma"] = t_dma;
   result.breakdown["mailbox"] = t_mailbox;
   result.breakdown["ppe"] = t_ppe;
   for (const auto& spe : spes) {
+    result.ops.add("cell.dma_bytes", spe->dma().bytes_transferred());
     result.ops.add("cell.dma_retries", spe->dma().retries());
     result.ops.add("cell.mailbox_retries", spe->signal_retries());
   }
-  result.final_state = system.cast<double>();
   return result;
 }
 

@@ -96,10 +96,14 @@ struct CellConfig {
   double ppe_cpi = 6.2;
 };
 
-/// PPE-side scalar work per atom for one step's integration phases (two
-/// half-kicks, drift, wrap, kinetic energy) plus the pack/unpack of the
-/// quadword arrays and the linear PE reduction.
-inline constexpr double kPpeIntegrationOpsPerAtom = 34 + 8 + 1;
+/// PPE time of one step's integration for n atoms.  Scalar ops per atom: 34
+/// for the half-kicks, drift, wrap and KE, 8 for the quadword pack/unpack and
+/// 1 for the linear PE reduction.
+inline ModelTime ppe_integration_time(const CellConfig& config, std::size_t n) {
+  return ClockDomain(config.ppe_clock_hz)
+      .to_time(CycleCount(static_cast<double>(n) * (34 + 8 + 1) *
+                          config.ppe_cpi));
+}
 
 /// Local-store bytes the SPE program image and stack occupy before data.
 inline constexpr std::size_t kSpeProgramImageBytes = 48 * 1024;

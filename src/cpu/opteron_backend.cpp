@@ -1,45 +1,44 @@
 #include "cpu/opteron_backend.h"
 
-#include <functional>
+#include "md/device_model.h"
 
 namespace emdpa::opteron {
 
 OpteronBackend::OpteronBackend(const OpteronConfig& config) : config_(config) {}
 
 md::RunResult OpteronBackend::run(const md::RunConfig& config) {
-  md::Workload workload = md::make_lattice_workload(config.workload);
-  md::ParticleSystem& system = workload.system;
-  const md::PeriodicBox& box = workload.box;
+  auto workload = md::make_device_workload<double>(config, /*wrap=*/false);
+  const std::size_t n = workload.system.size();
 
   OpteronMachine machine(config_);
-  md::CallableKernel kernel(
-      name(), std::bind_front(&OpteronMachine::compute_forces, &machine));
-  const md::VelocityVerlet integrator(config.dt);
   md::RunResult result;
   result.backend_name = name();
 
-  // Prime: initial forces (the paper's timed region covers the steps; the
-  // priming force evaluation happens before t=0 in their harness too, so we
-  // time it separately and exclude it from device_time, mirroring how the
-  // paper reports per-run numbers from a warmed start).
-  result.energies.push_back(integrator.prime(system, box, config.lj, kernel));
-  machine.reset();
+  // The machine's clock times the whole step: the integration passes charged
+  // before the force evaluation walk the cache model ahead of its accesses,
+  // and the step's time is read off the clock once the evaluation is done.
+  ModelTime step_begin;
+  auto force = [&](ModelTime& time, const auto& x, const auto& box,
+                   const auto& lj, double mass) {
+    md::ForceResult forces = machine.compute_forces(x, box, lj, mass);
+    time = machine.elapsed() - step_begin;
+    return forces;
+  };
+  auto charge_step = [&] {
+    step_begin = machine.elapsed();
+    machine.charge_integration_step(n);
+    return ModelTime::zero();
+  };
+  md::run_timed_region(std::move(workload), config,
+                       {.force = force,
+                        .charge_step = charge_step,
+                        .reset = [&] { machine.reset(); }},
+                       result);
 
-  for (int s = 0; s < config.steps; ++s) {
-    const ModelTime before = machine.elapsed();
-    // The integration passes walk the cache model ahead of the force
-    // evaluation's accesses, as they run before it.
-    machine.charge_integration_step(system.size());
-    result.energies.push_back(integrator.step(system, box, config.lj, kernel));
-    result.step_times.push_back(machine.elapsed() - before);
-  }
-
-  result.device_time = machine.elapsed();
   result.breakdown["compute"] = machine.elapsed();
   result.ops = machine.ops();
   result.ops.add("opteron.l1_misses", machine.memory().l1_misses());
   result.ops.add("opteron.l2_misses", machine.memory().l2_misses());
-  result.final_state = std::move(system);
   return result;
 }
 

@@ -2,6 +2,7 @@
 
 #include "gpusim/md_shader.h"
 #include "gpusim/reduction.h"
+#include "md/device_model.h"
 
 namespace emdpa::gpu {
 
@@ -27,13 +28,8 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
   EMDPA_REQUIRE(!run_config.lj.shifted,
                 "the GPU port implements the paper's truncated LJ only");
 
-  md::Workload workload = md::make_lattice_workload(run_config.workload);
-  md::ParticleSystemF system = workload.system.cast<float>();
-  const md::PeriodicBoxF box(static_cast<float>(workload.box.edge()));
-  const auto lj = run_config.lj.cast<float>();
-  const std::size_t n = system.size();
-
-  for (auto& p : system.positions()) p = box.wrap(p);
+  auto workload = md::make_device_workload<float>(run_config, /*wrap=*/true);
+  const std::size_t n = workload.system.size();
 
   GpuDevice device(device_config_);
   PcieBus pcie(pcie_config_);
@@ -41,11 +37,11 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
 
   // One-time startup: GPU context + JIT compile with the constants baked in.
   MdShaderConstants constants;
-  constants.box_edge = box.edge();
-  constants.cutoff_sq = lj.cutoff_squared();
-  constants.epsilon = lj.epsilon;
-  constants.sigma = lj.sigma;
-  constants.inv_mass = 1.0f / system.mass();
+  constants.box_edge = workload.box.edge();
+  constants.cutoff_sq = workload.lj.cutoff_squared();
+  constants.epsilon = workload.lj.epsilon;
+  constants.sigma = workload.lj.sigma;
+  constants.inv_mass = 1.0f / workload.system.mass();
   constants.n_atoms = static_cast<std::uint32_t>(n);
 
   MdAccelShader shader(constants);
@@ -61,22 +57,15 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
   result.backend_name = name();
   ModelTime t_upload, t_pass, t_readback, t_host, t_reduction;
 
-  // One acceleration evaluation at the current positions; its modelled
-  // time lands in accel_time.  Box and LJ constants are baked into the
-  // compiled shader.
-  ModelTime accel_time;
-  md::CallableKernelF kernel(name(), [&](const auto& x, const auto&,
-                                         const auto&, float) {
-    ModelTime elapsed;
-    md::ForceResultF forces;
-    forces.accelerations.resize(n);
+  // One acceleration evaluation at the current positions.  Box and LJ
+  // constants are baked into the compiled shader.
+  auto force = [&](ModelTime& elapsed, const auto& x, const auto&,
+                   const auto&, float) {
+    elapsed = ModelTime::zero();
 
     // Upload positions.
     {
-      auto& tex = positions.host_data();
-      for (std::size_t i = 0; i < n; ++i) {
-        tex[i] = emdpa::Vec4f(x[i], 0.0f);
-      }
+      md::pack_positions(x, positions.host_data().data());
       const ModelTime t = pcie.upload(n * sizeof(emdpa::Vec4f));
       t_upload += t;
       elapsed += t;
@@ -93,8 +82,7 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
       result.ops.add("gpu.passes");
     }
 
-    float pe = 0.0f;
-
+    float reduced_pe = 0.0f;
     if (options_.pe_strategy == PeStrategy::kGpuReduction) {
       // Rejected alternative: sum PE on the GPU first (extra passes), then
       // read back both the scalar and the accelerations.
@@ -103,57 +91,46 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
       elapsed += red.gpu_time + red.readback_time;
       result.ops.add("gpu.reduction_passes",
                      static_cast<std::uint64_t>(red.passes));
-      pe = red.sum;
+      reduced_pe = red.sum;
     }
 
     // Read the accelerations back (needed by the CPU integrator either way).
-    {
-      const ModelTime t = pcie.readback(n * sizeof(emdpa::Vec4f));
-      t_readback += t;
-      elapsed += t;
-      const auto& tex = accelerations.host_data();
-      for (std::size_t i = 0; i < n; ++i) {
-        forces.accelerations[i] = tex[i].xyz();
-      }
-      if (options_.pe_strategy == PeStrategy::kReadbackInW) {
-        // The free ride: PE contributions arrive in w; the CPU sums them in
-        // linear time (it is "well suited to this scalar task").
-        pe = 0.0f;
-        for (std::size_t i = 0; i < n; ++i) pe += tex[i].w;
-        const ModelTime t_sum = host_clock.to_time(CycleCount(
-            static_cast<double>(n) * host_.pe_sum_flops_per_atom * host_.cpi));
-        t_host += t_sum;
-        elapsed += t_sum;
-      }
+    const ModelTime t = pcie.readback(n * sizeof(emdpa::Vec4f));
+    t_readback += t;
+    elapsed += t;
+    md::ForceResultF forces =
+        md::unpack_forces(accelerations.host_data().data(), n);
+    if (options_.pe_strategy == PeStrategy::kReadbackInW) {
+      // The free ride: PE contributions arrive in w; the CPU sums them in
+      // linear time (it is "well suited to this scalar task").
+      const ModelTime t_sum = host_clock.to_time(CycleCount(
+          static_cast<double>(n) * host_.pe_sum_flops_per_atom * host_.cpi));
+      t_host += t_sum;
+      elapsed += t_sum;
+    } else {
+      forces.potential_energy = reduced_pe;
     }
-
-    forces.potential_energy = pe;
-    accel_time = elapsed;
     return forces;
-  });
-  const md::VelocityVerletF integrator(static_cast<float>(run_config.dt));
-
-  // Prime (untimed, as in the other backends).
-  result.energies.push_back(
-      integrator.prime(system, box, lj, kernel).cast<double>());
-  t_upload = t_pass = t_readback = t_host = t_reduction = ModelTime::zero();
+  };
 
   // The host's half kicks, drift and energy sums each step.
   const ModelTime t_int = host_clock.to_time(CycleCount(
       static_cast<double>(n) * host_.integration_flops_per_atom * host_.cpi));
-  ModelTime total;
-  for (int step = 0; step < run_config.steps; ++step) {
-    ModelTime step_time;
-    t_host += t_int;
-    step_time += t_int;
-    result.energies.push_back(
-        integrator.step(system, box, lj, kernel).cast<double>());
-    step_time += accel_time;
-    result.step_times.push_back(step_time);
-    total += step_time;
-  }
+  md::run_timed_region(
+      std::move(workload), run_config,
+      {.force = force,
+       .charge_step =
+           [&] {
+             t_host += t_int;
+             return t_int;
+           },
+       .reset =
+           [&] {
+             t_upload = t_pass = t_readback = t_host = t_reduction =
+                 ModelTime::zero();
+           }},
+      result);
 
-  result.device_time = total;
   result.breakdown["startup"] = startup;  // excluded from device_time (paper)
   result.breakdown["pcie_upload"] = t_upload;
   result.breakdown["gpu_pass"] = t_pass;
@@ -164,7 +141,6 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
   }
   result.ops.add("pcie.bytes_up", pcie.bytes_uploaded());
   result.ops.add("pcie.bytes_down", pcie.bytes_read_back());
-  result.final_state = system.cast<double>();
   return result;
 }
 

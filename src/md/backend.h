@@ -103,12 +103,14 @@ struct RunResult {
   std::string backend_name;
 
   /// Modelled end-to-end device runtime for the `steps` steps (the quantity
-  /// the paper's tables and figures report).  Zero for the plain host
-  /// backend, which has no device model.
+  /// the paper's tables and figures report): the sum of step_times.  Zero
+  /// for the host backends, which have no device model.
   ModelTime device_time;
 
-  /// Named components of device_time (e.g. "compute", "spe_launch",
-  /// "pcie_transfer").  Components sum to at most device_time.
+  /// Named time components (e.g. "compute", "spe_launch", "host_wall").
+  /// They need not sum to device_time: an entry may include a one-time cost
+  /// outside the timed steps (GPU "startup") or add up parallel units (Cell
+  /// "spe_compute" and "dma" sum every SPE's time).
   std::map<std::string, ModelTime> breakdown;
 
   /// Dimensionless execution-layer facts (thread count, SIMD width,

@@ -115,7 +115,4 @@ class CallableKernelT final : public ForceKernelT<Real> {
   Fn fn_;
 };
 
-using CallableKernel = CallableKernelT<double>;
-using CallableKernelF = CallableKernelT<float>;
-
 }  // namespace emdpa::md

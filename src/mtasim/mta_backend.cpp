@@ -2,6 +2,7 @@
 
 #include "core/error.h"
 #include "core/thread_pool.h"
+#include "md/device_model.h"
 #include "md/reference_kernel.h"
 #include "mtasim/full_empty.h"
 
@@ -34,9 +35,8 @@ LoopDescription MtaBackend::force_loop_description(ThreadingMode mode,
 }
 
 md::RunResult MtaBackend::run(const md::RunConfig& run_config) {
-  md::Workload workload = md::make_lattice_workload(run_config.workload);
-  md::ParticleSystem& system = workload.system;
-  const std::size_t n = system.size();
+  auto workload = md::make_device_workload<double>(run_config, /*wrap=*/false);
+  const std::size_t n = workload.system.size();
 
   StreamMachine machine(config_);
   md::RunResult result;
@@ -60,9 +60,11 @@ md::RunResult MtaBackend::run(const md::RunConfig& run_config) {
       decision.parallel ? &ThreadPool::global() : nullptr);
 
   // One force evaluation: real physics + instruction charging per the
-  // compiler's parallelisation decision.
-  md::CallableKernel kernel(name(), [&](const auto& positions, const auto& box,
-                                        const auto& lj, double mass) {
+  // compiler's parallelisation decision.  The machine's clock times the
+  // whole step, integration loops included.
+  ModelTime step_begin;
+  auto force = [&](ModelTime& time, const auto& positions, const auto& box,
+                   const auto& lj, double mass) {
     md::ForceResult forces = reference.compute(positions, box, lj, mass);
 
     // PairStats are unordered pairs; the modelled MTA loop ("for each atom,
@@ -90,33 +92,31 @@ md::RunResult MtaBackend::run(const md::RunConfig& run_config) {
 
     result.ops.add("mta.pair_candidates", forces.stats.candidates);
     result.ops.add("mta.pair_interactions", forces.stats.interacting);
+    time = machine.elapsed() - step_begin;
     return forces;
-  });
-  const md::VelocityVerlet integrator(run_config.dt);
+  };
 
-  // Prime (untimed).
-  result.energies.push_back(
-      integrator.prime(system, workload.box, run_config.lj, kernel));
-  machine.reset();
-  t_force = t_other = ModelTime::zero();
+  md::run_timed_region(
+      std::move(workload), run_config,
+      {.force = force,
+       .charge_step =
+           [&] {
+             step_begin = machine.elapsed();
+             // Integration loops: parallelised automatically in both flavours.
+             t_other += machine.charge_parallel(
+                 static_cast<double>(n) * kIntegrationOpsPerAtom, n);
+             return ModelTime::zero();
+           },
+       .reset =
+           [&] {
+             machine.reset();
+             t_force = t_other = ModelTime::zero();
+           }},
+      result);
 
-  ModelTime total;
-  for (int step = 0; step < run_config.steps; ++step) {
-    const ModelTime before = machine.elapsed();
-    // Integration loops: parallelised automatically in both flavours.
-    t_other += machine.charge_parallel(
-        static_cast<double>(n) * kIntegrationOpsPerAtom, n);
-    result.energies.push_back(
-        integrator.step(system, workload.box, run_config.lj, kernel));
-    result.step_times.push_back(machine.elapsed() - before);
-    total = machine.elapsed();
-  }
-
-  result.device_time = total;
   result.breakdown["force_loop"] = t_force;
   result.breakdown["other_loops"] = t_other;
   result.ops.merge(machine.ops());
-  result.final_state = std::move(system);
   return result;
 }
 

@@ -5,6 +5,7 @@
 
 #include "core/error.h"
 #include "core/thread_pool.h"
+#include "md/device_model.h"
 #include "md/reference_kernel.h"
 
 namespace emdpa::mta {
@@ -47,53 +48,37 @@ std::string XmtBackend::name() const {
 }
 
 md::RunResult XmtBackend::run(const md::RunConfig& run_config) {
-  md::Workload workload = md::make_lattice_workload(run_config.workload);
-  md::ParticleSystem& system = workload.system;
-  const std::size_t n = system.size();
+  auto workload = md::make_device_workload<double>(run_config, /*wrap=*/false);
+  const std::size_t n = workload.system.size();
   const double remote = naive_remote_fraction(config_.n_processors);
 
   md::RunResult result;
   result.backend_name = name();
-  ModelTime total;
 
   // The modelled streams execute for real: atom rows run concurrently on the
   // host pool, with results bit-identical to the serial kernel.
   md::ReferenceKernelT<double> reference(md::MinImageStrategy::kRound,
                                          &ThreadPool::global());
 
-  // One force evaluation; its modelled time lands in force_time.
-  ModelTime force_time;
-  md::CallableKernel kernel(name(), [&](const auto& positions, const auto& box,
-                                        const auto& lj, double mass) {
+  auto force = [&](ModelTime& time, const auto& positions, const auto& box,
+                   const auto& lj, double mass) {
     md::ForceResult forces = reference.compute(positions, box, lj, mass);
     // PairStats are unordered pairs; the modelled loop visits each pair from
     // both ends, so the instruction charge prices the directed count.
     const double instructions =
         n2_instructions(2.0 * static_cast<double>(forces.stats.candidates),
                         2.0 * static_cast<double>(forces.stats.interacting));
-    force_time = xmt_parallel_time(config_, instructions, remote);
+    time = xmt_parallel_time(config_, instructions, remote);
     result.ops.add("xmt.pair_candidates", forces.stats.candidates);
     return forces;
-  });
-  const md::VelocityVerlet integrator(run_config.dt);
+  };
+  const ModelTime t_integration = xmt_parallel_time(
+      config_, static_cast<double>(n) * kIntegrationOpsPerAtom, remote);
+  md::run_timed_region(
+      std::move(workload), run_config,
+      {.force = force, .charge_step = [&] { return t_integration; }}, result);
 
-  // Prime (untimed).
-  result.energies.push_back(
-      integrator.prime(system, workload.box, run_config.lj, kernel));
-
-  for (int step = 0; step < run_config.steps; ++step) {
-    ModelTime step_time = xmt_parallel_time(
-        config_, static_cast<double>(n) * kIntegrationOpsPerAtom, remote);
-    result.energies.push_back(
-        integrator.step(system, workload.box, run_config.lj, kernel));
-    step_time += force_time;
-    result.step_times.push_back(step_time);
-    total += step_time;
-  }
-
-  result.device_time = total;
-  result.breakdown["compute"] = total;
-  result.final_state = std::move(system);
+  result.breakdown["compute"] = result.device_time;
   return result;
 }
 

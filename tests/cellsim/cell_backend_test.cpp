@@ -4,6 +4,7 @@
 
 #include "cellsim/cell_md_app.h"
 #include "core/error.h"
+#include "core/vec4.h"
 #include "md/backend.h"
 
 namespace emdpa::cell {
@@ -150,6 +151,23 @@ TEST(CellBackend, RespawnModeNeverSignals) {
   const auto r = CellBackend(opt).run(cfg);
   EXPECT_EQ(r.ops.get("cell.mailbox_signals"), 0u);
   EXPECT_EQ(r.ops.get("cell.spe_launches"), 8u);  // prime + 3 steps, 2 SPEs
+}
+
+TEST(CellBackend, DmaBytesCountEachEvaluationOnce) {
+  // Every evaluation (prime + 3 steps) DMAs the whole position array into
+  // each SPE and its owned acceleration slice back out; the slices cover
+  // the n atoms once.
+  const std::size_t n = 128;
+  const auto cfg = small_config(n, 3);
+  for (const int n_spes : {1, 8}) {
+    SCOPED_TRACE(n_spes);
+    CellRunOptions opt;
+    opt.n_spes = n_spes;
+    const auto r = CellBackend(opt).run(cfg);
+    const std::uint64_t per_evaluation =
+        (static_cast<std::uint64_t>(n_spes) * n + n) * sizeof(emdpa::Vec4f);
+    EXPECT_EQ(r.ops.get("cell.dma_bytes"), 4 * per_evaluation);
+  }
 }
 
 TEST(CellBackend, BreakdownHasAllComponents) {

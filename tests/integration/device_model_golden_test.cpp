@@ -6,7 +6,8 @@
 // entry, each energy, every op counter, and an FNV-1a hash of the final
 // positions, velocities and accelerations.  The other integration suites
 // compare backends with each other or with tolerances; this one catches any
-// change that moves a single modelled bit, whatever the thread count.
+// change that moves a single modelled bit, whatever the thread count.  A
+// last test checks that every device_time is the sum of its step times.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -125,7 +126,7 @@ const std::map<std::string, std::string>& goldens() {
        "energy[2] 0x1.048878p+10 -0x1.376db2p+11\n"
        "energy[3] 0x1.f1a996p+9 -0x1.3199fcp+11\n"
        "energy[4] 0x1.d1e11cp+9 -0x1.29c92cp+11\n"
-       "ops:cell.dma_bytes 240000\n"
+       "ops:cell.dma_bytes 80000\n"
        "ops:cell.dma_retries 0\n"
        "ops:cell.mailbox_retries 0\n"
        "ops:cell.mailbox_signals 4\n"
@@ -149,7 +150,7 @@ const std::map<std::string, std::string>& goldens() {
        "energy[2] 0x1.048878p+10 -0x1.376db2p+11\n"
        "energy[3] 0x1.f1a996p+9 -0x1.3199fcp+11\n"
        "energy[4] 0x1.d1e11cp+9 -0x1.29c92cp+11\n"
-       "ops:cell.dma_bytes 360000\n"
+       "ops:cell.dma_bytes 120000\n"
        "ops:cell.dma_retries 0\n"
        "ops:cell.mailbox_retries 0\n"
        "ops:cell.mailbox_signals 8\n"
@@ -173,7 +174,7 @@ const std::map<std::string, std::string>& goldens() {
        "energy[2] 0x1.048878p+10 -0x1.376db2p+11\n"
        "energy[3] 0x1.f1a996p+9 -0x1.3199fcp+11\n"
        "energy[4] 0x1.d1e11cp+9 -0x1.29c92cp+11\n"
-       "ops:cell.dma_bytes 600000\n"
+       "ops:cell.dma_bytes 200000\n"
        "ops:cell.dma_retries 0\n"
        "ops:cell.mailbox_retries 0\n"
        "ops:cell.mailbox_signals 16\n"
@@ -197,7 +198,7 @@ const std::map<std::string, std::string>& goldens() {
        "energy[2] 0x1.048878p+10 -0x1.376db2p+11\n"
        "energy[3] 0x1.f1a996p+9 -0x1.3199fcp+11\n"
        "energy[4] 0x1.d1e11cp+9 -0x1.29c92cp+11\n"
-       "ops:cell.dma_bytes 1080000\n"
+       "ops:cell.dma_bytes 360000\n"
        "ops:cell.dma_retries 0\n"
        "ops:cell.mailbox_retries 0\n"
        "ops:cell.mailbox_signals 32\n"
@@ -206,7 +207,7 @@ const std::map<std::string, std::string>& goldens() {
        "ops:cell.spe_launches 8\n"
        "state_hash d89da073c7e90f58\n"},
       {"cell-8spe-respawn",
-       "device_time 0x1.5dcba02e80936p-1\n"
+       "device_time 0x1.c84a9a09a3644p-1\n"
        "step_time[0] 0x1.c84a84eb59215p-3\n"
        "step_time[1] 0x1.c84a84eb59215p-3\n"
        "step_time[2] 0x1.c84a8d5ddd3c1p-3\n"
@@ -221,7 +222,7 @@ const std::map<std::string, std::string>& goldens() {
        "energy[2] 0x1.048878p+10 -0x1.376db2p+11\n"
        "energy[3] 0x1.f1a996p+9 -0x1.3199fcp+11\n"
        "energy[4] 0x1.d1e11cp+9 -0x1.29c92cp+11\n"
-       "ops:cell.dma_bytes 1080000\n"
+       "ops:cell.dma_bytes 360000\n"
        "ops:cell.dma_retries 0\n"
        "ops:cell.mailbox_retries 0\n"
        "ops:cell.pair_candidates 1247500\n"
@@ -244,7 +245,7 @@ const std::map<std::string, std::string>& goldens() {
        "energy[2] 0x1.048878p+10 -0x1.376db2p+11\n"
        "energy[3] 0x1.f1a996p+9 -0x1.3199fcp+11\n"
        "energy[4] 0x1.d1e11cp+9 -0x1.29c92cp+11\n"
-       "ops:cell.dma_bytes 1200000\n"
+       "ops:cell.dma_bytes 400000\n"
        "ops:cell.dma_retries 0\n"
        "ops:cell.mailbox_retries 0\n"
        "ops:cell.mailbox_signals 32\n"
@@ -430,6 +431,27 @@ TEST(DeviceModelGolden, EveryFactoryBackend) {
 TEST(DeviceModelGolden, CellCluster) {
   cell::CellClusterBackend backend;
   expect_golden("cell-cluster", backend);
+}
+
+/// device_time is the left-to-right sum of the step times, bit for bit:
+/// the one-time launches charged to step 0 count in both.
+void expect_device_time_sums_step_times(md::MdBackend& backend) {
+  const md::RunResult r = backend.run(golden_config());
+  ModelTime sum;
+  for (const ModelTime t : r.step_times) sum += t;
+  EXPECT_EQ(hex(r.device_time.to_seconds()), hex(sum.to_seconds()));
+}
+
+TEST(DeviceModelGolden, DeviceTimeIsTheSumOfStepTimes) {
+  for (const auto& info : driver::available_backends()) {
+    if (info.key == "host-parallel") continue;
+    SCOPED_TRACE(info.key);
+    const auto backend = driver::make_backend(info.key);
+    expect_device_time_sums_step_times(*backend);
+  }
+  SCOPED_TRACE("cell-cluster");
+  cell::CellClusterBackend cluster;
+  expect_device_time_sums_step_times(cluster);
 }
 
 }  // namespace
