@@ -41,7 +41,7 @@ md::RunResult CellClusterBackend::run(const md::RunConfig& run_config) {
   EMDPA_REQUIRE(!run_config.lj.shifted,
                 "the Cell port implements the paper's truncated LJ only");
 
-  auto workload = md::make_device_workload<float>(run_config, /*wrap=*/true);
+  auto workload = md::make_device_workload<float>(run_config);
   const std::size_t n = workload.system.size();
 
   const int blades = options_.n_blades;

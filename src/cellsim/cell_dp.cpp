@@ -135,7 +135,7 @@ md::RunResult CellDpBackend::run(const md::RunConfig& run_config) {
   EMDPA_REQUIRE(!run_config.lj.shifted,
                 "the Cell port implements the paper's truncated LJ only");
 
-  auto workload = md::make_device_workload<double>(run_config, /*wrap=*/true);
+  auto workload = md::make_device_workload<double>(run_config);
   const std::size_t n = workload.system.size();
 
   const ClockDomain spe_clock(config_.spe_clock_hz);

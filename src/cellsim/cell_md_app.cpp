@@ -164,7 +164,7 @@ md::RunResult CellMdApp::run(const md::RunConfig& run_config) {
 
   // The canonical workload crosses the host -> device boundary into single
   // precision (as the paper's Cell port does).
-  auto workload = md::make_device_workload<float>(run_config, /*wrap=*/true);
+  auto workload = md::make_device_workload<float>(run_config);
   const std::size_t n = workload.system.size();
 
   const ClockDomain ppe_clock(config_.ppe_clock_hz);

@@ -7,7 +7,7 @@ namespace emdpa::opteron {
 OpteronBackend::OpteronBackend(const OpteronConfig& config) : config_(config) {}
 
 md::RunResult OpteronBackend::run(const md::RunConfig& config) {
-  auto workload = md::make_device_workload<double>(config, /*wrap=*/false);
+  auto workload = md::make_device_workload<double>(config);
   const std::size_t n = workload.system.size();
 
   OpteronMachine machine(config_);
@@ -35,7 +35,7 @@ md::RunResult OpteronBackend::run(const md::RunConfig& config) {
                         .reset = [&] { machine.reset(); }},
                        result);
 
-  result.breakdown["compute"] = machine.elapsed();
+  result.breakdown["compute"] = result.device_time;
   result.ops = machine.ops();
   result.ops.add("opteron.l1_misses", machine.memory().l1_misses());
   result.ops.add("opteron.l2_misses", machine.memory().l2_misses());

@@ -28,7 +28,7 @@ md::RunResult GpuBackend::run(const md::RunConfig& run_config) {
   EMDPA_REQUIRE(!run_config.lj.shifted,
                 "the GPU port implements the paper's truncated LJ only");
 
-  auto workload = md::make_device_workload<float>(run_config, /*wrap=*/true);
+  auto workload = md::make_device_workload<float>(run_config);
   const std::size_t n = workload.system.size();
 
   GpuDevice device(device_config_);

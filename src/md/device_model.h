@@ -26,33 +26,31 @@ struct DeviceWorkloadT {
   LjParamsT<Real> lj;
 };
 
-/// Builds config.workload's lattice at Real precision; `wrap` wraps the
-/// positions into the box (the Cell and GPU ports do before their first
-/// offload, the Opteron and MTA models run the lattice as built).
+/// Builds config.workload's lattice at Real precision.  Every site lies
+/// strictly inside the box, so the cast positions are already wrapped.
 template <typename Real>
-DeviceWorkloadT<Real> make_device_workload(const RunConfig& config, bool wrap) {
+DeviceWorkloadT<Real> make_device_workload(const RunConfig& config) {
   const Workload workload = make_lattice_workload(config.workload);
-  DeviceWorkloadT<Real> out{
-      workload.system.template cast<Real>(),
-      PeriodicBoxT<Real>(static_cast<Real>(workload.box.edge())),
-      config.lj.template cast<Real>()};
-  if (wrap) {
-    for (auto& p : out.system.positions()) p = out.box.wrap(p);
-  }
-  return out;
+  return {workload.system.template cast<Real>(),
+          PeriodicBoxT<Real>(static_cast<Real>(workload.box.edge())),
+          config.lj.template cast<Real>()};
 }
 
-/// A device model's part of the timed region.
+/// A device model's part of the timed region.  A step's time is
+/// charge_step()'s return, plus launch at step 0, plus the time force writes.
+/// A model may split that sum between the two hooks as it likes: one that
+/// reads the whole step off its machine's clock returns zero from
+/// charge_step and has force write the clock's advance since the step began.
 template <typename Real>
 struct DeviceModelT {
-  /// The modelled force evaluation: writes its model time to the first
-  /// argument; the rest is CallableKernelT's signature.
+  /// The modelled force evaluation: writes its share of the step's model
+  /// time to the first argument; the rest is CallableKernelT's signature.
   std::function<ForceResultT<Real>(
       ModelTime&, const std::vector<emdpa::Vec3<Real>>&,
       const PeriodicBoxT<Real>&, const LjParamsT<Real>&, Real)>
       force;
   /// Charges what precedes each step's force evaluation (integration) and
-  /// returns its model time.
+  /// returns its share of the step's model time.
   std::function<ModelTime()> charge_step;
   /// One-time thread launches, charged to step 0.
   ModelTime launch = ModelTime::zero();

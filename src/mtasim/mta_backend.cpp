@@ -35,7 +35,7 @@ LoopDescription MtaBackend::force_loop_description(ThreadingMode mode,
 }
 
 md::RunResult MtaBackend::run(const md::RunConfig& run_config) {
-  auto workload = md::make_device_workload<double>(run_config, /*wrap=*/false);
+  auto workload = md::make_device_workload<double>(run_config);
   const std::size_t n = workload.system.size();
 
   StreamMachine machine(config_);

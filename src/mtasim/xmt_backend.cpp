@@ -48,7 +48,7 @@ std::string XmtBackend::name() const {
 }
 
 md::RunResult XmtBackend::run(const md::RunConfig& run_config) {
-  auto workload = md::make_device_workload<double>(run_config, /*wrap=*/false);
+  auto workload = md::make_device_workload<double>(run_config);
   const std::size_t n = workload.system.size();
   const double remote = naive_remote_fraction(config_.n_processors);
 

@@ -6,8 +6,8 @@
 // entry, each energy, every op counter, and an FNV-1a hash of the final
 // positions, velocities and accelerations.  The other integration suites
 // compare backends with each other or with tolerances; this one catches any
-// change that moves a single modelled bit, whatever the thread count.  A
-// last test checks that every device_time is the sum of its step times.
+// change that moves a single modelled bit, whatever the thread count.  Each
+// run is also checked to report device_time as the sum of its step times.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -408,7 +408,16 @@ const std::map<std::string, std::string>& goldens() {
 }
 
 void expect_golden(const std::string& key, md::MdBackend& backend) {
-  const std::string actual = fingerprint(backend.run(golden_config()));
+  const md::RunResult result = backend.run(golden_config());
+
+  // device_time is the left-to-right sum of the step times, bit for bit:
+  // the one-time launches charged to step 0 count in both.
+  ModelTime sum;
+  for (const ModelTime t : result.step_times) sum += t;
+  EXPECT_EQ(hex(result.device_time.to_seconds()), hex(sum.to_seconds()))
+      << key << ": device_time is not the sum of its step times";
+
+  const std::string actual = fingerprint(result);
   const auto it = goldens().find(key);
   if (it == goldens().end()) {
     ADD_FAILURE() << "no golden for " << key << "; actual:\n" << actual;
@@ -431,27 +440,6 @@ TEST(DeviceModelGolden, EveryFactoryBackend) {
 TEST(DeviceModelGolden, CellCluster) {
   cell::CellClusterBackend backend;
   expect_golden("cell-cluster", backend);
-}
-
-/// device_time is the left-to-right sum of the step times, bit for bit:
-/// the one-time launches charged to step 0 count in both.
-void expect_device_time_sums_step_times(md::MdBackend& backend) {
-  const md::RunResult r = backend.run(golden_config());
-  ModelTime sum;
-  for (const ModelTime t : r.step_times) sum += t;
-  EXPECT_EQ(hex(r.device_time.to_seconds()), hex(sum.to_seconds()));
-}
-
-TEST(DeviceModelGolden, DeviceTimeIsTheSumOfStepTimes) {
-  for (const auto& info : driver::available_backends()) {
-    if (info.key == "host-parallel") continue;
-    SCOPED_TRACE(info.key);
-    const auto backend = driver::make_backend(info.key);
-    expect_device_time_sums_step_times(*backend);
-  }
-  SCOPED_TRACE("cell-cluster");
-  cell::CellClusterBackend cluster;
-  expect_device_time_sums_step_times(cluster);
 }
 
 }  // namespace

@@ -42,6 +42,31 @@ TEST(LatticeWorkload, AllAtomsInsideBox) {
   }
 }
 
+/// Every lattice site, cast to Real, is a fixed point of the Real box's
+/// wrap: the device models run the cast lattice without wrapping it.
+template <typename Real>
+void expect_cast_lattice_wrapped(std::size_t n_atoms) {
+  WorkloadSpec spec;
+  spec.n_atoms = n_atoms;
+  const Workload w = make_lattice_workload(spec);
+  const PeriodicBoxT<Real> box(static_cast<Real>(w.box.edge()));
+  const ParticleSystemT<Real> system = w.system.template cast<Real>();
+  for (const auto& p : system.positions()) {
+    const auto wrapped = box.wrap(p);
+    ASSERT_EQ(wrapped.x, p.x);
+    ASSERT_EQ(wrapped.y, p.y);
+    ASSERT_EQ(wrapped.z, p.z);
+  }
+}
+
+TEST(LatticeWorkload, CastPositionsAreAlreadyWrapped) {
+  for (std::size_t n : {1u, 7u, 500u, 4096u, 100000u}) {
+    SCOPED_TRACE(n);
+    expect_cast_lattice_wrapped<double>(n);
+    expect_cast_lattice_wrapped<float>(n);
+  }
+}
+
 TEST(LatticeWorkload, NoOverlappingAtoms) {
   WorkloadSpec spec;
   spec.n_atoms = 216;
