@@ -1,48 +1,14 @@
 #include "driver/cli_options.h"
 
-#include <charconv>
-#include <cmath>
+#include <algorithm>
 
 #include "core/error.h"
 #include "core/simd_dispatch.h"
 #include "driver/backend_factory.h"
-#include "md/precision.h"
+#include "driver/run_keys.h"
 #include "md/watch.h"
 
 namespace emdpa::driver {
-
-namespace {
-
-double parse_number(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    throw RuntimeFailure("flag " + flag + " needs a number, got '" + value + "'");
-  }
-}
-
-long parse_integer(const std::string& flag, const std::string& value) {
-  const double v = parse_number(flag, value);
-  const long as_long = static_cast<long>(v);
-  if (static_cast<double>(as_long) != v) {
-    throw RuntimeFailure("flag " + flag + " needs an integer, got '" + value + "'");
-  }
-  return as_long;
-}
-
-md::HostKernel parse_host_kernel(const std::string& flag,
-                                 const std::string& mode) {
-  if (mode == "n2") return md::HostKernel::kN2;
-  if (mode == "list") return md::HostKernel::kList;
-  if (mode == "auto") return md::HostKernel::kAuto;
-  throw RuntimeFailure("flag " + flag + " needs n2, list or auto, got '" +
-                       mode + "'");
-}
-
-}  // namespace
 
 std::string cli_usage() {
   std::string usage =
@@ -59,13 +25,13 @@ std::string cli_usage() {
       "                                     between two run configurations\n"
       "\n"
       "Options (with defaults):\n"
-      "  --atoms N          atom count (256)\n"
-      "  --steps K          velocity-Verlet steps (10)\n"
-      "  --density D        reduced number density (0.8442)\n"
-      "  --temperature T    initial reduced temperature (1.44)\n"
-      "  --dt DT            time step, positive and finite (0.005)\n"
-      "  --cutoff C         LJ cutoff (2.5)\n"
-      "  --seed S           workload seed\n"
+      "  --atoms N          atom count, > 0 (256)\n"
+      "  --steps K          velocity-Verlet steps, > 0 (10)\n"
+      "  --density D        reduced number density, > 0 and finite (0.8442)\n"
+      "  --temperature T    initial reduced temperature, >= 0 and finite (1.44)\n"
+      "  --dt DT            time step, > 0 and finite (0.005)\n"
+      "  --cutoff C         LJ cutoff, > 0 and finite (2.5)\n"
+      "  --seed S           workload seed, 0 to 2^64-1\n"
       "  --threads N        host execution threads (default: EMDPA_THREADS or all cores)\n"
       "  --kernel MODE      host force kernel: n2, list, or auto (crossover on\n"
       "                     atom count); honoured by host-parallel in both run\n"
@@ -136,8 +102,9 @@ std::string cli_usage() {
       "Batch mode (supervised ensemble over one shared thread pool):\n"
       "  --manifest FILE        job manifest: one '<name> key=value ...' line\n"
       "                         per job (keys: priority, atoms, steps, density,\n"
-      "                         temperature, dt, cutoff, seed, kernel,\n"
-      "                         precision, simd, degrade, drift_tol, plus\n"
+      "                         temperature, dt, cutoff, seed, kernel, precision,\n"
+      "                         simd, degrade, drift_tol, each checked like the\n"
+      "                         flag of the same name, plus\n"
       "                         per-job supervision overrides max_retries,\n"
       "                         deadline, slice_budget); duplicate job names\n"
       "                         and duplicate keys on one line are rejected\n"
@@ -205,51 +172,34 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     if (i >= args.size()) throw RuntimeFailure("flag " + flag + " needs a value");
     return args[i++];
   };
+  // Store the flag's integer value, which must be positive, in `field`.
+  auto positive_integer = [&]<typename T>(const std::string& flag, T& field) {
+    field = positive(flag, parse_integer<T>(flag, need_value(flag)));
+  };
+  // The bisect side a --a-* or --b-* flag overrides.
+  auto side = [&](const std::string& flag) -> CliBisectSide& {
+    if (options.command != CliCommand::kBisect) {
+      throw RuntimeFailure(
+          "--a-*/--b-* side overrides only apply to the 'bisect' command");
+    }
+    return flag[2] == 'a' ? options.bisect_a : options.bisect_b;
+  };
 
   while (i < args.size()) {
     const std::string& flag = args[i++];
-    if (flag == "--backend") {
+    std::string key = flag.starts_with("--") ? flag.substr(2) : "";
+    std::replace(key.begin(), key.end(), '-', '_');  // --drift-tol: drift_tol
+    if (flag.find('_') == std::string::npos && is_run_key(key)) {
+      apply_run_key(options.run_config, key, flag,
+                    key == "degrade" ? "1" : need_value(flag));
+    } else if (flag == "--backend") {
       options.backend = need_value(flag);
-    } else if (flag == "--atoms") {
-      const long n = parse_integer(flag, need_value(flag));
-      if (n <= 0) throw RuntimeFailure("--atoms must be positive");
-      options.run_config.workload.n_atoms = static_cast<std::size_t>(n);
-    } else if (flag == "--steps") {
-      const long k = parse_integer(flag, need_value(flag));
-      if (k <= 0) throw RuntimeFailure("--steps must be positive");
-      options.run_config.steps = static_cast<int>(k);
-    } else if (flag == "--density") {
-      options.run_config.workload.density = parse_number(flag, need_value(flag));
-    } else if (flag == "--temperature") {
-      options.run_config.workload.temperature =
-          parse_number(flag, need_value(flag));
-    } else if (flag == "--dt") {
-      const double dt = parse_number(flag, need_value(flag));
-      if (!(dt > 0.0 && std::isfinite(dt))) {
-        throw RuntimeFailure("--dt must be positive and finite");
-      }
-      options.run_config.dt = dt;
-    } else if (flag == "--cutoff") {
-      options.run_config.lj.cutoff = parse_number(flag, need_value(flag));
-    } else if (flag == "--seed") {
-      options.run_config.workload.seed =
-          static_cast<std::uint64_t>(parse_integer(flag, need_value(flag)));
     } else if (flag == "--threads") {
-      const long t = parse_integer(flag, need_value(flag));
-      if (t <= 0) throw RuntimeFailure("--threads must be positive");
-      options.threads = static_cast<std::size_t>(t);
-    } else if (flag == "--kernel") {
-      options.run_config.host_kernel = parse_host_kernel(flag, need_value(flag));
-    } else if (flag == "--simd") {
-      options.run_config.simd_isa = simd::parse_simd_type(need_value(flag));
-    } else if (flag == "--precision") {
-      options.run_config.precision = md::parse_precision(need_value(flag));
+      positive_integer(flag, options.threads);
     } else if (flag == "--checkpoint") {
       options.run_config.checkpoint_path = need_value(flag);
     } else if (flag == "--checkpoint-every") {
-      const long n = parse_integer(flag, need_value(flag));
-      if (n <= 0) throw RuntimeFailure("--checkpoint-every must be positive");
-      options.run_config.checkpoint_every = static_cast<int>(n);
+      positive_integer(flag, options.run_config.checkpoint_every);
     } else if (flag == "--resume") {
       options.run_config.resume_path = need_value(flag);
     } else if (flag == "--resume-force") {
@@ -259,74 +209,42 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (flag == "--checkpoint-dir") {
       options.checkpoint_dir = need_value(flag);
     } else if (flag == "--slice") {
-      const long n = parse_integer(flag, need_value(flag));
-      if (n <= 0) throw RuntimeFailure("--slice must be positive");
-      options.slice_steps = static_cast<int>(n);
+      positive_integer(flag, options.slice_steps);
     } else if (flag == "--max-in-flight") {
-      const long n = parse_integer(flag, need_value(flag));
-      if (n <= 0) throw RuntimeFailure("--max-in-flight must be positive");
-      options.max_in_flight = static_cast<std::size_t>(n);
+      positive_integer(flag, options.max_in_flight);
     } else if (flag == "--max-retries") {
-      const long n = parse_integer(flag, need_value(flag));
-      if (n < 0) throw RuntimeFailure("--max-retries must be non-negative");
-      options.max_retries = static_cast<int>(n);
+      options.max_retries =
+          non_negative(flag, parse_integer<int>(flag, need_value(flag)));
     } else if (flag == "--job-deadline") {
-      const double seconds = parse_number(flag, need_value(flag));
-      if (seconds <= 0) throw RuntimeFailure("--job-deadline must be positive");
-      options.job_deadline = seconds;
+      options.job_deadline =
+          positive(flag, parse_number(flag, need_value(flag)));
     } else if (flag == "--job-slice-budget") {
-      const long n = parse_integer(flag, need_value(flag));
-      if (n <= 0) throw RuntimeFailure("--job-slice-budget must be positive");
-      options.job_slice_budget = static_cast<std::uint64_t>(n);
+      positive_integer(flag, options.job_slice_budget);
     } else if (flag == "--journal") {
       options.journal_path = need_value(flag);
     } else if (flag == "--store-dir") {
       options.run_config.store_dir = need_value(flag);
     } else if (flag == "--snapshot-every") {
-      const long n = parse_integer(flag, need_value(flag));
-      if (n <= 0) throw RuntimeFailure("--snapshot-every must be positive");
-      options.run_config.store_every = static_cast<int>(n);
+      positive_integer(flag, options.run_config.store_every);
     } else if (flag == "--store-max-bytes") {
-      const long n = parse_integer(flag, need_value(flag));
-      if (n <= 0) throw RuntimeFailure("--store-max-bytes must be positive");
-      options.run_config.store_max_bytes = static_cast<std::uint64_t>(n);
+      positive_integer(flag, options.run_config.store_max_bytes);
     } else if (flag == "--watch") {
       options.run_config.watch = need_value(flag);
       md::WatchEmitter::parse_spec(options.run_config.watch);  // validate now
     } else if (flag == "--watch-every") {
-      const long n = parse_integer(flag, need_value(flag));
-      if (n <= 0) throw RuntimeFailure("--watch-every must be positive");
-      options.run_config.watch_every = static_cast<int>(n);
-    } else if (flag == "--a-kernel") {
-      options.bisect_a.kernel = parse_host_kernel(flag, need_value(flag));
-    } else if (flag == "--b-kernel") {
-      options.bisect_b.kernel = parse_host_kernel(flag, need_value(flag));
-    } else if (flag == "--a-precision") {
-      options.bisect_a.precision = md::parse_precision(need_value(flag));
-    } else if (flag == "--b-precision") {
-      options.bisect_b.precision = md::parse_precision(need_value(flag));
-    } else if (flag == "--a-simd") {
-      options.bisect_a.simd_isa = simd::parse_simd_type(need_value(flag));
-    } else if (flag == "--b-simd") {
-      options.bisect_b.simd_isa = simd::parse_simd_type(need_value(flag));
-    } else if (flag == "--a-threads") {
-      const long t = parse_integer(flag, need_value(flag));
-      if (t <= 0) throw RuntimeFailure("--a-threads must be positive");
-      options.bisect_a.threads = static_cast<std::size_t>(t);
-    } else if (flag == "--b-threads") {
-      const long t = parse_integer(flag, need_value(flag));
-      if (t <= 0) throw RuntimeFailure("--b-threads must be positive");
-      options.bisect_b.threads = static_cast<std::size_t>(t);
-    } else if (flag == "--a-faults") {
-      options.bisect_a.faults = need_value(flag);
-    } else if (flag == "--b-faults") {
-      options.bisect_b.faults = need_value(flag);
-    } else if (flag == "--degrade") {
-      options.run_config.degrade = true;
-    } else if (flag == "--drift-tol") {
-      const double tol = parse_number(flag, need_value(flag));
-      if (tol <= 0) throw RuntimeFailure("--drift-tol must be positive");
-      options.run_config.drift_tolerance = tol;
+      positive_integer(flag, options.run_config.watch_every);
+    } else if (flag == "--a-kernel" || flag == "--b-kernel") {
+      side(flag).kernel = parse_named(flag, need_value(flag), parse_kernel);
+    } else if (flag == "--a-precision" || flag == "--b-precision") {
+      side(flag).precision =
+          parse_named(flag, need_value(flag), md::parse_precision);
+    } else if (flag == "--a-simd" || flag == "--b-simd") {
+      side(flag).simd_isa =
+          parse_named(flag, need_value(flag), simd::parse_simd_type);
+    } else if (flag == "--a-threads" || flag == "--b-threads") {
+      positive_integer(flag, side(flag).threads);
+    } else if (flag == "--a-faults" || flag == "--b-faults") {
+      side(flag).faults = need_value(flag);
     } else if (flag == "--csv") {
       options.csv = true;
     } else {
@@ -364,20 +282,11 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       options.run_config.store_dir.empty()) {
     throw RuntimeFailure("--snapshot-every needs --store-dir <dir>");
   }
-  const auto side_configured = [](const CliBisectSide& side) {
-    return side.kernel || side.precision || side.simd_isa ||
-           side.threads > 0 || !side.faults.empty();
-  };
-  if (options.command == CliCommand::kBisect) {
-    if (options.run_config.store_dir.empty()) {
-      throw RuntimeFailure(
-          "'bisect' needs --store-dir <dir> (both sides record their "
-          "snapshot stores under it)");
-    }
-  } else if (side_configured(options.bisect_a) ||
-             side_configured(options.bisect_b)) {
+  if (options.command == CliCommand::kBisect &&
+      options.run_config.store_dir.empty()) {
     throw RuntimeFailure(
-        "--a-*/--b-* side overrides only apply to the 'bisect' command");
+        "'bisect' needs --store-dir <dir> (both sides record their "
+        "snapshot stores under it)");
   }
   return options;
 }

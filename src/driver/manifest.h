@@ -8,17 +8,19 @@
 //   <name> [key=value ...]
 //
 // `name` is the unique job identifier (also its checkpoint file stem, so
-// [A-Za-z0-9._-] only).  Keys, all optional, defaulting like the `run`
-// flags of the same name:
+// [A-Za-z0-9._-] only).  Keys, all optional:
 //
-//   priority=N      scheduling priority (higher first; default 0)
-//   atoms=N         steps=K  density=D  temperature=T  dt=DT  cutoff=C
-//   seed=S          kernel=n2|list|auto
-//   precision=dp|sp|mixed    simd=scalar|sse2|avx2|avx512
-//   degrade=0|1     fall back to the reference kernel on failure
-//   drift_tol=X     arm the health watchdog with this drift tolerance
+//   atoms steps density temperature dt cutoff seed kernel precision simd
+//   degrade drift_tol   the run keys (driver/run_keys.h): each parses,
+//                       range-checks and defaults exactly like the `run`
+//                       flag of the same name (drift_tol is --drift-tol)
+//   priority=N          scheduling priority (higher first; default 0)
+//   max_retries=N  deadline=S  slice_budget=N
+//                       per-job --max-retries, --job-deadline (seconds) and
+//                       --job-slice-budget overrides, each >= 0
 //
-// Errors carry the manifest line number; duplicate names are rejected here
+// Errors start with `source:line:` and name the key; duplicate names are
+// rejected here
 // (and again by the scheduler, for callers that build specs directly).
 #pragma once
 
