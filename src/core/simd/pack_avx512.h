@@ -28,21 +28,24 @@
 namespace emdpa::simd {
 
 namespace detail {
-/// vpcompressd the 32-bit indices idx[l] of the lanes set in `bits` (at most
-/// 16) into out[0..popcount), in lane order; returns the new end of out.
-/// The masked load never touches an unselected lane, and the compress goes
-/// to a register followed by a masked store: memory-destination vpcompressd
-/// is microcoded on several cores.  Writes nothing past the kept lanes.
+/// vpcompressd the 32-bit indices idx[l] of the lanes set in `bits` (lanes
+/// below kLanes, 8 or 16) into out[0..popcount), in lane order; returns the
+/// new end of out.  The masked load never touches an unselected lane, so
+/// idx needs no slack; the store writes all kLanes lanes whatever `bits`
+/// is, so out needs room for kLanes entries (those past the kept ones are
+/// zero).  The compress goes to a register: memory-destination vpcompressd
+/// is microcoded on several cores.
+template <int kLanes>
 inline std::uint32_t* compress_indices(std::uint32_t* out,
                                        const std::uint32_t* idx,
                                        unsigned bits) {
   const auto keep = static_cast<__mmask16>(bits);
-  const __m512i kept =
-      _mm512_maskz_compress_epi32(keep, _mm512_maskz_loadu_epi32(keep, idx));
-  const int count = std::popcount(bits);
-  _mm512_mask_storeu_epi32(out, static_cast<__mmask16>((1u << count) - 1u),
-                           kept);
-  return out + count;
+  static_assert(kLanes == 8 || kLanes == 16);
+  constexpr auto kAll = static_cast<__mmask16>((1u << kLanes) - 1u);
+  _mm512_mask_storeu_epi32(
+      out, kAll,
+      _mm512_maskz_compress_epi32(keep, _mm512_maskz_loadu_epi32(keep, idx)));
+  return out + std::popcount(bits);
 }
 }  // namespace detail
 
@@ -115,11 +118,12 @@ struct Pack<float, SimdType::kAvx512> {
     return {_mm512_mask_blend_ps(m, b.v, a.v)};
   }
   static unsigned mask_bits(Mask m) { return static_cast<unsigned>(m); }
-  // Kept-lane index store for the list fill (md/kernel_rows.h ListFill).
+  // Kept-lane index store for the list fill (md/kernel_rows.h ListFill):
+  // writes 16 slots.
   static std::uint32_t* compress_indices(std::uint32_t* out,
                                          const std::uint32_t* idx,
                                          unsigned bits) {
-    return detail::compress_indices(out, idx, bits);
+    return detail::compress_indices<16>(out, idx, bits);
   }
   friend float reduce_add(Pack a) {
     alignas(64) float lanes[kWidth];
@@ -199,11 +203,12 @@ struct Pack<double, SimdType::kAvx512> {
     return {_mm512_mask_blend_pd(m, b.v, a.v)};
   }
   static unsigned mask_bits(Mask m) { return static_cast<unsigned>(m); }
-  // Kept-lane index store for the list fill (md/kernel_rows.h ListFill).
+  // Kept-lane index store for the list fill (md/kernel_rows.h ListFill):
+  // writes 8 slots.
   static std::uint32_t* compress_indices(std::uint32_t* out,
                                          const std::uint32_t* idx,
                                          unsigned bits) {
-    return detail::compress_indices(out, idx, bits);
+    return detail::compress_indices<8>(out, idx, bits);
   }
   friend double reduce_add(Pack a) {
     alignas(64) double lanes[kWidth];

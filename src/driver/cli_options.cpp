@@ -168,8 +168,13 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     throw RuntimeFailure("unknown command '" + command + "' (try 'help')");
   }
 
+  // A flag's value is the next argument, unless that is itself a flag.
   auto need_value = [&](const std::string& flag) -> const std::string& {
     if (i >= args.size()) throw RuntimeFailure("flag " + flag + " needs a value");
+    if (args[i].starts_with("--")) {
+      throw RuntimeFailure("flag " + flag + " needs a value, not the flag " +
+                           args[i]);
+    }
     return args[i++];
   };
   // Store the flag's integer value, which must be positive, in `field`.

@@ -35,6 +35,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/simd.h"
@@ -249,63 +250,134 @@ struct RowKernels {
 };
 
 /// The distance filter of the neighbour-list build (ParallelNeighborListT's
-/// fill phase), one row per call.  The list has gathered the wrapped
-/// coordinates into cell-sorted arrays (xs/ys/zs[s] is atom ids[s], the
-/// stable counting-sort order), so the row's cell stencil is a short list
-/// of contiguous [begin, end) spans of those arrays, already in stencil
-/// order — each is streamed kWidth lanes at a time with unaligned loads.
-/// The arrays must hold kWidth readable (ignored) elements past their last
-/// span: the tail pack over-reads and masks the extra lanes off.
+/// fill phase), one group of up to simd_kernels::kFillGroupRows rows of one
+/// cell per call.  The list has gathered the wrapped coordinates into
+/// cell-sorted arrays (xs/ys/zs[s] is atom ids[s], the stable counting-sort
+/// order), so the cell's stencil is a short list of contiguous [begin, end)
+/// spans of those arrays, already in stencil order, shared by all the
+/// cell's rows.  Each span is streamed kWidth lanes at a time with
+/// unaligned loads, and each loaded pack is tested against every row of the
+/// group before the next is loaded.  The coordinate arrays must hold
+/// kWidth readable (ignored) elements past their last span: the tail pack
+/// over-reads and its mask, formed without a branch, drops the extra lanes
+/// (ids are read for kept lanes only).
 ///
 /// Per lane the test is exactly a scalar box.min_image test's: the force
 /// sweep's reflection (reflect_min_image — bitwise the rounding min_image on
 /// wrapped inputs), r2 = dx*dx + dy*dy + dz*dz in that order, kept when
 /// r2 < cutoff_sq.  The self pair is excluded by index, not by r2 > 0, so
-/// exactly coincident atoms stay in the list.  Kept lanes are written in
-/// lane order (original atom indices, ascending within a cell), so a row is
-/// byte-identical on every ISA: vpcompressd on AVX-512, a mask-bit scan on
-/// the narrower packs.
+/// exactly coincident atoms stay in the list; the group's own atoms lie in
+/// one span, and only that span pays for the self mask.  Kept lanes are
+/// written in lane order (original atom indices, ascending within a cell)
+/// to the row's staging row, so a row is byte-identical on every ISA:
+/// vpcompressd with a full-width store on AVX-512 (hence the kWidth slots
+/// of slack each staging row needs), a mask-bit scan on the narrower packs.
+///
+/// Interior cells skip the reflection (reflect == false), bit for bit.  The
+/// caller passes reflect == false only for a cell whose stencil wraps on no
+/// axis (range <= c and c + range < cells on each axis) on a grid with
+/// 2 * (2 * range + 1) < cells.  Write ce = edge / cells and w = 2 * range
+/// + 1.  On each axis both atoms of a candidate pair then sit in a run of w
+/// consecutive cells, so |xi - xj| <= w * ce <= (cells - 1) / 2 * ce =
+/// edge / 2 - ce / 2, up to the binning's rounding (a few ulps of the
+/// coordinate; an exact `edge` from box.wrap lands in the last cell, whose
+/// interval ends at edge).  Subtraction under round-to-nearest is monotone
+/// and edge / 2 is exact, so |fl(xi - xj)| < edge / 2: the reflection's
+/// select yields +0.0, and d - (+0.0) == d for every d (-0.0 - +0.0 is
+/// -0.0; a NaN stays a NaN and is never kept).  Skipping it changes no bit
+/// of dx, dy or dz, hence no mask bit and no row.  The same bound needs
+/// the wrapped coordinates within a fraction of a cell of [0, edge], which
+/// box.wrap's rounding keeps for any position less than ~10^4 box edges
+/// out (float; ~10^12 in double).
 template <typename Real, simd::SimdType S>
 struct ListFill {
   using P = simd::Pack<Real, S>;
   static constexpr std::size_t kWidth = P::kWidth;
+  static constexpr std::size_t kGroupRows = simd_kernels::kFillGroupRows;
 
-  /// The row of the atom at sorted position s against the n_spans spans
-  /// (begin, end pairs) of its cell's stencil, written from `out` without
-  /// padding.  Writes exactly the kept entries — at most the stencil
-  /// population minus one — and returns the end of the row.
-  static std::uint32_t* row(const Real* xs, const Real* ys, const Real* zs,
-                            const std::uint32_t* ids,
-                            const std::uint32_t* spans, std::size_t n_spans,
-                            std::uint32_t s, Real edge, Real cutoff_sq,
-                            std::uint32_t* out) {
+  /// The rows of the atoms at sorted positions [s, s + rows), 1 <= rows <=
+  /// kGroupRows, all in one cell, against the n_spans spans (begin, end
+  /// pairs) of that cell's stencil.  Row r's kept entries go, without
+  /// padding, to stage + r * stride, and their count to kept[r]; stride
+  /// must be at least the stencil population minus one, plus kWidth.
+  static void cell_rows(const Real* xs, const Real* ys, const Real* zs,
+                        const std::uint32_t* ids, const std::uint32_t* spans,
+                        std::size_t n_spans, std::uint32_t s, std::size_t rows,
+                        bool reflect, Real edge, Real cutoff_sq,
+                        std::uint32_t* stage, std::size_t stride,
+                        std::uint32_t* kept) {
+    using Fn = decltype(&group<1, true>);
+    static constexpr Fn kGroups[2][kGroupRows] = {
+        {&group<1, false>, &group<2, false>, &group<3, false>,
+         &group<4, false>},
+        {&group<1, true>, &group<2, true>, &group<3, true>, &group<4, true>}};
+    static_assert(kGroupRows == 4, "one table entry per group size");
+    kGroups[reflect ? 1 : 0][rows - 1](xs, ys, zs, ids, spans, n_spans, s,
+                                       edge, cutoff_sq, stage, stride, kept);
+  }
+
+ private:
+  template <std::size_t R, bool kReflect>
+  static void group(const Real* xs, const Real* ys, const Real* zs,
+                    const std::uint32_t* ids, const std::uint32_t* spans,
+                    std::size_t n_spans, std::uint32_t s, Real edge,
+                    Real cutoff_sq, std::uint32_t* stage, std::size_t stride,
+                    std::uint32_t* kept) {
     const P v_edge = P::broadcast(edge);
     const P v_half = P::broadcast(edge / Real(2));
     const P v_cut = P::broadcast(cutoff_sq);
     const P v_zero = P::zero();
-    const P xi = P::broadcast(xs[s]);
-    const P yi = P::broadcast(ys[s]);
-    const P zi = P::broadcast(zs[s]);
+    P xi[R], yi[R], zi[R];
+    std::uint32_t* out[R];
+    for (std::size_t r = 0; r < R; ++r) {
+      xi[r] = P::broadcast(xs[s + r]);
+      yi[r] = P::broadcast(ys[s + r]);
+      zi[r] = P::broadcast(zs[s + r]);
+      out[r] = stage + r * stride;
+    }
+    const auto delta = [&](P a, P b) {
+      if constexpr (kReflect) {
+        return reflect_min_image(a - b, v_edge, v_half, v_zero);
+      } else {
+        return a - b;
+      }
+    };
+    const auto filter = [&](std::uint32_t begin, std::uint32_t end,
+                            auto self) {
+      for (std::uint32_t j = begin; j < end; j += kWidth) {
+        const P xj = P::loadu(xs + j);
+        const P yj = P::loadu(ys + j);
+        const P zj = P::loadu(zs + j);
+        const unsigned tail =
+            (1u << std::min<std::uint32_t>(end - j, kWidth)) - 1u;
+        for (std::size_t r = 0; r < R; ++r) {
+          const P dx = delta(xi[r], xj);
+          const P dy = delta(yi[r], yj);
+          const P dz = delta(zi[r], zj);
+          unsigned bits =
+              P::mask_bits(cmp_lt(dx * dx + dy * dy + dz * dz, v_cut)) & tail;
+          if constexpr (decltype(self)::value) {
+            const std::uint32_t lane = s + static_cast<std::uint32_t>(r) - j;
+            if (lane < kWidth) bits &= ~(1u << lane);  // j == i
+          }
+          out[r] = store_kept(out[r], ids + j, bits);
+        }
+      }
+    };
     for (std::size_t k = 0; k < n_spans; ++k) {
+      const std::uint32_t begin = spans[2 * k];
       const std::uint32_t end = spans[2 * k + 1];
-      for (std::uint32_t j = spans[2 * k]; j < end; j += kWidth) {
-        const P dx =
-            reflect_min_image(xi - P::loadu(xs + j), v_edge, v_half, v_zero);
-        const P dy =
-            reflect_min_image(yi - P::loadu(ys + j), v_edge, v_half, v_zero);
-        const P dz =
-            reflect_min_image(zi - P::loadu(zs + j), v_edge, v_half, v_zero);
-        unsigned bits =
-            P::mask_bits(cmp_lt(dx * dx + dy * dy + dz * dz, v_cut));
-        if (end - j < kWidth) bits &= (1u << (end - j)) - 1u;  // tail
-        if (s - j < kWidth) bits &= ~(1u << (s - j));          // j == i
-        out = store_kept(out, ids + j, bits);
+      if (begin <= s && s < end) {
+        filter(begin, end, std::true_type{});
+      } else {
+        filter(begin, end, std::false_type{});
       }
     }
-    return out;
+    for (std::size_t r = 0; r < R; ++r) {
+      kept[r] = static_cast<std::uint32_t>(out[r] - (stage + r * stride));
+    }
   }
 
- private:
   static std::uint32_t* store_kept(std::uint32_t* out,
                                    const std::uint32_t* ids, unsigned bits) {
     if constexpr (requires { P::compress_indices(out, ids, bits); }) {

@@ -126,20 +126,25 @@ template <typename Real>
 typename ParallelNeighborListT<Real>::FillTotals
 ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
                                        Real edge) {
-  // Chunk k holds the rows of cells [k, k + 1) * kFillCellGrain in
-  // cell-sorted order.  A cell's stencil is the same for all its atoms, so
-  // its spans are gathered once per cell: for each stencil (x, y) line the
-  // z-window is consecutive cell ids — hence one contiguous range of the
-  // sorted arrays — except where it wraps past the box edge, which splits
-  // it in two.  Spans are appended in stencil order (x, then y, then z with
-  // the wrapped part last, exactly the cells' table order) and any span
-  // that starts where the previous one ended is merged into it, so the
-  // filter streams a few long runs instead of width^3 cells of ~2 atoms.
+  // Chunk k holds the rows at sorted positions [k, k + 1) * kFillRowGrain,
+  // whatever cells they belong to, so a cell of many rows (a one-cell
+  // build has just one) spreads over the tasks like any other.  A cell's
+  // stencil is the same for all its atoms, so its spans are gathered once
+  // per cell and chunk: for each stencil (x, y) line the z-window is
+  // consecutive cell ids — hence one contiguous range of the sorted
+  // arrays — except where it wraps past the box edge, which splits it in
+  // two.  Spans are appended in stencil order (x, then y, then z with the
+  // wrapped part last, exactly the cells' table order) and any span that
+  // starts where the previous one ended is merged into it, so the filter
+  // streams a few long runs instead of width^3 cells of ~2 atoms.  The
+  // filter takes the cell's rows kFillGroupRows at a time into the task's
+  // staging rows, and skips the minimum-image reflection in cells whose
+  // stencil cannot wrap (ListFill in kernel_rows.h proves that exact).
   //
-  // Rows go straight into pages taken in turn from one shared counter, so
-  // the pages in use are always a prefix of the block.  Each row is padded
-  // in place and the next starts where it ended; when the room left is
-  // below a row's stencil bound the task takes a fresh page, or enough
+  // Rows go from staging into pages taken in turn from one shared counter,
+  // so the pages in use are always a prefix of the block.  Each row is
+  // padded in place and the next starts where it ended; when the room left
+  // is below a row's stencil bound the task takes a fresh page, or enough
   // consecutive ones.  Past the block's end a task keeps filtering into a
   // throwaway page of its own, so every count stays exact and the counter
   // ends at about the pages the rows need.  Rows are disjoint, so the
@@ -148,12 +153,23 @@ ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
   const std::size_t width = 2 * range + 1;
   const std::size_t n_lines = cells * cells;
   const std::size_t n_cells = n_lines * cells;
-  const std::size_t n_chunks = (n_cells + kFillCellGrain - 1) / kFillCellGrain;
+  const std::size_t n = row_begin_.size();
+  const std::size_t n_chunks = (n + kFillRowGrain - 1) / kFillRowGrain;
   const std::size_t n_pages = usable_pages();
   const std::uint32_t* cell_start = cell_start_.data();
   std::uint32_t* const block = entries_.data();
+  // (a + j - range) mod cells for a < cells, j <= 2 * range < 2 * cells,
+  // without a division: the sum below is under 3 * cells.
   const auto axis = [&](std::size_t a, std::size_t j) {
-    return (a + j + cells - range) % cells;
+    std::size_t p = a + j + cells - range;
+    if (p >= cells) p -= cells;
+    return p < cells ? p : p - cells;
+  };
+  // Stencils shorter than half the box that wrap on no axis need no
+  // reflection.
+  const bool has_interior = 2 * width < cells;
+  const auto interior = [&](std::size_t a) {
+    return a >= range && a + range < cells;
   };
   std::atomic<std::size_t> next_chunk{0};
   std::atomic<std::size_t> next_page{0};
@@ -163,6 +179,8 @@ ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
     for (std::size_t t = t_begin; t < t_end; ++t) {
       FillTotals& sum = totals[t];
       std::vector<std::uint32_t> spans;
+      std::vector<std::uint32_t> stage;
+      std::uint32_t kept[simd_kernels::kFillGroupRows];
       listutil::RawArray<std::uint32_t> throwaway;
       std::uint32_t* page = nullptr;  // pages taken: [page, page + room)
       std::size_t offset = 0;         // block offset of *page
@@ -178,13 +196,20 @@ ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
       };
       for (std::size_t k = next_chunk.fetch_add(1); k < n_chunks;
            k = next_chunk.fetch_add(1)) {
-        const std::size_t c_end = std::min(n_cells, (k + 1) * kFillCellGrain);
-        for (std::size_t c = k * kFillCellGrain; c < c_end; ++c) {
-          const std::uint32_t pop = cell_start[c + 1] - cell_start[c];
-          if (pop == 0) continue;
+        auto s = static_cast<std::uint32_t>(k * kFillRowGrain);
+        const auto s_stop =
+            static_cast<std::uint32_t>(std::min(n, (k + 1) * kFillRowGrain));
+        // The cell holding position s: the last one starting at or before.
+        std::size_t c = static_cast<std::size_t>(
+            std::upper_bound(cell_start, cell_start + n_cells + 1, s) -
+            cell_start - 1);
+        for (; s < s_stop; ++c) {
+          const std::uint32_t c_stop = std::min(cell_start[c + 1], s_stop);
+          if (s == c_stop) continue;  // an empty cell
           const std::size_t cx = c / n_lines;
           const std::size_t cy = (c / cells) % cells;
-          const std::size_t z0 = axis(c % cells, 0);
+          const std::size_t cz = c % cells;
+          const std::size_t z0 = axis(cz, 0);
           const std::size_t z_end = std::min(z0 + width, cells);
           const std::size_t z_wrapped = z0 + width - z_end;  // from z = 0
           spans.clear();
@@ -196,40 +221,50 @@ ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
               add_span(cell_start[line], cell_start[line + z_wrapped]);
             }
           }
+          const bool reflect = !(has_interior && interior(cx) &&
+                                 interior(cy) && interior(cz));
           // Each of the cell's rows tests, and so keeps at most, its
-          // stencil minus itself.
+          // stencil minus itself; a staging row holds that plus the
+          // filter's full-width store.
           const std::size_t tests = stencil_pop_[c] - 1;
           const std::size_t bound = listutil::padded_row<Real>(tests);
-          sum.tests += static_cast<std::uint64_t>(pop) * tests;
-          for (std::uint32_t s = cell_start[c]; s < cell_start[c + 1]; ++s) {
-            if (room < bound) {
-              const std::size_t pages =
-                  (bound + kPageEntries - 1) / kPageEntries;
-              const std::size_t first = next_page.fetch_add(pages);
-              room = pages * kPageEntries;
-              if (first + pages <= n_pages) {
-                offset = first * kPageEntries;
-                page = block + offset;
-              } else {
-                throwaway.reserve_discard(room);
-                page = throwaway.data();
+          const std::size_t stride = tests + padded_multiple();
+          if (stage.size() < simd_kernels::kFillGroupRows * stride) {
+            stage.resize(simd_kernels::kFillGroupRows * stride);
+          }
+          sum.tests += static_cast<std::uint64_t>(c_stop - s) * tests;
+          while (s < c_stop) {
+            const std::size_t rows = std::min<std::size_t>(
+                simd_kernels::kFillGroupRows, c_stop - s);
+            fill_(sorted_x_.data(), sorted_y_.data(), sorted_z_.data(),
+                  cell_atoms_.data(), spans.data(), spans.size() / 2, s, rows,
+                  reflect, edge, list_cutoff_sq_, stage.data(), stride, kept);
+            for (std::size_t r = 0; r < rows; ++r, ++s) {
+              if (room < bound) {
+                const std::size_t pages =
+                    (bound + kPageEntries - 1) / kPageEntries;
+                const std::size_t first = next_page.fetch_add(pages);
+                room = pages * kPageEntries;
+                if (first + pages <= n_pages) {
+                  offset = first * kPageEntries;
+                  page = block + offset;
+                } else {
+                  throwaway.reserve_discard(room);
+                  page = throwaway.data();
+                }
               }
+              const std::uint32_t i = cell_atoms_[s];
+              const std::size_t padded = listutil::padded_row<Real>(kept[r]);
+              std::copy_n(stage.data() + r * stride, kept[r], page);
+              std::fill(page + kept[r], page + padded, i);  // self pad
+              row_begin_[i] = static_cast<std::uint32_t>(offset);
+              row_end_[i] = static_cast<std::uint32_t>(offset + padded);
+              page += padded;
+              offset += padded;
+              room -= padded;
+              sum.kept += kept[r];
+              sum.padded += padded;
             }
-            const std::uint32_t i = cell_atoms_[s];
-            std::uint32_t* const kept_end =
-                fill_(sorted_x_.data(), sorted_y_.data(), sorted_z_.data(),
-                      cell_atoms_.data(), spans.data(), spans.size() / 2, s,
-                      edge, list_cutoff_sq_, page);
-            const auto kept = static_cast<std::size_t>(kept_end - page);
-            const std::size_t padded = listutil::padded_row<Real>(kept);
-            std::fill(kept_end, page + padded, i);  // self pad, r2 == 0
-            row_begin_[i] = static_cast<std::uint32_t>(offset);
-            row_end_[i] = static_cast<std::uint32_t>(offset + padded);
-            page += padded;
-            offset += padded;
-            room -= padded;
-            sum.kept += kept;
-            sum.padded += padded;
           }
         }
       }

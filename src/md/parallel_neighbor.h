@@ -27,11 +27,17 @@
 //    atom in index order, on the same path.  The fill runs every distance
 //    test once and writes every row once, straight into the storage the
 //    force sweep reads: the runtime-dispatched per-ISA distance
-//    filter (kernel_rows.h ListFill — the force sweep's copysign reflection
-//    across SIMD lanes, kept indices written with vpcompressd or a mask-bit
-//    scan) writes each row into pages taken from one shared block — one
-//    fill task per pool thread claims chunks of cells in turn and keeps its
-//    page across them — and the row is self-padded in place.  A row never
+//    filter (kernel_rows.h ListFill) takes a cell's rows up to four at a
+//    time, loads each candidate pack once for all of them, and tests it
+//    with the force sweep's copysign reflection across SIMD lanes — or
+//    without it in a cell whose stencil cannot wrap and spans less than
+//    half the box, where the reflection provably changes no bit.  Kept
+//    indices go with vpcompressd or a mask-bit scan into a small staging
+//    row per fill task, which is copied into pages taken from one shared
+//    block — one fill task per pool thread claims chunks of 128 cell-sorted
+//    rows in turn (a cell of many rows, a one-cell build's above all,
+//    spreads over the tasks) and keeps its page across them — and the row
+//    is self-padded in place.  A row never
 //    straddles a page: a task takes a fresh page, or enough consecutive
 //    ones, whenever the room left is below the row's stencil bound, so the
 //    pages in use exceed the rows by ~2% plus a page per task (a sparser
@@ -311,9 +317,9 @@ class ParallelNeighborListT {
     std::uint64_t tests = 0;
   };
   /// Filter every row into the block: one task per pool thread claims fill
-  /// chunks of kFillCellGrain cells in turn and writes their rows into the
-  /// pages it takes.  How many pages that is depends a little on the claim
-  /// order (each task's last page is partly filled).
+  /// chunks of kFillRowGrain cell-sorted rows in turn and writes them into
+  /// the pages it takes.  How many pages that is depends a little on the
+  /// claim order (each task's last page is partly filled).
   FillTotals fill_rows(std::size_t cells, std::size_t range, Real edge);
   /// Pages of the block the fill may write: its capacity, capped at what
   /// the uint32 offsets address.
@@ -324,8 +330,9 @@ class ParallelNeighborListT {
   /// Atoms per chunk of the O(n) passes: the staleness check, the wrap and
   /// the cell-sorted gather.
   static constexpr std::size_t kAtomGrain = 4096;
-  /// Cells per fill chunk (~2 atoms each at MD densities).
-  static constexpr std::size_t kFillCellGrain = 64;
+  /// Cell-sorted rows per fill chunk (~50 cells at MD densities; a cell
+  /// of more rows spreads over several chunks).
+  static constexpr std::size_t kFillRowGrain = 128;
   /// Entries per page of the row block.  A fill task keeps its page across
   /// the chunks it claims and starts a fresh one when the room left is
   /// below a row's stencil bound (a few hundred entries at MD densities),

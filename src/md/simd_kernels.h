@@ -69,15 +69,19 @@ using ListRowsFn = void (*)(const Real* records,
                             emdpa::Vec3<double>* accelerations, Acc* row_pe,
                             Acc* row_virial, std::uint64_t* row_hits);
 
-/// List-build distance filter of one row; see rows::ListFill::row for the
-/// parameter contract.
+/// Rows of one cell the list-build filter tests together, sharing each
+/// candidate load.
+inline constexpr std::size_t kFillGroupRows = 4;
+
+/// List-build distance filter of a group of one cell's rows; see
+/// rows::ListFill::cell_rows for the parameter contract.
 template <typename Real>
-using ListFillFn = std::uint32_t* (*)(const Real* xs, const Real* ys,
-                                      const Real* zs, const std::uint32_t* ids,
-                                      const std::uint32_t* spans,
-                                      std::size_t n_spans, std::uint32_t s,
-                                      Real edge, Real cutoff_sq,
-                                      std::uint32_t* out);
+using ListFillFn = void (*)(const Real* xs, const Real* ys, const Real* zs,
+                            const std::uint32_t* ids,
+                            const std::uint32_t* spans, std::size_t n_spans,
+                            std::uint32_t s, std::size_t rows, bool reflect,
+                            Real edge, Real cutoff_sq, std::uint32_t* stage,
+                            std::size_t stride, std::uint32_t* kept);
 
 /// One ISA's worth of compiled row kernels: both hot loops in all three
 /// precision combinations, the list-build filter in both list precisions,

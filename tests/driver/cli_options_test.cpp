@@ -105,6 +105,24 @@ TEST(CliOptions, RejectsNonPositiveOrNonFiniteTimeStep) {
       1e-4);
 }
 
+TEST(CliOptions, FlagDoesNotTakeTheNextFlagAsItsValue) {
+  for (const char* flag : {"--checkpoint", "--resume", "--store-dir"}) {
+    SCOPED_TRACE(flag);
+    try {
+      parse_cli({"run", "--backend", "host", "--atoms", "32", flag, "--csv"});
+      FAIL() << "expected RuntimeFailure";
+    } catch (const RuntimeFailure& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(flag), std::string::npos) << message;
+      EXPECT_NE(message.find("--csv"), std::string::npos) << message;
+    }
+  }
+  // A value with a single leading dash is still a value.
+  EXPECT_EQ(parse_cli({"run", "--backend", "host", "--checkpoint", "-c.ckpt"})
+                .run_config.checkpoint_path,
+            "-c.ckpt");
+}
+
 TEST(CliOptions, UsageMentionsEveryBackend) {
   const std::string usage = cli_usage();
   EXPECT_NE(usage.find("cell-8spe"), std::string::npos);

@@ -11,16 +11,21 @@
 // atoms within a cell in index order), the same self-padding to the 64-byte
 // block.  Where a row sits in the block is not part of the contract.
 // Configurations: the 50 seeded property-harness workloads, a box with
-// exactly `width` cells per axis (every z-window wraps), coincident atoms
-// (r2 == 0 but j != i: kept), a pair exactly half the edge apart, and
-// mostly-empty cell grids.
+// exactly `width` cells per axis (every z-window wraps), the smallest grid
+// whose interior cells skip the reflection and the grid just below it,
+// cells of 1 to 9 rows (every remainder of the filter's row groups),
+// atoms on cell borders, at 0 and wrapped onto exactly `edge`, coincident
+// atoms (r2 == 0 but j != i: kept), a pair exactly half the edge apart,
+// and mostly-empty cell grids.
 //
 // The block is reused across builds and never value-initialised, so a
 // sequence of builds on ONE list object — growing past its capacity (the
 // grow-and-filter-again refill), shrinking, regrowing, through a one-cell
 // build of a box too small for the stencil — must give the rows a fresh
 // list gives, and every slot of a shrunken list's rows must be rewritten
-// (no stale index survives).
+// (no stale index survives).  A dense cluster that overflows the block's
+// estimate, over a box corner or in mid-box where its cells skip the
+// reflection, must refill to the reference rows.
 //
 // Also here: the pool-parallel staleness check, the checked 32-bit offset
 // guard (a build that trips it leaves the list invalid), the bounded
@@ -315,6 +320,78 @@ TEST(ListFillIdentity, MostlyEmptyCells) {
   expect_identity_both(clump, edge, 2.5, 0.3);
 }
 
+/// k = (cx + cy + cz) % 9 + 1 atoms at random points well inside each cell
+/// (cx, cy, cz) of a cells^3 grid over a box of edge `edge`: cells of 1 to
+/// 9 rows, hence every remainder of the filter's row groups, both where
+/// the stencil wraps and where it does not.
+std::vector<Vec3d> one_to_nine_per_cell(std::size_t cells, double edge,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
+  const double ce = edge / static_cast<double>(cells);
+  const auto inside = [&](std::size_t a) {
+    return (static_cast<double>(a) + rng.uniform(0.05, 0.95)) * ce;
+  };
+  std::vector<Vec3d> out;
+  for (std::size_t cx = 0; cx < cells; ++cx) {
+    for (std::size_t cy = 0; cy < cells; ++cy) {
+      for (std::size_t cz = 0; cz < cells; ++cz) {
+        for (std::size_t k = 0; k <= (cx + cy + cz) % 9; ++k) {
+          out.push_back({inside(cx), inside(cy), inside(cz)});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ListFillIdentity, SmallestGridWithInteriorCellsAndTheOneBelow) {
+  // List radius 2.8, range 2, stencil width 5.  Edge 15.5 gives 11 cells,
+  // the smallest grid (2 * width + 1) whose cells 2..8 on every axis skip
+  // the minimum-image reflection; edge 14.1 gives 10 cells, where every
+  // cell reflects.  Each cell holds 1 to 9 rows.
+  const double cutoff = 2.5, skin = 0.3;
+  for (const auto& [edge, cells] : {std::pair{15.5, 11u}, {14.1, 10u}}) {
+    SCOPED_TRACE(::testing::Message() << cells << " cells");
+    const Grid g = grid_for(edge, cutoff + skin);
+    ASSERT_EQ(g.cells, cells);
+    ASSERT_EQ(g.range, 2u);
+    expect_identity_both(one_to_nine_per_cell(cells, edge, 16 + cells),
+                         edge, cutoff, skin);
+  }
+}
+
+TEST(ListFillIdentity, AtomsOnCellBordersAtZeroAndAtTheWrappedEdge) {
+  // The 11-cell grid of the test above, with atoms on cell borders through
+  // interior cells along each axis (pairs a whole number of cells apart),
+  // at 0 and -0, and at a coordinate that box.wrap maps to exactly `edge`
+  // (binned into the last cell), among a random fluid.
+  const double edge = 15.5, cutoff = 2.5, skin = 0.3;
+  const Grid g = grid_for(edge, cutoff + skin);
+  ASSERT_EQ(g.cells, 11u);
+  const double ce = edge / static_cast<double>(g.cells);
+  std::vector<Vec3d> positions = random_positions(1500, edge, 18);
+  for (std::size_t a = 0; a <= g.cells; ++a) {
+    const double border = static_cast<double>(a) * ce;
+    const double mid = 5.0 * ce;  // an interior cell border on the others
+    positions.push_back({border, mid, mid});
+    positions.push_back({mid, border, mid});
+    positions.push_back({mid, mid, border});
+    positions.push_back({border, border, 3.0 * ce});
+  }
+  const double below_zero = -1e-20;
+  ASSERT_EQ(PeriodicBox(edge).wrap({below_zero, 0.0, 0.0}).x, edge);
+  ASSERT_EQ(PeriodicBoxT<float>(static_cast<float>(edge))
+                .wrap({static_cast<float>(below_zero), 0.0f, 0.0f})
+                .x,
+            static_cast<float>(edge));
+  positions.push_back({0.0, 0.0, 0.0});
+  positions.push_back({-0.0, 4.0 * ce, -0.0});
+  positions.push_back({below_zero, 4.0 * ce, 8.0 * ce});
+  positions.push_back({8.0 * ce, below_zero, below_zero});
+  positions.push_back({below_zero, below_zero, below_zero});
+  expect_identity_both(positions, edge, cutoff, skin);
+}
+
 TEST(ListFillIdentity, KernelPinsItsIsaIntoTheList) {
   for (const simd::SimdType isa : simd_kernels::available_isas()) {
     NeighborListKernel::Options options;
@@ -520,13 +597,15 @@ TEST(ListStorage, EverySlotIsRewrittenWhenAShrunkenListReusesItsStorage) {
 }
 
 template <typename Real>
-void expect_refill_matches_reference() {
+void expect_refill_matches_reference(double offset) {
   // A fresh list sizes its block from the uniform-density estimate of the
-  // box: 1500 atoms packed into a 4-wide corner of a 20-wide box keep
+  // box: 1500 atoms packed into a 4-wide cube of a 20-wide box keep
   // hundreds of neighbours each where the estimate expects about a dozen.
   // The first build runs out, grows the block and filters again; a regrow
-  // to 3000 atoms in the same corner runs out of that block too.  Both
-  // refills must give the reference rows.
+  // to 3000 atoms in the same cube runs out of that block too.  Both
+  // refills must give the reference rows.  The cube sits at `offset` on
+  // every axis: over the corner, or in the middle of the box, where its
+  // cells (dozens of rows each) skip the reflection.
   const double edge = 20.0;
   const auto cutoff = static_cast<Real>(2.5);
   const auto skin = static_cast<Real>(0.3);
@@ -535,7 +614,7 @@ void expect_refill_matches_reference() {
   std::vector<ListRows> expected;
   for (const std::size_t n : {1500u, 3000u}) {
     std::vector<Vec3d> cluster = random_positions(n, 4.0, 60 + n);
-    for (auto& p : cluster) p = p - Vec3d{2.0, 2.0, 2.0};  // over the corner
+    for (auto& p : cluster) p = p + Vec3d{offset, offset, offset};
     clusters.push_back(narrow<Real>(cluster));
     expected.push_back(reference_rows(clusters.back(),
                                       static_cast<Real>(edge), cutoff, skin));
@@ -563,13 +642,16 @@ void expect_refill_matches_reference() {
 }
 
 TEST(ListStorage, DenseClusterRefillsAndMatchesTheReference) {
-  {
-    SCOPED_TRACE("dp");
-    expect_refill_matches_reference<double>();
-  }
-  {
-    SCOPED_TRACE("sp");
-    expect_refill_matches_reference<float>();
+  for (const double offset : {-2.0, 8.0}) {  // over the corner, mid-box
+    SCOPED_TRACE(::testing::Message() << "offset " << offset);
+    {
+      SCOPED_TRACE("dp");
+      expect_refill_matches_reference<double>(offset);
+    }
+    {
+      SCOPED_TRACE("sp");
+      expect_refill_matches_reference<float>(offset);
+    }
   }
 }
 
