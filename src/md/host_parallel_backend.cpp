@@ -6,6 +6,8 @@
 // skin-radius reuse pays off across the velocity-Verlet steps the
 // simulation loop drives.  RunConfig::host_kernel overrides the automatic
 // choice.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <optional>
@@ -181,6 +183,13 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
   result.metadata["phase_setup_ms"] = setup_seconds * 1e3;
   result.metadata["phase_force_ms"] = sim.phase_seconds().force * 1e3;
   result.metadata["phase_integrate_ms"] = sim.phase_seconds().integrate * 1e3;
+  // The process's peak resident set so far (ru_maxrss, KiB on Linux): in a
+  // process that ran several jobs, the largest; after an exec, at least the
+  // launching image's peak.
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  result.metadata["peak_rss_mib"] =
+      static_cast<double>(usage.ru_maxrss) / 1024.0;
   result.labels["simd_isa"] =
       sim.simd_isa() ? simd::to_string(*sim.simd_isa()) : "none";
   result.labels["precision"] = to_string(sim.precision());
@@ -209,6 +218,9 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
         static_cast<double>(list.directed_entries);
     result.metadata["list_distance_tests"] =
         static_cast<double>(list.distance_tests);
+    // Rows of the last build the sweep runs without the reflection.
+    result.metadata["list_sweep_plain_rows"] =
+        static_cast<double>(list.sweep_plain_rows);
     // Bytes the list holds at the end of the run (allocated capacity).
     result.metadata["list_csr_bytes"] =
         static_cast<double>(list.memory.csr_bytes);

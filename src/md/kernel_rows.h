@@ -214,7 +214,30 @@ struct RowKernels {
   /// padding entries are the atom itself, rejected by the r2 > 0 lane mask.
   /// Each row's results land at its own index i, so the visiting order
   /// (the list's write order, which streams the entries) moves no bit.
+  ///
+  /// Plain rows skip the reflection (plain[s] != 0), bit for bit.  The
+  /// list sets the flag (ParallelNeighborListT::sweep_plain) only under
+  /// the half-skin policy, for a row whose cell c satisfies range + 1 <= c
+  /// and c + range + 2 <= cells on every axis, on a grid where
+  /// 2 * ((2 * range + 2) * ce + skin) < edge, with ce = edge / cells the
+  /// cell edge.  On each axis every atom of the row's stencil then sat, at
+  /// the build, in cells 1 .. cells - 2: at least ce from both faces.  The
+  /// sweep runs only after ensure(), so no atom has moved more than
+  /// skin / 2 since, and ce >= (rc + skin) / 2 > skin / 2: no atom of the
+  /// stencil has crossed a face, so its wrapped coordinate moved by the
+  /// same displacement as its raw one.  Two atoms of a row were within
+  /// (2 * range + 1) * ce of each other at the build and each moved at
+  /// most skin / 2, so |xi - xj| <= (2 * range + 1) * ce + skin, a whole
+  /// cell below edge / 2 — far more than the binning's and the wrap's few
+  /// ulps of rounding.  As in ListFill's proof below, |fl(xi - xj)| <
+  /// edge / 2, the reflection's select yields +0.0, and d - (+0.0) == d
+  /// for every d: skipping it changes no bit of dx, dy or dz, hence no
+  /// mask bit, force, energy or virial.  Under kNeverRebuild atoms may
+  /// move without bound, so the list flags no row and every row reflects.
+  /// Both row bodies are inlined into the one loop; the flag picks one per
+  /// row.
   static void list_rows(const Real* records, const std::uint32_t* order,
+                        const std::uint8_t* plain,
                         const std::uint32_t* row_begin,
                         const std::uint32_t* row_end,
                         const std::uint32_t* entries, Real edge,
@@ -223,8 +246,7 @@ struct RowKernels {
                         emdpa::Vec3<double>* accelerations, Acc* row_pe,
                         Acc* row_virial, std::uint64_t* row_hits) {
     const LjLaneKernel<Real, S> lanes(edge, cutoff_sq, lj);
-    for (std::size_t s = s_begin; s < s_end; ++s) {
-      const std::uint32_t i = order[s];
+    const auto row = [&](std::uint32_t i, auto reflect) {
       const Real* ri = records + simd::kRecordReals * i;
       const P xi = P::broadcast(ri[0]);
       const P yi = P::broadcast(ri[1]);
@@ -237,14 +259,22 @@ struct RowKernels {
           P xj, yj, zj;
           P::load_xyz(records, entries + k + s * kWidth, xj, yj, zj);
           const unsigned bits =
-              lanes.accumulate(xi - xj, yi - yj, zi - zj, a.fx[s], a.fy[s],
-                               a.fz[s], a.pe[s], a.vir[s]);
+              lanes.template accumulate<decltype(reflect)::value>(
+                  xi - xj, yi - yj, zi - zj, a.fx[s], a.fy[s], a.fz[s],
+                  a.pe[s], a.vir[s]);
           hits += static_cast<std::uint64_t>(std::popcount(bits));
         }
       }
 
       finish_row(a, inv_mass, accelerations[i], row_pe[i], row_virial[i]);
       row_hits[i] = hits;
+    };
+    for (std::size_t s = s_begin; s < s_end; ++s) {
+      if (plain[s] != 0) {
+        row(order[s], std::false_type{});
+      } else {
+        row(order[s], std::true_type{});
+      }
     }
   }
 };

@@ -124,12 +124,17 @@ struct LjLaneKernel {
   /// per lane) so callers can early-out and count interactions.  The fused
   /// single-reflection minimum image is exact for wrapped positions
   /// (|dr| < edge per axis), where it coincides with every MinImageStrategy
-  /// (see reflect_min_image).
+  /// (see reflect_min_image).  kReflect == false skips the reflection, for
+  /// callers that prove every |dr| < edge/2, where it subtracts +0.0 and so
+  /// changes no bit (the list sweep's plain rows, kernel_rows.h).
+  template <bool kReflect = true>
   inline unsigned accumulate(P dx, P dy, P dz, P& fx, P& fy, P& fz, P& pe,
                              P& vir) const {
-    dx = reflect_min_image(dx, v_edge, v_half, v_zero);
-    dy = reflect_min_image(dy, v_edge, v_half, v_zero);
-    dz = reflect_min_image(dz, v_edge, v_half, v_zero);
+    if constexpr (kReflect) {
+      dx = reflect_min_image(dx, v_edge, v_half, v_zero);
+      dy = reflect_min_image(dy, v_edge, v_half, v_zero);
+      dz = reflect_min_image(dz, v_edge, v_half, v_zero);
+    }
 
     const P r2 = dx * dx + dy * dy + dz * dz;
     const auto in_range = P::mask_and(cmp_lt(r2, v_cut), cmp_gt(r2, v_zero));

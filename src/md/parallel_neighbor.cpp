@@ -140,6 +140,9 @@ ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
   // filter takes the cell's rows kFillGroupRows at a time into the task's
   // staging rows, and skips the minimum-image reflection in cells whose
   // stencil cannot wrap (ListFill in kernel_rows.h proves that exact).
+  // Next to that flag it records the sweep's, one byte per row, set for
+  // rows one cell further in (RowKernels::list_rows proves that exact under
+  // the half-skin policy; kNeverRebuild flags no row).
   //
   // Rows go from staging into pages taken in turn from one shared counter,
   // so the pages in use are always a prefix of the block.  Each row is
@@ -171,6 +174,19 @@ ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
   const auto interior = [&](std::size_t a) {
     return a >= range && a + range < cells;
   };
+  // Rows at least range + 1 cells from every face of a grid whose stencil
+  // plus skin spans under half the box need no reflection in the sweep.
+  const double cell_edge =
+      static_cast<double>(edge) / static_cast<double>(cells);
+  const bool has_plain =
+      policy_ == SkinPolicy::kHalfSkinDisplacement &&
+      2.0 * (static_cast<double>(2 * range + 2) * cell_edge +
+             static_cast<double>(skin_)) <
+          static_cast<double>(edge);
+  const auto plain_axis = [&](std::size_t a) {
+    return a >= range + 1 && a + range + 2 <= cells;
+  };
+  std::uint8_t* const plain = sweep_plain_.data();
   std::atomic<std::size_t> next_chunk{0};
   std::atomic<std::size_t> next_page{0};
   std::vector<FillTotals> totals(pool_ != nullptr ? pool_->size() : 1);
@@ -223,6 +239,10 @@ ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
           }
           const bool reflect = !(has_interior && interior(cx) &&
                                  interior(cy) && interior(cz));
+          const bool sweep_plain = has_plain && plain_axis(cx) &&
+                                   plain_axis(cy) && plain_axis(cz);
+          std::fill(plain + s, plain + c_stop, sweep_plain ? 1 : 0);
+          if (sweep_plain) sum.plain += c_stop - s;
           // Each of the cell's rows tests, and so keeps at most, its
           // stencil minus itself; a staging row holds that plus the
           // filter's full-width store.
@@ -276,6 +296,7 @@ ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
     all.kept += sum.kept;
     all.padded += sum.padded;
     all.tests += sum.tests;
+    all.plain += sum.plain;
   }
   return all;
 }
@@ -312,6 +333,7 @@ void ParallelNeighborListT<Real>::build_rows(
   list_cutoff_sq_ = list_cutoff * list_cutoff;
   directed_entries_ = 0;
   build_distance_tests_ = 0;
+  sweep_plain_rows_ = 0;
   last_bin_seconds_ = 0;
   last_fill_seconds_ = 0;
 
@@ -392,6 +414,7 @@ void ParallelNeighborListT<Real>::build_rows(
   reserve_pages(pages_used_);
   row_begin_.resize(n);
   row_end_.resize(n);
+  sweep_plain_.resize(n);
 
   // One filter pass writes every row in place.  The filter visits a row's
   // candidates in one fixed order — stencil cells in table order, atoms
@@ -412,6 +435,7 @@ void ParallelNeighborListT<Real>::build_rows(
   }
   directed_entries_ = fill.kept;
   build_distance_tests_ = fill.tests;
+  sweep_plain_rows_ = fill.plain;
   pages_used_ = fill.pages;
   entry_count_ = fill.pages * kPageEntries;
 

@@ -77,8 +77,15 @@
 //    N^2 SoA kernel, through the same runtime-dispatched per-ISA row loops
 //    (see soa_kernel.h for the dispatch and the <Real, Acc> precision seam:
 //    like SoaKernelT, every instantiation is a double-facing ForceKernel).  Atom
-//    rows spread over the pool in the order the build wrote them, so the
-//    sweep streams through the block; each row's partials land at its own
+//    rows are visited in the order the build wrote them, so the sweep
+//    streams through the block, and the pool's tasks claim them in fixed
+//    chunks of kRowGrain (1024) cell-sorted rows: each task sweeps a run of
+//    neighbouring cells, so the records its rows load stay in its own
+//    core's L2.  Rows whose cell lies at least range + 1 cells from every
+//    face, on a grid where stencil plus skin spans under half the box,
+//    skip the minimum-image reflection — the build flags them
+//    (sweep_plain()), and RowKernels::list_rows proves the skip moves no
+//    bit under the half-skin policy.  Each row's partials land at its own
 //    atom index and reduce in index order, so forces, PE and virial are
 //    bitwise identical run to run at ANY thread count, and bitwise
 //    identical across dispatched ISAs.
@@ -144,6 +151,9 @@ struct ListStats {
   /// Directed entries and distance tests of the most recent build.
   std::uint64_t directed_entries = 0;
   std::uint64_t distance_tests = 0;
+  /// Rows of the most recent build the force sweep runs without the
+  /// minimum-image reflection.
+  std::uint64_t sweep_plain_rows = 0;
   /// Cumulative wall-clock seconds: build binning and fill, the staleness
   /// checks plus the reference-position copies, and the force sweeps
   /// (packing the positions, the row loop and the ordered fold of its
@@ -268,6 +278,16 @@ class ParallelNeighborListT {
   /// index order in a one-cell build): a sweep visiting rows in this order
   /// streams through the block.
   const std::vector<std::uint32_t>& row_order() const { return cell_atoms_; }
+  /// One flag per row, in row_order(): nonzero where no atom of the row's
+  /// stencil can have crossed a box face since the build, so the force
+  /// sweep may skip the minimum-image reflection (RowKernels::list_rows
+  /// states the condition and proves it exact).  Never set under
+  /// kNeverRebuild.
+  const std::vector<std::uint8_t>& sweep_plain() const {
+    return sweep_plain_;
+  }
+  /// How many rows of the most recent build sweep_plain() flags.
+  std::uint64_t sweep_plain_rows() const { return sweep_plain_rows_; }
   /// The pages of the block the most recent build took.  Slots between
   /// rows (a page's unused tail) are never written; every row slot is
   /// written by each build.
@@ -315,6 +335,7 @@ class ParallelNeighborListT {
     std::uint64_t kept = 0;
     std::uint64_t padded = 0;
     std::uint64_t tests = 0;
+    std::uint64_t plain = 0;
   };
   /// Filter every row into the block: one task per pool thread claims fill
   /// chunks of kFillRowGrain cell-sorted rows in turn and writes them into
@@ -351,12 +372,14 @@ class ParallelNeighborListT {
   Real list_cutoff_sq_ = Real(0);
   std::vector<emdpa::Vec3<Real>> build_positions_;
   std::vector<std::uint32_t> row_begin_, row_end_;  ///< row i's slots
+  std::vector<std::uint8_t> sweep_plain_;  ///< per sorted position
   listutil::RawArray<std::uint32_t> entries_;  ///< the row block
   std::size_t entry_count_ = 0;  ///< slots of entries_ in use
   std::size_t pages_used_ = 0;   ///< pages the last grid build took
   std::uint64_t csr_limit_ = listutil::kMaxCsrEntries;
   std::uint64_t directed_entries_ = 0;
   std::uint64_t build_distance_tests_ = 0;
+  std::uint64_t sweep_plain_rows_ = 0;
   std::uint64_t rebuilds_ = 0;
   std::uint64_t refills_ = 0;
 
@@ -406,8 +429,10 @@ class NeighborListKernelT final : public ForceKernel,
     std::optional<simd::SimdType> isa;
   };
 
-  /// Atom rows per parallel sweep chunk.
-  static constexpr std::size_t kRowGrain = 16;
+  /// Cell-sorted rows per parallel sweep chunk: each task sweeps a run of
+  /// neighbouring cells, so the records its rows load stay in its core's
+  /// L2 instead of every core streaming the whole box.
+  static constexpr std::size_t kRowGrain = 1024;
 
   explicit NeighborListKernelT(Options options = {})
       : list_(static_cast<Real>(options.skin), options.pool,
@@ -458,6 +483,7 @@ class NeighborListKernelT final : public ForceKernel,
     stats.refills = list_.refills();
     stats.directed_entries = list_.directed_entries();
     stats.distance_tests = list_.build_distance_tests();
+    stats.sweep_plain_rows = list_.sweep_plain_rows();
     stats.bin_seconds = list_.bin_seconds_total();
     stats.fill_seconds = list_.fill_seconds_total();
     stats.check_seconds = list_.check_seconds_total();
@@ -552,6 +578,7 @@ class NeighborListKernelT final : public ForceKernel,
 
     const Acc inv_mass = Acc(1) / static_cast<Acc>(mass);
     const std::uint32_t* order = list_.row_order().data();
+    const std::uint8_t* plain = list_.sweep_plain().data();
     const std::uint32_t* row_begin = list_.row_begin().data();
     const std::uint32_t* row_end = list_.row_end().data();
     const std::uint32_t* entries = list_.entries().data();
@@ -561,10 +588,10 @@ class NeighborListKernelT final : public ForceKernel,
     // Rows are visited in the list's write order; each lands at its own
     // atom index, so the fold below sees the same partials either way.
     auto rows = [&](std::size_t s_begin, std::size_t s_end) {
-      rows_fn_(records, order, row_begin, row_end, entries, rbox.edge(),
-               ljr.cutoff_squared(), ljr, inv_mass, s_begin, s_end,
-               result.accelerations.data(), row_pe_.data(), row_virial_.data(),
-               row_hits_.data());
+      rows_fn_(records, order, plain, row_begin, row_end, entries,
+               rbox.edge(), ljr.cutoff_squared(), ljr, inv_mass, s_begin,
+               s_end, result.accelerations.data(), row_pe_.data(),
+               row_virial_.data(), row_hits_.data());
     };
 
     if (pool_ != nullptr) {

@@ -56,10 +56,13 @@ using SoaRowsFn = void (*)(const Real* xs, const Real* ys, const Real* zs,
                            Acc* row_virial, std::uint64_t* row_hits);
 
 /// The list sweep reads positions as records: `records` holds one
-/// {x, y, z, 0} record of simd::kRecordReals Reals per atom, in atom order.
+/// {x, y, z, 0} record of simd::kRecordReals Reals per atom, in atom order;
+/// `plain` holds one flag per sorted position, nonzero where the row skips
+/// the reflection.
 template <typename Real, typename Acc>
 using ListRowsFn = void (*)(const Real* records,
                             const std::uint32_t* order,
+                            const std::uint8_t* plain,
                             const std::uint32_t* row_begin,
                             const std::uint32_t* row_end,
                             const std::uint32_t* entries, Real edge,

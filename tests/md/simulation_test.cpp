@@ -350,6 +350,18 @@ TEST(Simulation, ListSweepAndBuildPhasesFitInsideTheForcePhase) {
   EXPECT_LE(sweep_ms + build_ms, r.metadata.at("phase_force_ms"));
 }
 
+TEST(Simulation, HostParallelRunsReportPeakRss) {
+  for (const HostKernel kernel : {HostKernel::kN2, HostKernel::kList}) {
+    SCOPED_TRACE(to_string(kernel));
+    RunConfig config;
+    config.workload.n_atoms = 2048;
+    config.steps = 2;
+    config.host_kernel = kernel;
+    const RunResult r = HostParallelBackend().run(config);
+    EXPECT_GT(r.metadata.at("peak_rss_mib"), 0.0);
+  }
+}
+
 TEST(Simulation, N2RunsReportNoSweepPhase) {
   RunConfig config;
   config.workload.n_atoms = 256;
