@@ -168,12 +168,13 @@ ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
     if (p >= cells) p -= cells;
     return p < cells ? p : p - cells;
   };
+  // Cell a lies at least `margin` cells from both faces of its axis.
+  const auto interior = [&](std::size_t a, std::size_t margin) {
+    return a >= margin && a + margin < cells;
+  };
   // Stencils shorter than half the box that wrap on no axis need no
   // reflection.
   const bool has_interior = 2 * width < cells;
-  const auto interior = [&](std::size_t a) {
-    return a >= range && a + range < cells;
-  };
   // Rows at least range + 1 cells from every face of a grid whose stencil
   // plus skin spans under half the box need no reflection in the sweep.
   const double cell_edge =
@@ -183,9 +184,6 @@ ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
       2.0 * (static_cast<double>(2 * range + 2) * cell_edge +
              static_cast<double>(skin_)) <
           static_cast<double>(edge);
-  const auto plain_axis = [&](std::size_t a) {
-    return a >= range + 1 && a + range + 2 <= cells;
-  };
   std::uint8_t* const plain = sweep_plain_.data();
   std::atomic<std::size_t> next_chunk{0};
   std::atomic<std::size_t> next_page{0};
@@ -237,10 +235,12 @@ ParallelNeighborListT<Real>::fill_rows(std::size_t cells, std::size_t range,
               add_span(cell_start[line], cell_start[line + z_wrapped]);
             }
           }
-          const bool reflect = !(has_interior && interior(cx) &&
-                                 interior(cy) && interior(cz));
-          const bool sweep_plain = has_plain && plain_axis(cx) &&
-                                   plain_axis(cy) && plain_axis(cz);
+          const bool reflect =
+              !(has_interior && interior(cx, range) && interior(cy, range) &&
+                interior(cz, range));
+          const bool sweep_plain =
+              has_plain && interior(cx, range + 1) &&
+              interior(cy, range + 1) && interior(cz, range + 1);
           std::fill(plain + s, plain + c_stop, sweep_plain ? 1 : 0);
           if (sweep_plain) sum.plain += c_stop - s;
           // Each of the cell's rows tests, and so keeps at most, its
