@@ -25,8 +25,8 @@ inline std::uint32_t crc32(const std::string& data, std::uint32_t seed = 0) {
 }
 
 /// Append the standard integrity footer — a final "crc <8 hex digits>\n"
-/// line whose value covers every preceding byte — to a serialised body.
-/// Shared by the checkpoint format and the trajectory-store frame formats.
+/// line whose value covers every preceding byte — to a serialised body
+/// (the trajectory-store index).
 std::string with_crc_footer(std::string body);
 
 /// Verify the trailing footer written by with_crc_footer and return a view of

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -10,21 +11,20 @@
 #include <limits>
 #include <optional>
 #include <ostream>
-#include <streambuf>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <type_traits>
 #include <vector>
 
 #include "core/crc32.h"
 #include "core/error.h"
-#include "core/hexio.h"
 
 namespace emdpa::md {
 
 namespace {
 
-constexpr const char* kMagic = "emdpa-checkpoint";
+constexpr std::string_view kMagic = "emdpa-checkpoint ";
 constexpr int kVersion = 5;
 constexpr std::string_view kV5Header = "emdpa-checkpoint 5\n";
 
@@ -70,137 +70,6 @@ constexpr std::array<std::uint32_t, kSectionCount> kTags = {
     fourcc("POS"),  fourcc("VEL"),  fourcc("ACC"), fourcc("END")};
 constexpr std::array<const char*, kSectionCount> kSectionNames = {
     "STATE", "CONF", "RNG", "LREF", "POS", "VEL", "ACC", "END"};
-
-/// Read-only streambuf over bytes already in memory, so the v1–v4 text
-/// parser reads the loaded file in place instead of through a copy.
-class MemoryBuf : public std::streambuf {
- public:
-  explicit MemoryBuf(std::string_view bytes) {
-    char* begin = const_cast<char*>(bytes.data());
-    setg(begin, begin, begin + bytes.size());
-  }
-};
-
-/// Header + atom records (everything between the version line and the v2+
-/// footer), shared by the v1–v4 text formats.
-Checkpoint parse_body(std::istream& in, int version) {
-  std::string kw_atoms, kw_mass, kw_box, kw_step;
-  std::size_t n = 0;
-  std::string mass_tok, box_tok;
-  long step = 0;
-  if (!(in >> kw_atoms >> n >> kw_mass >> mass_tok >> kw_box >> box_tok >>
-        kw_step >> step) ||
-      kw_atoms != "atoms" || kw_mass != "mass" || kw_box != "box" ||
-      kw_step != "step") {
-    throw RuntimeFailure("checkpoint: malformed state line");
-  }
-
-  Checkpoint cp;
-  cp.system = ParticleSystem(n);
-  cp.system.set_mass(hexio::parse_double(mass_tok, "mass"));
-  cp.box_edge = hexio::parse_double(box_tok, "box edge");
-  cp.step = step;
-  EMDPA_REQUIRE(cp.box_edge > 0.0, "checkpoint box edge must be positive");
-
-  if (version >= 2) {
-    std::string kw_pe, pe_tok;
-    if (!(in >> kw_pe >> pe_tok) || kw_pe != "pe") {
-      throw RuntimeFailure("checkpoint: malformed state line (missing pe)");
-    }
-    cp.potential = hexio::parse_double(pe_tok, "potential energy");
-    cp.has_potential = true;
-  }
-
-  // Versions 3 and 4 insert optional keyworded sections between the state
-  // line and the atom records.  Token-wise reading means one token of
-  // lookahead: the first non-section token is the leading coordinate of
-  // atom 0.
-  std::string pending;
-  bool have_pending = false;
-  if (version >= 3) {
-    have_pending = static_cast<bool>(in >> pending);
-    if (have_pending && pending == "config") {
-      std::string kw_k, kernel, kw_p, precision, kw_s, simd;
-      if (!(in >> kw_k >> kernel >> kw_p >> precision >> kw_s >> simd) ||
-          kw_k != "kernel" || kw_p != "precision" || kw_s != "simd") {
-        throw RuntimeFailure("checkpoint: malformed config line");
-      }
-      cp.config = CheckpointConfig{kernel, precision, simd};
-      have_pending = static_cast<bool>(in >> pending);
-    }
-    if (have_pending && pending == "rng") {
-      std::string kw, s0, s1, s2, s3, cached, flag;
-      if (!(in >> kw >> s0 >> s1 >> s2 >> s3 >> cached >> flag) ||
-          kw != "langevin" || (flag != "0" && flag != "1")) {
-        throw RuntimeFailure("checkpoint: malformed rng line");
-      }
-      Rng::State state;
-      state.s = {hexio::parse_u64(s0, "rng state"),
-                 hexio::parse_u64(s1, "rng state"),
-                 hexio::parse_u64(s2, "rng state"),
-                 hexio::parse_u64(s3, "rng state")};
-      state.cached_gaussian = hexio::parse_double(cached, "rng cached gaussian");
-      state.has_cached_gaussian = flag == "1";
-      cp.langevin_rng = state;
-      have_pending = static_cast<bool>(in >> pending);
-    }
-    if (version >= 4 && have_pending && pending == "listref") {
-      std::size_t ref_n = 0;
-      std::string kw_cutoff, cutoff_tok;
-      if (!(in >> ref_n >> kw_cutoff >> cutoff_tok) || kw_cutoff != "cutoff") {
-        throw RuntimeFailure("checkpoint: malformed listref line");
-      }
-      if (ref_n != n) {
-        throw RuntimeFailure("checkpoint: listref atom count mismatch");
-      }
-      cp.list_ref_cutoff = hexio::parse_double(cutoff_tok, "listref cutoff");
-      if (!(cp.list_ref_cutoff > 0.0)) {
-        throw RuntimeFailure("checkpoint: listref cutoff must be positive");
-      }
-      std::vector<emdpa::Vec3d> ref(ref_n);
-      for (std::size_t i = 0; i < ref_n; ++i) {
-        std::string x, y, z;
-        if (!(in >> x >> y >> z)) {
-          throw RuntimeFailure("checkpoint: truncated listref at atom " +
-                               std::to_string(i));
-        }
-        ref[i] = {hexio::parse_double(x, "listref x"),
-                  hexio::parse_double(y, "listref y"),
-                  hexio::parse_double(z, "listref z")};
-      }
-      cp.list_ref = std::move(ref);
-      have_pending = static_cast<bool>(in >> pending);
-    }
-  }
-
-  auto next_token = [&](std::size_t atom) -> std::string {
-    if (have_pending) {
-      have_pending = false;
-      return pending;
-    }
-    std::string token;
-    if (!(in >> token)) {
-      throw RuntimeFailure("checkpoint: truncated at atom " +
-                           std::to_string(atom));
-    }
-    return token;
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string t[9];
-    for (auto& tok : t) tok = next_token(i);
-    cp.system.positions()[i] = {hexio::parse_double(t[0], "x"),
-                                hexio::parse_double(t[1], "y"),
-                                hexio::parse_double(t[2], "z")};
-    cp.system.velocities()[i] = {hexio::parse_double(t[3], "vx"),
-                                 hexio::parse_double(t[4], "vy"),
-                                 hexio::parse_double(t[5], "vz")};
-    cp.system.accelerations()[i] = {hexio::parse_double(t[6], "ax"),
-                                    hexio::parse_double(t[7], "ay"),
-                                    hexio::parse_double(t[8], "az")};
-  }
-  return cp;
-}
 
 // --- v5 writer --------------------------------------------------------------
 
@@ -462,7 +331,6 @@ Checkpoint parse_v5(std::string_view rest) {
   cp.box_edge = finite_double(state.data() + 16, "box edge");
   cp.step = static_cast<long>(load_word<std::int64_t>(state.data() + 24));
   cp.potential = finite_double(state.data() + 32, "potential energy");
-  cp.has_potential = true;
   if (!(mass > 0.0) || !(cp.box_edge > 0.0)) {
     throw RuntimeFailure("checkpoint: mass and box edge must be positive");
   }
@@ -515,37 +383,26 @@ void save_checkpoint(std::ostream& out, const Checkpoint& cp) {
 }
 
 Checkpoint load_checkpoint(std::string_view content) {
-  MemoryBuf header_buf(content);
-  std::istream header(&header_buf);
-  std::string magic;
-  int version = 0;
-  if (!(header >> magic >> version)) {
-    throw RuntimeFailure("checkpoint: missing header");
-  }
-  if (magic != kMagic) {
-    throw RuntimeFailure("checkpoint: bad magic '" + magic + "'");
-  }
-  if (version < 1 || version > kVersion) {
-    throw RuntimeFailure("checkpoint: unsupported version " +
-                         std::to_string(version));
-  }
-  if (version == 5) {
-    if (!content.starts_with(kV5Header)) {
-      throw RuntimeFailure("checkpoint: malformed v5 header line");
-    }
+  if (content.starts_with(kV5Header)) {
     return parse_v5(content.substr(kV5Header.size()));
   }
-
-  // Text formats: versions >= 2 verify the CRC footer before trusting any
-  // field; the parser then reads the verified body in place.
-  const std::string_view body =
-      version >= 2 ? verify_crc_footer(content, "checkpoint") : content;
-  MemoryBuf body_buf(body);
-  std::istream in(&body_buf);
-  std::string skip_magic;
-  int skip_version = 0;
-  in >> skip_magic >> skip_version;
-  return parse_body(in, version);
+  if (content.empty()) throw RuntimeFailure("checkpoint: missing header");
+  if (!content.starts_with(kMagic)) {
+    throw RuntimeFailure("checkpoint: bad magic (not an emdpa checkpoint)");
+  }
+  const std::string_view rest = content.substr(kMagic.size());
+  int version = 0;
+  if (std::from_chars(rest.data(), rest.data() + rest.size(), version).ec !=
+          std::errc{} ||
+      version == kVersion) {
+    throw RuntimeFailure("checkpoint: malformed header line");
+  }
+  ErrorContext context;
+  context.detail = "file version " + std::to_string(version) +
+                   ", only version " + std::to_string(kVersion) +
+                   " is readable";
+  throw RuntimeFailure(
+      "checkpoint: unsupported version " + std::to_string(version), context);
 }
 
 Checkpoint load_checkpoint(std::istream& in) {

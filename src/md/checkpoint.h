@@ -2,8 +2,7 @@
 //
 // Versioned and round-trip exact: a restored run continues bit-identically.
 //
-// Version 5 (written by save_checkpoint) is binary.  Its first line is still
-// ASCII, so magic/version dispatch is shared with the text versions:
+// The format is binary, version 5.  Its first line is ASCII:
 //
 //   "emdpa-checkpoint 5\n"
 //   marker   8 bytes: the double pi, raw (byte order + IEEE-754 check)
@@ -21,45 +20,35 @@
 // ...).  Each section's CRC-32 covers its tag, length and payload.  POS, VEL
 // and ACC are one memcpy each of the std::vector<Vec3d> (three packed
 // doubles, no padding), so the same state always gives the same bytes and a
-// 1M-atom file is 72 MB of raw state instead of 191 MB of hexfloat text.
+// 1M-atom file is 72 MB of raw state.
 // The loader CRC-checks each section before using it, checks every length
 // against the bytes left and against n (overflow-checked) before
 // allocating, and rejects non-finite doubles, unknown, duplicate or missing
 // sections, and trailing bytes — so a flipped bit, a truncated tail or a
 // torn write fails loudly, which is what lets CheckpointManager fall back
 // to the previous generation instead of resuming from silent corruption.
+// A header naming any other version (the hexfloat text of versions 1–4
+// included) fails by that version.
 // The `pe` field carries the potential energy of the stored state so a
 // resumed run can skip the re-priming force evaluation entirely — the
 // stored accelerations ARE the primed state, the property the bitwise
 // resume guarantee rests on.
 //
-// Versions 1–4 are hexfloat text and stay loadable, read-only:
+// The optional sections:
 //
-//   emdpa-checkpoint 4
-//   atoms <N> mass <m> box <edge> step <k> pe <pe>
-//   config kernel <kernel> precision <mode> simd <isa>     (optional line)
-//   rng langevin <s0> <s1> <s2> <s3> <cached> <flag>       (optional line)
-//   listref <N> cutoff <c>                                 (optional section)
-//   <x> <y> <z>                                            (N lines, if listref)
-//   <x> <y> <z> <vx> <vy> <vz> <ax> <ay> <az>              (N lines)
-//   crc <8 hex digits>
-//
-// (v1 has no pe and no footer, v2 adds them, v3 the config and rng lines,
-// v4 the listref section.)  The optional sections, in either encoding:
-//
-//  * config records the force kernel, precision mode and dispatched SIMD
-//    ISA that produced the state.  Formats before v3 stored none of it, so
-//    resuming an `sp`/`sse2` run under different flags silently continued
-//    with different arithmetic — bitwise-identical-looking files, divergent
-//    trajectories.  Simulation::resume compares the recorded configuration
-//    against the resumed run's resolved one and fails loudly on any
-//    mismatch (Options::ignore_checkpoint_config / --resume-force
-//    overrides explicitly).
-//  * rng carries the full Xoshiro256** state of the Langevin thermostat —
+//  * CONF records the force kernel, precision mode and dispatched SIMD
+//    ISA that produced the state.  Without it, resuming an `sp`/`sse2` run
+//    under different flags would silently continue with different
+//    arithmetic — bitwise-identical-looking files, divergent trajectories.
+//    Simulation::resume compares the recorded configuration against the
+//    resumed run's resolved one and fails loudly on any mismatch
+//    (Options::ignore_checkpoint_config / --resume-force overrides
+//    explicitly).
+//  * RNG carries the full Xoshiro256** state of the Langevin thermostat —
 //    the four state words plus the cached Box–Muller second deviate — so a
 //    resumed thermostatted run continues the identical noise sequence
 //    instead of re-seeding and diverging.
-//  * listref carries the reference positions (and combined cutoff+skin
+//  * LREF carries the reference positions (and combined cutoff+skin
 //    radius) the active neighbour list was built from.  The list build is a
 //    pure function of (positions, box, cutoff), so a restore can rebuild
 //    the IDENTICAL list from this section instead of forcing a sync-point
@@ -83,9 +72,9 @@
 
 namespace emdpa::md {
 
-/// Run configuration recorded in a v3+ checkpoint: the three knobs that
-/// change the arithmetic of the trajectory without changing the state
-/// layout.  Stored as the report-facing strings (to_string(SimKernel),
+/// Run configuration recorded in a checkpoint's CONF section: the three
+/// knobs that change the arithmetic of the trajectory without changing the
+/// state layout.  Stored as the report-facing strings (to_string(SimKernel),
 /// to_string(PrecisionMode), simd::to_string or "none") so the file stays
 /// self-describing.
 struct CheckpointConfig {
@@ -100,20 +89,17 @@ struct Checkpoint {
   ParticleSystem system;
   double box_edge = 0.0;
   long step = 0;
-  /// Potential energy of the stored state (version >= 2).
+  /// Potential energy of the stored state.
   double potential = 0.0;
-  /// False for version-1 files, which predate the pe field; a resume from
-  /// such a file must re-prime instead of trusting `potential`.
-  bool has_potential = false;
-  /// Producing run's configuration, when the writer recorded it (version 3+
-  /// files written by Simulation::save; absent in raw-state saves and older
-  /// files, which resume unverified as before).
+  /// Producing run's configuration, when the writer recorded it (files
+  /// written by Simulation::save and snapshot; absent in raw-state saves,
+  /// which resume unverified).
   std::optional<CheckpointConfig> config;
   /// Langevin thermostat RNG state, when one was attached at save time.
   std::optional<Rng::State> langevin_rng;
-  /// Neighbour-list reference positions (v4 `listref`, v5 LREF section): the
-  /// positions the active list was built from, widened to double (exact for
-  /// the sp/mixed float lists).  Written by Simulation::snapshot(), consumed
+  /// Neighbour-list reference positions (the LREF section): the positions
+  /// the active list was built from, widened to double (exact for the
+  /// sp/mixed float lists).  Written by Simulation::snapshot(), consumed
   /// by Simulation::resume() to reseed an identical list; absent in ordinary
   /// checkpoints, which keep the invalidate-on-save contract.
   std::optional<std::vector<emdpa::Vec3d>> list_ref;
@@ -123,7 +109,7 @@ struct Checkpoint {
 };
 
 /// The format-v5 bytes of `cp`, optional sections included, built in one
-/// preallocated buffer.  `cp.has_potential` is ignored: pe is always stored.
+/// preallocated buffer.
 std::string encode_checkpoint(const Checkpoint& cp);
 
 /// Serialise raw state to `out` (format version 5, no optional sections) in
@@ -134,10 +120,10 @@ void save_checkpoint(std::ostream& out, const ParticleSystem& system,
 /// Write encode_checkpoint(cp) to `out` in one write.
 void save_checkpoint(std::ostream& out, const Checkpoint& cp);
 
-/// Parse a checkpoint held in memory.  Accepts versions 1–5; v5 sections and
-/// the v2–v4 footer are CRC-verified.  Throws RuntimeFailure on malformed or
-/// corrupt input (bad magic, wrong version, truncated records or sections,
-/// bad lengths, checksum mismatch, non-finite values).
+/// Parse a format-v5 checkpoint held in memory; every section is
+/// CRC-verified.  Throws RuntimeFailure on malformed or corrupt input (bad
+/// magic, truncated sections, bad lengths, checksum mismatch, non-finite
+/// values), and on any other version, with an ErrorContext detail naming it.
 Checkpoint load_checkpoint(std::string_view bytes);
 
 /// Read `in` to its end and parse it as above.  Files are better read

@@ -1,9 +1,7 @@
 #include "md/simulation.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <string_view>
 #include <type_traits>
 
 #include "core/error.h"
@@ -99,18 +97,6 @@ KernelBuild make_lj_kernel(SimKernel kind, const Simulation::Options& options) {
   throw ContractViolation("unresolved SimKernel");
 }
 
-/// Older checkpoints and store frames record the list kernel as
-/// "sharded-list/<N>" (N >= 1).  That build wrote the flat list's CSR byte
-/// for byte, so the token names the neighbor-list kernel.
-bool is_legacy_list_token(const std::string& token) {
-  constexpr std::string_view kPrefix = "sharded-list/";
-  if (!token.starts_with(kPrefix)) return false;
-  const std::string_view count = std::string_view(token).substr(kPrefix.size());
-  return !count.empty() && count.front() != '0' &&
-         std::all_of(count.begin(), count.end(),
-                     [](char c) { return c >= '0' && c <= '9'; });
-}
-
 /// LJ kernel plus optional bonded/angle topologies behind the ForceKernel
 /// interface.
 class CompositeKernel final : public ForceKernel {
@@ -203,8 +189,7 @@ Simulation Simulation::resume(std::istream& checkpoint, const Options& options) 
 
 Simulation Simulation::resume(Checkpoint checkpoint, const Options& options) {
   Simulation sim(std::move(checkpoint.system), PeriodicBox(checkpoint.box_edge),
-                 checkpoint.step, options,
-                 checkpoint.has_potential ? &checkpoint.potential : nullptr);
+                 checkpoint.step, options, &checkpoint.potential);
   if (checkpoint.config && !options.ignore_checkpoint_config) {
     // The three knobs recorded in the checkpoint change the arithmetic of
     // every subsequent step; resuming under different ones silently breaks
@@ -212,10 +197,7 @@ Simulation Simulation::resume(Checkpoint checkpoint, const Options& options) {
     const CheckpointConfig resumed{
         to_string(sim.kernel_kind_), to_string(sim.precision_),
         sim.simd_isa_ ? simd::to_string(*sim.simd_isa_) : "none"};
-    CheckpointConfig saved = *checkpoint.config;
-    if (is_legacy_list_token(saved.kernel)) {
-      saved.kernel = to_string(SimKernel::kNeighborList);
-    }
+    const CheckpointConfig& saved = *checkpoint.config;
     std::string mismatches;
     auto compare = [&](const char* what, const std::string& was,
                        const std::string& now) {
@@ -436,7 +418,6 @@ Checkpoint Simulation::snapshot() const {
   cp.box_edge = box_.edge();
   cp.step = step_;
   cp.potential = last_energies_.potential;
-  cp.has_potential = true;
   cp.config =
       CheckpointConfig{to_string(kernel_kind_), to_string(precision_),
                        simd_isa_ ? simd::to_string(*simd_isa_) : "none"};

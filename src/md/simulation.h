@@ -109,18 +109,15 @@ class Simulation {
   static Simulation resume(std::istream& checkpoint, const Options& options);
 
   /// Restore from an already-parsed checkpoint (e.g. via CheckpointManager's
-  /// verified, fallback-aware load).  Version-2+ checkpoints carry the
-  /// stored potential energy, so the restored accelerations are trusted as
-  /// the primed state and NO re-priming force evaluation runs — the property
-  /// that makes a resumed run continue bit-identically.  Version-1
-  /// checkpoints re-prime as before.
+  /// verified, fallback-aware load).  The checkpoint carries the stored
+  /// potential energy, so the restored accelerations are trusted as the
+  /// primed state and NO re-priming force evaluation runs — the property
+  /// that makes a resumed run continue bit-identically.
   ///
-  /// When the checkpoint records its producing run's configuration (v3+),
-  /// the resolved kernel/precision/ISA of this resume must match it; any
+  /// When the checkpoint records its producing run's configuration, the
+  /// resolved kernel/precision/ISA of this resume must match it; any
   /// mismatch throws RuntimeFailure unless Options::ignore_checkpoint_config
-  /// is set.  The kernel token "sharded-list/<N>" of older checkpoints names
-  /// the neighbor-list kernel: that build wrote the same CSR bytes.  A
-  /// recorded Langevin RNG state is held until the caller
+  /// is set.  A recorded Langevin RNG state is held until the caller
   /// re-attaches a Langevin thermostat (set_thermostat), which then
   /// continues the checkpointed noise sequence instead of re-seeding.
   static Simulation resume(Checkpoint checkpoint, const Options& options);

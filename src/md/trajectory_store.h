@@ -3,13 +3,13 @@
 //
 // The store is a directory of frames written at a configurable step
 // stride from Simulation::snapshot() — a PURE observer (no neighbour-list
-// invalidation; the checkpoint's listref section carries what a restore
+// invalidation; the checkpoint's LREF section carries what a restore
 // needs instead), so a store-enabled run stays bitwise identical to a
 // store-disabled one.  Every frame is a complete checkpoint file (binary
-// v5, written by encode_checkpoint; stores from older builds may hold v4
-// text, which still loads), readable by load_checkpoint on its own and
-// guarded by a CRC-32 per section.  The store index ends in a CRC-32
-// footer, so a single flipped bit anywhere fails restoration loudly.
+// v5, written by encode_checkpoint), readable by load_checkpoint on its
+// own and guarded by a CRC-32 per section; a v4 text frame from an older
+// build fails to load, naming its version.  The store index ends in a
+// CRC-32 footer, so a single flipped bit anywhere fails restoration loudly.
 //
 //   <dir>/frame_000000000120.key      full checkpoint at step 120
 //   <dir>/frame_000000000130.key      full checkpoint at step 130

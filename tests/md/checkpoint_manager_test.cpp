@@ -63,7 +63,6 @@ TEST_F(CheckpointManagerTest, SaveCommitsAndCleansUpTempFile) {
 
   const Checkpoint cp = CheckpointManager::load_file(path_);
   EXPECT_EQ(cp.step, 5);
-  EXPECT_TRUE(cp.has_potential);
   EXPECT_EQ(cp.potential, -1.25);
 }
 
@@ -109,8 +108,8 @@ TEST_F(CheckpointManagerTest, FlippedPayloadByteFailsTheCrc) {
   manager.save(system_at_step(10), PeriodicBox(4.0), 10);
 
   std::string content = read_all(path_);
-  // Flip one bit in the middle of an atom line: the line still parses as a
-  // number, so only the CRC can catch it.
+  // Flip one bit in the middle of the atom sections: the section CRC
+  // catches it before any value is read.
   content[content.size() / 2] ^= 0x01;
   write_all(path_, content);
 
@@ -127,7 +126,7 @@ TEST_F(CheckpointManagerTest, FlippedCrcFooterByteIsRejected) {
   manager.save(system_at_step(10), PeriodicBox(4.0), 10);
 
   std::string content = read_all(path_);
-  // Corrupt the stored CRC itself (last hex digit, before the newline).
+  // Corrupt the stored CRC itself (a byte of the END section's CRC word).
   char& digit = content[content.size() - 2];
   digit = digit == '0' ? '1' : '0';
   write_all(path_, content);

@@ -99,7 +99,6 @@ Checkpoint sample() {
   cp.box_edge = 5.5;
   cp.step = 123;
   cp.potential = -7.25;
-  cp.has_potential = true;
   cp.config = CheckpointConfig{"neighbor-list", "mixed", "avx2"};
   Rng::State rng;
   rng.s = {0xdeadbeefcafebabeull, 1, 2, 0xffffffffffffffffull};

@@ -25,7 +25,6 @@
 #include "core/random.h"
 #include "md/backend.h"
 #include "md/simulation.h"
-#include "../md/legacy_checkpoint_text.h"
 
 namespace emdpa::md {
 namespace {
@@ -107,40 +106,6 @@ TEST_F(TrajectoryStoreTest, EveryStoredStepRestoresByteExact) {
   EXPECT_EQ(store.stats().keyframes, live.size());  // every frame is one
   for (const auto& [step, text] : live) {
     EXPECT_EQ(serialized(store.load_step(step)), text) << "step " << step;
-  }
-}
-
-TEST_F(TrajectoryStoreTest, V4TextKeyframeStillReplaysThroughLoadStep) {
-  // A store written before checkpoint v5 holds hexfloat-text keyframes.
-  // Rewrite every other frame of a fresh store as v4 text: each step must
-  // still restore byte-exactly, from either encoding.
-  Simulation::Options options;
-  options.workload.n_atoms = 256;
-  options.kernel = SimKernel::kNeighborList;
-  Simulation sim(options);
-
-  std::map<long, std::string> live;
-  {
-    TrajectoryStore store(store_options());
-    live = record_run(sim, store, 6, 2);  // steps 0, 2, 4, 6
-  }
-  for (const long step : {0L, 4L}) {
-    char name[48];
-    std::snprintf(name, sizeof(name), "/frame_%012ld.key", step);
-    const std::string key = dir_ + name;
-    ASSERT_TRUE(fs::exists(key));
-    const std::string v4 =
-        testing::checkpoint_v4_text(load_checkpoint(serialized_file(key)));
-    {
-      std::ofstream out(key, std::ios::binary | std::ios::trunc);
-      out << v4;
-    }
-    ASSERT_EQ(serialized_file(key).rfind("emdpa-checkpoint 4\n", 0), 0u);
-  }
-
-  TrajectoryStore reopened(store_options());
-  for (const auto& [step, bytes] : live) {
-    EXPECT_EQ(serialized(reopened.load_step(step)), bytes) << "step " << step;
   }
 }
 

@@ -5,7 +5,7 @@
 // Two properties make this hold and both are exercised here: save() is a
 // synchronisation point (it invalidates the neighbour list, so the
 // continuing run and the resumed run both rebuild from exactly the saved
-// positions), and v2 checkpoints carry the potential energy so resume
+// positions), and checkpoints carry the potential energy so resume
 // trusts the stored accelerations instead of re-priming.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "core/thread_pool.h"
 #include "md/checkpoint.h"
 #include "md/simulation.h"
-#include "../md/legacy_checkpoint_text.h"
 
 namespace emdpa::md {
 namespace {
@@ -158,53 +157,8 @@ TEST(TrajectoryLangevinResume, MidpointResumeIsBitIdentical) {
             uninterrupted.last_energies().potential);
 }
 
-TEST(TrajectoryResumeBackCompat, V4TextCheckpointResumesBitIdentically) {
-  // A checkpoint written before format v5 (hexfloat text, with the config
-  // and Langevin rng sections) resumes exactly like the v5 file of the same
-  // state, and the resumed run's next save is v5 and round-trips bit-exactly.
-  Simulation::Options options;
-  options.workload.n_atoms = 256;
-  options.kernel = SimKernel::kNeighborList;
-  constexpr int kSteps = 100;
-
-  Simulation uninterrupted(options);
-  uninterrupted.set_thermostat(LangevinThermostat(1.2, 2.0, 77));
-  uninterrupted.run(kSteps);
-  std::stringstream v5;
-  uninterrupted.save(v5);
-  uninterrupted.run(kSteps);
-
-  std::stringstream v4(testing::checkpoint_v4_text(load_checkpoint(v5.str())));
-  ASSERT_EQ(v4.str().rfind("emdpa-checkpoint 4\n", 0), 0u);
-  Simulation resumed = Simulation::resume(v4, options);
-  resumed.set_thermostat(LangevinThermostat(1.2, 2.0, 999));
-  resumed.run(kSteps);
-
-  ASSERT_EQ(resumed.system().size(), uninterrupted.system().size());
-  for (std::size_t i = 0; i < resumed.system().size(); ++i) {
-    EXPECT_EQ(resumed.system().positions()[i],
-              uninterrupted.system().positions()[i])
-        << "position diverged at atom " << i;
-    EXPECT_EQ(resumed.system().velocities()[i],
-              uninterrupted.system().velocities()[i])
-        << "velocity diverged at atom " << i;
-  }
-  EXPECT_EQ(resumed.last_energies().total(),
-            uninterrupted.last_energies().total());
-
-  std::stringstream resaved;
-  resumed.save(resaved);
-  EXPECT_EQ(resaved.str().rfind("emdpa-checkpoint 5\n", 0), 0u);
-  const Checkpoint cp = load_checkpoint(resaved.str());
-  EXPECT_EQ(cp.step, 2 * kSteps);
-  EXPECT_EQ(cp.system.positions(), resumed.system().positions());
-  EXPECT_EQ(cp.system.velocities(), resumed.system().velocities());
-  EXPECT_EQ(cp.system.accelerations(), resumed.system().accelerations());
-  EXPECT_EQ(encode_checkpoint(cp), resaved.str());
-}
-
 TEST(TrajectoryResumeConfig, KernelMismatchFailsLoudly) {
-  // v3 checkpoints record the producing run's kernel/precision/ISA; resuming
+  // Checkpoints record the producing run's kernel/precision/ISA; resuming
   // under different arithmetic would silently fork the trajectory, so it
   // must throw unless explicitly overridden.
   Simulation::Options options;
@@ -265,50 +219,10 @@ std::stringstream retokened(std::stringstream& checkpoint,
   return out;
 }
 
-TEST(TrajectoryResumeConfig, LegacyShardedListTokenResumesAsTheFlatList) {
-  // Checkpoints written while the sharded list build existed record the list
-  // kernel as "sharded-list/<N>".  That build wrote the flat list's CSR byte
-  // for byte, so such a checkpoint resumes under the flat list kernel and
-  // finishes bit-identical to the uninterrupted flat run.
-  ThreadPool pool(4);
-  Simulation::Options options;
-  options.workload.n_atoms = 256;
-  options.kernel = SimKernel::kNeighborList;
-  options.pool = &pool;
-  constexpr int kTotalSteps = 200;
-  constexpr int kCheckpointStep = 100;
-
-  Simulation uninterrupted(options);
-  uninterrupted.run(kCheckpointStep);
-  std::stringstream checkpoint;
-  uninterrupted.save(checkpoint);
-  uninterrupted.run(kTotalSteps - kCheckpointStep);
-
-  std::stringstream legacy = retokened(checkpoint, "sharded-list/4");
-  Simulation resumed = Simulation::resume(legacy, options);
-  ASSERT_EQ(resumed.current_step(), kCheckpointStep);
-  EXPECT_EQ(resumed.kernel(), SimKernel::kNeighborList);
-  resumed.run(kTotalSteps - kCheckpointStep);
-
-  ASSERT_EQ(resumed.system().size(), uninterrupted.system().size());
-  for (std::size_t i = 0; i < resumed.system().size(); ++i) {
-    EXPECT_EQ(resumed.system().positions()[i],
-              uninterrupted.system().positions()[i])
-        << "position diverged at atom " << i;
-    EXPECT_EQ(resumed.system().velocities()[i],
-              uninterrupted.system().velocities()[i])
-        << "velocity diverged at atom " << i;
-  }
-  EXPECT_EQ(resumed.last_energies().kinetic,
-            uninterrupted.last_energies().kinetic);
-  EXPECT_EQ(resumed.last_energies().potential,
-            uninterrupted.last_energies().potential);
-}
-
-TEST(TrajectoryResumeConfig, MalformedLegacyTokenStillMismatches) {
-  // Only "sharded-list/<N>" with N >= 1 names the list kernel; anything else
-  // is an unknown kernel and fails like any other mismatch.  The legacy
-  // token never matches a kernel other than the list.
+TEST(TrajectoryResumeConfig, UnknownKernelTokenMismatches) {
+  // A kernel token no build of this tree writes is an unknown kernel and
+  // fails like any other mismatch.  "sharded-list/<N>", the list kernel's
+  // token in builds that had a sharded list build, is one of them.
   Simulation::Options options;
   options.workload.n_atoms = 64;
   options.kernel = SimKernel::kNeighborList;
@@ -319,19 +233,14 @@ TEST(TrajectoryResumeConfig, MalformedLegacyTokenStillMismatches) {
   sim.save(checkpoint);
   const std::string saved = checkpoint.str();
 
-  for (const char* token : {"sharded-list/x", "sharded-list/", "sharded-list/0",
-                            "sharded-list/4x", "sharded-list"}) {
+  for (const char* token : {"sharded-list/4", "sharded-list/x", "sharded-list/",
+                            "sharded-list/0", "sharded-list/4x",
+                            "sharded-list"}) {
     std::stringstream copy(saved);
-    std::stringstream malformed = retokened(copy, token);
-    EXPECT_THROW(Simulation::resume(malformed, options), RuntimeFailure)
+    std::stringstream unknown = retokened(copy, token);
+    EXPECT_THROW(Simulation::resume(unknown, options), RuntimeFailure)
         << token;
   }
-
-  Simulation::Options n2 = options;
-  n2.kernel = SimKernel::kSoaN2;
-  std::stringstream copy(saved);
-  std::stringstream legacy = retokened(copy, "sharded-list/4");
-  EXPECT_THROW(Simulation::resume(legacy, n2), RuntimeFailure);
 }
 
 INSTANTIATE_TEST_SUITE_P(
