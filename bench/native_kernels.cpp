@@ -306,7 +306,7 @@ void BM_SimulationNeighborList(benchmark::State& state) {
     md::Simulation sim(options);
     sim.run(steps);
     benchmark::DoNotOptimize(sim.last_energies().kinetic);
-    rebuilds = static_cast<double>(sim.list_rebuilds());
+    rebuilds = static_cast<double>(sim.list_stats().rebuilds);
   }
   state.counters["threads"] =
       static_cast<double>(ThreadPool::global().size());

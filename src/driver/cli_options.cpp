@@ -1,6 +1,7 @@
 #include "driver/cli_options.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/error.h"
 #include "core/simd_dispatch.h"
@@ -259,6 +260,24 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
 
   if (options.command == CliCommand::kRun && options.backend.empty()) {
     throw RuntimeFailure("'run' needs --backend <key>; see 'emdpa list'");
+  }
+  // Only host-parallel checkpoints and resumes; any other backend would
+  // ignore these flags and exit 0.
+  if (options.command == CliCommand::kRun &&
+      options.backend != "host-parallel") {
+    const md::RunConfig& config = options.run_config;
+    const std::pair<bool, const char*> resilience[] = {
+        {!config.checkpoint_path.empty(), "--checkpoint"},
+        {config.checkpoint_every > 0, "--checkpoint-every"},
+        {!config.resume_path.empty(), "--resume"},
+        {config.resume_force, "--resume-force"}};
+    for (const auto& [set, flag] : resilience) {
+      if (set) {
+        throw RuntimeFailure(std::string(flag) +
+                             " only applies to the 'host-parallel' backend, "
+                             "not '" + options.backend + "'");
+      }
+    }
   }
   if (options.run_config.checkpoint_every > 0 &&
       options.run_config.checkpoint_path.empty()) {

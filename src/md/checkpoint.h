@@ -48,16 +48,16 @@
 //    the four state words plus the cached Box–Muller second deviate — so a
 //    resumed thermostatted run continues the identical noise sequence
 //    instead of re-seeding and diverging.
-//  * LREF carries the reference positions (and combined cutoff+skin
-//    radius) the active neighbour list was built from.  The list build is a
-//    pure function of (positions, box, cutoff), so a restore can rebuild
-//    the IDENTICAL list from this section instead of forcing a sync-point
-//    rebuild from the current state.  That is what lets
-//    Simulation::snapshot() be a pure observer: a trajectory-store snapshot
-//    perturbs nothing (store-enabled runs stay bitwise identical to
-//    store-disabled runs), yet a replay restored from one continues
-//    bit-exactly.  Simulation::save() deliberately does NOT write the
-//    section — the checkpoint seam keeps its invalidate-on-save contract.
+//  * LREF carries the reference positions (and the LJ cutoff; the list adds
+//    its own skin) the active neighbour list was built from.  The list
+//    build is a pure function of (positions, box, cutoff), so a restore can
+//    rebuild the IDENTICAL list from this section instead of rebuilding
+//    from the current state.  That is what lets Simulation::snapshot() —
+//    and save(), which writes it — be a pure observer: a checkpoint or
+//    trajectory-store snapshot perturbs nothing (a run stays bitwise
+//    identical to the same run with no captures), yet a resume or replay
+//    restored from one continues bit-exactly.  Written whenever a list is
+//    live.
 #pragma once
 
 #include <iosfwd>
@@ -99,12 +99,12 @@ struct Checkpoint {
   std::optional<Rng::State> langevin_rng;
   /// Neighbour-list reference positions (the LREF section): the positions
   /// the active list was built from, widened to double (exact for the
-  /// sp/mixed float lists).  Written by Simulation::snapshot(), consumed
-  /// by Simulation::resume() to reseed an identical list; absent in ordinary
-  /// checkpoints, which keep the invalidate-on-save contract.
+  /// sp/mixed float lists).  Written by Simulation::snapshot() (and so by
+  /// save()) whenever a list is live, consumed by Simulation::resume() to
+  /// reseed an identical list; absent when no list was live.
   std::optional<std::vector<emdpa::Vec3d>> list_ref;
-  /// Combined cutoff+skin radius the list was built with (meaningful only
-  /// when list_ref is set).
+  /// The LJ cutoff the list was built for, without the skin, which the
+  /// list adds itself (meaningful only when list_ref is set).
   double list_ref_cutoff = 0.0;
 };
 

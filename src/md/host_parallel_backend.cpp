@@ -252,7 +252,7 @@ RunResult HostParallelBackend::run(const RunConfig& config) {
   }
   result.ops.add("host.threads", pool.size());
   result.ops.add("host.simd_width", sim.simd_width());
-  if (use_list) result.ops.add("host.list_rebuilds", sim.list_rebuilds());
+  if (use_list) result.ops.add("host.list_rebuilds", sim.list_stats().rebuilds);
 
   result.final_state = std::move(sim.system());
   return result;

@@ -252,14 +252,14 @@ void JobScheduler::run_slice(JobState& job, std::uint64_t round) {
     job.result.final_energies = sim.last_energies();
     job.result.degraded = sim.degraded();
 
-    // Suspend = checkpoint.  save() is a bitwise synchronisation point, so
-    // resuming this file continues the exact trajectory; a transient I/O
-    // failure leaves the committed generations intact but means the only
-    // up-to-date state is in memory — pin the job resident until a later
-    // suspend commits.  A no-op completion slice (journal `done` whose
-    // marker never landed) skips the save: the on-disk generation is
-    // already final, and re-rotating it would re-open the rename window a
-    // kill could land in — leaving a completed job with only a `.prev`.
+    // Suspend = checkpoint.  save() perturbs nothing and resuming this file
+    // continues the exact trajectory; a transient I/O failure leaves the
+    // committed generations intact but means the only up-to-date state is
+    // in memory — pin the job resident until a later suspend commits.  A
+    // no-op completion slice (journal `done` whose marker never landed)
+    // skips the save: the on-disk generation is already final, and
+    // re-rotating it would re-open the rename window a kill could land in —
+    // leaving a completed job with only a `.prev`.
     if (remaining > 0) {
       try {
         job.manager.save([&](std::ostream& out) { sim.save(out); });

@@ -11,11 +11,11 @@
 //   suspend = CheckpointManager save   (atomic commit, CRC-32, rotation)
 //   resume  = bit-exact restore        (v3 config-verified, no re-priming)
 //
-// Because PR 5 made save/resume bitwise, a time-sliced job's trajectory is
-// bit-for-bit identical to the same job run standalone with the same
-// checkpoint cadence — the scheduling layer is invisible to the physics
-// (tests/trajectory/trajectory_batch_test.cpp proves it at 1 and 8
-// threads).  On top of that seam:
+// Because saving never perturbs a run and resume is bitwise, a time-sliced
+// job's trajectory is bit-for-bit identical to the same job run standalone
+// without saves, whatever the slice length — the scheduling layer is
+// invisible to the physics (tests/trajectory/trajectory_batch_test.cpp
+// proves it at 1 and 8 threads).  On top of that seam:
 //
 //  * Priority queue (core/job_queue.h): strict priority between bands,
 //    deterministic round-robin inside one.
@@ -119,8 +119,7 @@ struct BatchResult {
 
 struct SchedulerOptions {
   /// Steps per time slice; also the checkpoint cadence (every suspend
-  /// saves), so a standalone run with --checkpoint-every <slice_steps> is
-  /// the bitwise-equivalence reference.
+  /// saves).  It does not change any job's trajectory.
   int slice_steps = 100;
   /// Jobs allowed to keep live Simulation state in memory at once.  Beyond
   /// it the least-recently-scheduled resident is evicted to its checkpoint

@@ -166,19 +166,17 @@ struct ListStats {
 };
 
 /// What the simulation seam needs from any neighbour-list kernel regardless
-/// of its numeric types: statistics for the run report, the
-/// checkpoint-time invalidation that keeps a continuing run and a future
-/// resume bitwise identical, and the reference-position capture/reseed pair
-/// the trajectory store's pure-observer snapshots rest on.  Every
-/// NeighborListKernelT instantiation (dp, sp, mixed) implements it.
+/// of its numeric types: statistics for the run report, and the
+/// reference-position capture/reseed pair that checkpoints and trajectory
+/// snapshots rest on (a capture never perturbs the run; a restore rebuilds
+/// the identical list).  Every NeighborListKernelT instantiation (dp, sp,
+/// mixed) implements it.
 class NeighborListControl {
  public:
   virtual ~NeighborListControl() = default;
   virtual ListStats list_stats() const = 0;
-  virtual void invalidate_list() = 0;
 
-  /// True when a built list is live (a build happened and nothing
-  /// invalidated it since).
+  /// True when a built list is live (the last build completed).
   virtual bool has_list() const = 0;
   /// The positions the live list was built from, widened to double (exact
   /// for the float lists: every float is a double).  Empty when !has_list().
@@ -190,8 +188,7 @@ class NeighborListControl {
   /// the exact inverse of list_reference_positions' widening).  The build is
   /// a pure function of (positions, box, cutoff), so seeding with a captured
   /// reference reproduces the captured list's rows bit-for-bit — what lets a
-  /// trajectory-store restore continue a run whose snapshot did NOT
-  /// invalidate the list.
+  /// resume or a trajectory-store restore continue the captured run exactly.
   virtual void seed_list(const std::vector<emdpa::Vec3d>& reference,
                          double box_edge, double cutoff) = 0;
 };
@@ -491,7 +488,6 @@ class NeighborListKernelT final : public ForceKernel,
     stats.memory = list_.memory();
     return stats;
   }
-  void invalidate_list() override { list_.invalidate(); }
   bool has_list() const override { return list_.valid(); }
   std::vector<emdpa::Vec3d> list_reference_positions() const override {
     std::vector<emdpa::Vec3d> out;

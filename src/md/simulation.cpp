@@ -217,11 +217,10 @@ Simulation Simulation::resume(Checkpoint checkpoint, const Options& options) {
   }
   sim.pending_langevin_rng_ = checkpoint.langevin_rng;
   if (checkpoint.list_ref && sim.list_control_ != nullptr) {
-    // Snapshot-style checkpoint: reseed the neighbour list from the captured
-    // reference positions.  The build is a pure function of (positions, box,
-    // cutoff), so this reproduces the list the snapshotted run was using and
-    // the replay continues bit-identically WITHOUT the invalidate-on-save
-    // sync point.
+    // Reseed the neighbour list from the captured reference positions.  The
+    // build is a pure function of (positions, box, cutoff), so this
+    // reproduces the list the saved run was using and the resumed run
+    // continues bit-identically with it.
     sim.list_control_->seed_list(*checkpoint.list_ref, checkpoint.box_edge,
                                  checkpoint.list_ref_cutoff);
   }
@@ -233,10 +232,6 @@ ForceKernel& Simulation::active_kernel() {
 }
 
 std::string Simulation::kernel_name() const { return lj_kernel_->name(); }
-
-std::uint64_t Simulation::list_rebuilds() const {
-  return list_stats().rebuilds;
-}
 
 std::uint64_t Simulation::n2_live_block_pairs() const {
   return cull_stats_ != nullptr ? cull_stats_->live_block_pairs() : 0;
@@ -392,7 +387,11 @@ void Simulation::run(int steps, const Observer& observer) {
   }
 }
 
-void Simulation::save(std::ostream& out) {
+void Simulation::save(std::ostream& out) const {
+  save_checkpoint(out, snapshot());
+}
+
+Checkpoint Simulation::snapshot() const {
   Checkpoint cp;
   cp.system = system_;
   cp.box_edge = box_.edge();
@@ -405,26 +404,8 @@ void Simulation::save(std::ostream& out) {
       CheckpointConfig{to_string(kernel_kind_), to_string(precision_),
                        simd_isa_ ? simd::to_string(*simd_isa_) : "none"};
   if (langevin_) cp.langevin_rng = langevin_->rng_state();
-  save_checkpoint(out, cp);
-  // Saving is a bitwise synchronisation point: drop the neighbour list so
-  // the continuing run and any future resume from this checkpoint both
-  // rebuild it from exactly the state just written.
-  if (list_control_ != nullptr) list_control_->invalidate_list();
-}
-
-Checkpoint Simulation::snapshot() const {
-  Checkpoint cp;
-  cp.system = system_;
-  cp.box_edge = box_.edge();
-  cp.step = step_;
-  cp.potential = last_energies_.potential;
-  cp.config =
-      CheckpointConfig{to_string(kernel_kind_), to_string(precision_),
-                       simd_isa_ ? simd::to_string(*simd_isa_) : "none"};
-  if (langevin_) cp.langevin_rng = langevin_->rng_state();
-  // Pure observer: instead of invalidating the live neighbour list (save()'s
-  // sync point, a bitwise perturbation of the continuing run), capture the
-  // positions it was built from so a restore can reseed the identical list.
+  // Pure observer: capture the positions the live neighbour list was built
+  // from so a restore can reseed the identical list.
   if (list_control_ != nullptr && list_control_->has_list()) {
     cp.list_ref = list_control_->list_reference_positions();
     cp.list_ref_cutoff = list_control_->list_build_cutoff();

@@ -119,7 +119,9 @@ class Simulation {
   /// mismatch throws RuntimeFailure unless Options::ignore_checkpoint_config
   /// is set.  A recorded Langevin RNG state is held until the caller
   /// re-attaches a Langevin thermostat (set_thermostat), which then
-  /// continues the checkpointed noise sequence instead of re-seeding.
+  /// continues the checkpointed noise sequence instead of re-seeding.  A
+  /// recorded list reference (LREF) reseeds the neighbour list the saved
+  /// run was using.
   static Simulation resume(Checkpoint checkpoint, const Options& options);
 
   const ParticleSystem& system() const { return system_; }
@@ -142,8 +144,6 @@ class Simulation {
   /// property of the selected ISA, NOT the compile-time native width.
   /// 1 for the scalar reference kernel.
   std::size_t simd_width() const { return simd_width_; }
-  /// Neighbour-list rebuilds so far; 0 for the stateless kernels.
-  std::uint64_t list_rebuilds() const;
   /// The N^2 kernel's j-block cull in the last force evaluation: the
   /// (i-block, j-block) pairs it swept, and all of them (blocks squared).
   /// Both 0 for the other kernels.  The host-parallel backend reports the
@@ -195,22 +195,19 @@ class Simulation {
   using Observer = std::function<void(long step, const StepEnergies&)>;
   void run(int steps, const Observer& observer = {});
 
-  /// Serialise the full state (checkpoint format v5: potential energy,
-  /// per-section CRC-32, the resolved kernel/precision/ISA configuration, and
-  /// the Langevin thermostat RNG state when one is attached).  Non-const
-  /// because saving is a bitwise synchronisation point: the neighbour list
-  /// is invalidated so the continuing run and any future resume from this
-  /// checkpoint both rebuild it from exactly the state written — the
-  /// trajectories stay bit-identical.
-  void save(std::ostream& out);
+  /// Serialise snapshot() (checkpoint format v5: potential energy,
+  /// per-section CRC-32, the resolved kernel/precision/ISA configuration, the
+  /// Langevin thermostat RNG state when one is attached, and the live
+  /// neighbour list's reference positions when there is one).
+  void save(std::ostream& out) const;
 
-  /// Capture the full state as a Checkpoint WITHOUT perturbing the run — the
-  /// trajectory store's seam.  Unlike save(), no neighbour-list invalidation
-  /// happens; instead the checkpoint carries the live list's reference
-  /// positions (the listref section), so a resume() from it reseeds the
-  /// identical list and continues bit-exactly, while the observed run itself
-  /// proceeds as if nothing was captured.  Store-enabled runs therefore stay
-  /// bitwise identical to store-disabled runs.
+  /// Capture the full state as a Checkpoint without perturbing the run — the
+  /// seam of save(), the trajectory store and bisect.  The checkpoint carries
+  /// the live list's reference positions (the listref section), so a resume()
+  /// from it reseeds the identical list and continues bit-exactly, while the
+  /// observed run itself proceeds as if nothing was captured.  A run that
+  /// saves, snapshots or is resumed therefore stays bitwise identical to the
+  /// same run with no captures, whatever the cadence.
   Checkpoint snapshot() const;
 
  private:
@@ -234,8 +231,8 @@ class Simulation {
   std::optional<simd::SimdType> simd_isa_;  ///< dispatched ISA; see simd_isa()
   std::size_t simd_width_ = 1;
   /// Non-owning control view of lj_kernel_ when it is one of the
-  /// neighbour-list kernels (dp, sp or mixed): rebuild statistics plus the
-  /// checkpoint-time invalidation sync point.  nullptr otherwise.
+  /// neighbour-list kernels (dp, sp or mixed): list statistics plus the
+  /// reference-position capture and reseed.  nullptr otherwise.
   NeighborListControl* list_control_ = nullptr;
   /// Non-owning view of lj_kernel_'s cull counters when it is one of the
   /// SoA N^2 kernels; nullptr otherwise.

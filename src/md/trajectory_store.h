@@ -2,10 +2,9 @@
 // snapshots, any of which restores bit-exactly with one file read.
 //
 // The store is a directory of frames written at a configurable step
-// stride from Simulation::snapshot() — a PURE observer (no neighbour-list
-// invalidation; the checkpoint's LREF section carries what a restore
-// needs instead), so a store-enabled run stays bitwise identical to a
-// store-disabled one.  Every frame is a complete checkpoint file (binary
+// stride from Simulation::snapshot() — a PURE observer (the checkpoint's
+// LREF section carries the neighbour list a restore reseeds), so a
+// store-enabled run stays bitwise identical to a store-disabled one.  Every frame is a complete checkpoint file (binary
 // v5, written by encode_checkpoint), readable by load_checkpoint on its
 // own and guarded by a CRC-32 per section; a v4 text frame from an older
 // build fails to load, naming its version.  The store index ends in a

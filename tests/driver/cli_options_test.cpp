@@ -118,7 +118,8 @@ TEST(CliOptions, FlagDoesNotTakeTheNextFlagAsItsValue) {
     }
   }
   // A value with a single leading dash is still a value.
-  EXPECT_EQ(parse_cli({"run", "--backend", "host", "--checkpoint", "-c.ckpt"})
+  EXPECT_EQ(parse_cli({"run", "--backend", "host-parallel", "--checkpoint",
+                       "-c.ckpt"})
                 .run_config.checkpoint_path,
             "-c.ckpt");
 }
@@ -161,6 +162,26 @@ TEST(CliOptions, ResilienceFlagsRejectBadInput) {
   // Periodic saves need somewhere to go.
   EXPECT_THROW(parse_cli({"run", "--backend", "x", "--checkpoint-every", "5"}),
                RuntimeFailure);
+  // Only host-parallel checkpoints and resumes: elsewhere each flag fails,
+  // naming itself and the backend, instead of being ignored.
+  for (const std::vector<std::string>& flags :
+       std::vector<std::vector<std::string>>{
+           {"--checkpoint", "c"},
+           {"--checkpoint-every", "5"},
+           {"--resume", "missing.ckpt"},
+           {"--resume-force"}}) {
+    std::vector<std::string> args = {"run", "--backend", "host"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    SCOPED_TRACE(flags.front());
+    try {
+      parse_cli(args);
+      FAIL() << "expected RuntimeFailure";
+    } catch (const RuntimeFailure& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(flags.front()), std::string::npos) << message;
+      EXPECT_NE(message.find("'host'"), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(CliOptions, SimdAndPrecisionFlagsPopulateRunConfig) {

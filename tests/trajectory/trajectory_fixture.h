@@ -51,7 +51,7 @@ inline Trajectory run_melt(const MeltSpec& spec) {
     trajectory.energies.push_back(e);
   });
   trajectory.positions = sim.system().positions();
-  trajectory.list_rebuilds = sim.list_rebuilds();
+  trajectory.list_rebuilds = sim.list_stats().rebuilds;
   return trajectory;
 }
 
